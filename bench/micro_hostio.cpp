@@ -35,6 +35,36 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(64 << 10)->Arg(4 << 20);
 
+// Restart-path verification of one file: 6 sections of 16 ranks x 1 MiB,
+// re-derived concurrently from the page cache.
+void BM_VerifyCheckpoint(benchmark::State& state) {
+  const auto dir = benchDir();
+  hostio::HostSpec spec;
+  spec.directory = dir.string();
+  iofmt::FileSpec fs;
+  fs.ranksInFile = 16;
+  fs.fieldBytesPerRank = 1 << 20;
+  fs.fieldNames = {"Ex", "Ey", "Ez", "Hx", "Hy", "Hz"};
+  {
+    iofmt::CheckpointWriter writer(hostio::hostCheckpointPath(spec, 0), fs);
+    std::vector<std::byte> block(fs.fieldBytesPerRank);
+    for (std::size_t i = 0; i < block.size(); ++i)
+      block[i] = static_cast<std::byte>(i * 31);
+    for (int f = 0; f < 6; ++f)
+      for (int r = 0; r < 16; ++r) writer.writeBlock(f, r, block);
+    writer.close();
+  }
+  for (auto _ : state)
+    if (!hostio::verifyCheckpoint(spec)) {
+      state.SkipWithError("freshly written checkpoint failed to verify");
+      break;
+    }
+  state.SetBytesProcessed(state.iterations() * 6 * 16 *
+                          static_cast<std::int64_t>(fs.fieldBytesPerRank));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_VerifyCheckpoint)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_WriterBlockWrites(benchmark::State& state) {
   const auto dir = benchDir();
   std::filesystem::create_directories(dir);

@@ -351,12 +351,13 @@ std::vector<HostRankData> readCheckpoint(HostSpec& spec, int np) {
 }
 
 bool verifyCheckpoint(const HostSpec& spec) {
+  std::vector<std::string> parts;
   for (int part = 0;; ++part) {
-    const std::string path = hostCheckpointPath(spec, part);
-    if (!std::filesystem::exists(path)) return part > 0;
-    iofmt::CheckpointReader reader(path);
-    if (!reader.verify()) return false;
+    auto path = hostCheckpointPath(spec, part);
+    if (!std::filesystem::exists(path)) break;
+    parts.push_back(std::move(path));
   }
+  return !parts.empty() && iofmt::verifyFiles(parts);
 }
 
 }  // namespace bgckpt::hostio

@@ -76,7 +76,9 @@ HostRunResult writeCheckpoint(const HostSpec& spec, const HostConfig& config,
 /// state for `np` ranks. Also returns simTime/iteration via `spec`.
 std::vector<HostRankData> readCheckpoint(HostSpec& spec, int np);
 
-/// Verify every part file's checksums.
+/// Verify every part file's checksums, all parts' sections concurrently
+/// (iofmt::verifyFiles). False when no part exists or any part is
+/// truncated or corrupt; never throws for damaged files.
 bool verifyCheckpoint(const HostSpec& spec);
 
 }  // namespace bgckpt::hostio

@@ -51,15 +51,23 @@ class CheckpointReader {
 
   std::vector<std::byte> readBlock(int field, int rankInFile) const;
 
-  /// Re-derive every section checksum and compare against the stored ones.
+  /// verifyFiles() for this one file.
   bool verify() const;
 
   SectionInfo sectionInfo(int field) const;
 
  private:
+  friend bool verifyFiles(std::span<const std::string> paths);
   struct Impl;
   std::unique_ptr<Impl> impl_;
   FileSpec spec_;
 };
+
+/// Re-derive every section checksum of every file and compare it, and each
+/// section header's name and size, against the stored ones. Sections are
+/// checked concurrently on min(hardware threads, sections) workers, each
+/// streaming its blocks through one fixed read buffer. A missing,
+/// truncated or corrupt file reads as false, never as an exception.
+bool verifyFiles(std::span<const std::string> paths);
 
 }  // namespace bgckpt::iofmt

@@ -26,24 +26,58 @@ constexpr std::size_t kOffTable = 256;     // field table entries follow
 constexpr std::size_t kTableEntryBytes = kFieldNameBytes + 16;  // name+off+len
 constexpr std::uint32_t kEndianTag = 0x01020304;
 
-std::array<std::uint32_t, 256> makeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-16 tables: kCrcTables[k][b] is the CRC register contribution
+// of byte b followed by k zero bytes, so 16 input bytes fold into the
+// register with 16 independent lookups instead of a 16-step serial chain.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables makeCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int b = 0; b < 8; ++b)
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+  return t;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+/// Little-endian word load; compilers fold it into one load on LE hosts.
+std::uint32_t loadLe32(const std::byte* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  static const auto table = makeCrcTable();
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::byte b : data)
-    c = table[(c ^ static_cast<std::uint32_t>(b)) & 0xFF] ^ (c >> 8);
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 16; p += 16, n -= 16) {
+    const std::uint32_t w0 = loadLe32(p) ^ c;
+    const std::uint32_t w1 = loadLe32(p + 4);
+    const std::uint32_t w2 = loadLe32(p + 8);
+    const std::uint32_t w3 = loadLe32(p + 12);
+    c = t[15][w0 & 0xFF] ^ t[14][(w0 >> 8) & 0xFF] ^
+        t[13][(w0 >> 16) & 0xFF] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFF] ^ t[10][(w1 >> 8) & 0xFF] ^
+        t[9][(w1 >> 16) & 0xFF] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFF] ^ t[6][(w2 >> 8) & 0xFF] ^
+        t[5][(w2 >> 16) & 0xFF] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFF] ^ t[2][(w3 >> 8) & 0xFF] ^
+        t[1][(w3 >> 16) & 0xFF] ^ t[0][w3 >> 24];
+  }
+  for (; n > 0; ++p, --n)
+    c = t[0][(c ^ static_cast<std::uint32_t>(*p)) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

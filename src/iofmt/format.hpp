@@ -59,7 +59,8 @@ struct FileSpec {
   std::uint64_t fileBytes() const;
 };
 
-/// CRC32 (IEEE 802.3, reflected) used by section headers.
+/// CRC32 (IEEE 802.3, reflected) used by section headers. Chains:
+/// crc32(b, crc32(a)) == crc32(a‖b), so data may be checksummed in chunks.
 std::uint32_t crc32(std::span<const std::byte> data,
                     std::uint32_t seed = 0);
 

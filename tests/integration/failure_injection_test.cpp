@@ -138,6 +138,57 @@ TEST_F(CrashRestartTest, TruncatedCheckpointDetectedAndOlderGenerationUsed) {
               reference.fields().comp[static_cast<std::size_t>(f)]);
 }
 
+// Two rbIO generations (steps 10 and 20, two parts each) in `dir`.
+void writeTwoGenerations(const std::string& dir) {
+  for (int step : {10, 20}) {
+    hostio::HostSpec spec;
+    spec.directory = dir;
+    spec.step = step;
+    spec.fieldNames = {"Ex", "Hy"};
+    spec.fieldBytesPerRank = 4096;
+    const std::vector<std::byte> block(4096, static_cast<std::byte>(step));
+    std::vector<hostio::HostRankData> data(4);
+    for (auto& r : data) r.fields.assign(2, block);
+    hostio::writeCheckpoint(spec, {hostio::HostStrategy::kRbIo, 2}, data);
+  }
+}
+
+hostio::HostSpec probe(const std::string& dir, int step) {
+  hostio::HostSpec spec;
+  spec.directory = dir;
+  spec.step = step;
+  return spec;
+}
+
+TEST_F(CrashRestartTest, TruncatedPartFailsVerifyWithoutThrowing) {
+  writeTwoGenerations(dir_);
+  const auto victim = hostio::hostCheckpointPath(probe(dir_, 20), 1);
+  std::filesystem::resize_file(victim,
+                               std::filesystem::file_size(victim) / 2);
+  bool verified = true;
+  EXPECT_NO_THROW(verified = hostio::verifyCheckpoint(probe(dir_, 20)));
+  EXPECT_FALSE(verified);
+  EXPECT_TRUE(hostio::verifyCheckpoint(probe(dir_, 10)));
+}
+
+TEST_F(CrashRestartTest, CorruptMasterHeaderFailsVerifyWithoutThrowing) {
+  writeTwoGenerations(dir_);
+  {
+    const auto victim = hostio::hostCheckpointPath(probe(dir_, 20), 0);
+    int fd = ::open(victim.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    char b = 0;
+    ASSERT_EQ(::pread(fd, &b, 1, 70), 1);  // application name
+    b = static_cast<char>(b ^ 0x01);
+    ASSERT_EQ(::pwrite(fd, &b, 1, 70), 1);
+    ::close(fd);
+  }
+  bool verified = true;
+  EXPECT_NO_THROW(verified = hostio::verifyCheckpoint(probe(dir_, 20)));
+  EXPECT_FALSE(verified);
+  EXPECT_TRUE(hostio::verifyCheckpoint(probe(dir_, 10)));
+}
+
 TEST_F(CrashRestartTest, MissingPartFileDetected) {
   hostio::HostSpec spec;
   spec.directory = dir_;

@@ -41,6 +41,47 @@ TEST(Format, Crc32KnownVector) {
   EXPECT_EQ(crc32(data), 0xCBF43926u);
 }
 
+// Bit-at-a-time CRC-32, straight from the polynomial: the reference the
+// sliced kernel must match exactly.
+std::uint32_t referenceCrc32(std::span<const std::byte> data,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Format, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::byte> buf(16 + 257);
+  std::uint32_t x = 12345;
+  for (auto& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  for (std::size_t start = 0; start < 16; ++start)
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::span<const std::byte> s(buf.data() + start, len);
+      ASSERT_EQ(crc32(s), referenceCrc32(s))
+          << "start " << start << " length " << len;
+      ASSERT_EQ(crc32(s, 0xDEADBEEFu), referenceCrc32(s, 0xDEADBEEFu))
+          << "seeded, start " << start << " length " << len;
+    }
+}
+
+TEST(Format, Crc32ChainsAcrossSplits) {
+  std::vector<std::byte> buf(300);
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::byte>(i * 131 + 7);
+  const std::span<const std::byte> all(buf);
+  const std::uint32_t whole = crc32(all);
+  for (std::size_t cut = 0; cut <= all.size(); ++cut)
+    ASSERT_EQ(crc32(all.subspan(cut), crc32(all.first(cut))), whole)
+        << "cut at " << cut;
+}
+
 TEST(Format, MasterHeaderRoundTrip) {
   const FileSpec spec = sampleSpec();
   const auto bytes = encodeMasterHeader(spec);
