@@ -18,7 +18,9 @@ struct MpiFile::Shared {
   std::string path;
   Hints hints;
   std::vector<int> aggregators;  // local ranks, ascending
-  std::vector<bool> isAgg;
+  // Local rank -> its index in `aggregators` (the file domain it owns), or
+  // -1 for a rank that is not an aggregator.
+  std::vector<int> aggIndex;
 
   // Metadata for the current collective-write round, built once by the
   // first rank to need it (single-threaded simulation makes this safe).
@@ -128,9 +130,10 @@ sim::Task<MpiFile> MpiFile::open(mpi::Comm comm, fs::ParallelFsSim& fsys,
     shared->path = path;
     shared->hints = hints;
     shared->aggregators = chooseAggregators(comm, hints);
-    shared->isAgg.assign(static_cast<std::size_t>(comm.size()), false);
-    for (int a : shared->aggregators)
-      shared->isAgg[static_cast<std::size_t>(a)] = true;
+    shared->aggIndex.assign(static_cast<std::size_t>(comm.size()), -1);
+    for (std::size_t k = 0; k < shared->aggregators.size(); ++k)
+      shared->aggIndex[static_cast<std::size_t>(shared->aggregators[k])] =
+          static_cast<int>(k);
     if (!fsys.image().exists(path)) {
       auto fh = co_await fsys.create(comm.globalRank(0), path, otc);
       co_await fsys.close(comm.globalRank(0), fh, otc);
@@ -145,10 +148,8 @@ sim::Task<MpiFile> MpiFile::open(mpi::Comm comm, fs::ParallelFsSim& fsys,
   shared = std::static_pointer_cast<Shared>(m.box);
 
   MpiFile file(comm, &fsys, shared);
-  const bool opensNow =
-      !hints.deferredOpen ||
-      shared->isAgg[static_cast<std::size_t>(comm.rank())];
-  if (opensNow) co_await file.ensureFsHandle(otc);
+  if (!hints.deferredOpen || file.isAggregator())
+    co_await file.ensureFsHandle(otc);
   const sim::SimTime barrierStart = comm.scheduler().now();
   co_await comm.barrier();
   otc.hop(obs::Hop::kCollective, barrierStart, comm.scheduler().now());
@@ -217,66 +218,62 @@ sim::Task<> MpiFile::writeAtAll(std::uint64_t offset, sim::Bytes len,
   }
 
   // Phase 2: aggregators collect their domain and commit it in
-  // cb_buffer_size chunks.
-  if (sh.isAgg[static_cast<std::size_t>(comm_.rank())] && meta.hi > meta.lo) {
-    // Which domain(s) do I own? Aggregator k owns domain k.
-    const auto it = std::find(sh.aggregators.begin(), sh.aggregators.end(),
-                              comm_.rank());
-    const int myDomain = static_cast<int>(it - sh.aggregators.begin());
-    if (myDomain < meta.numDomains()) {
-      const std::uint64_t dLo = meta.domainLo(myDomain);
-      const std::uint64_t dHi = meta.domainHi(myDomain);
-      const int expected = meta.contributors(dLo, dHi);
-      struct Piece {
-        std::uint64_t offset;
-        sim::Bytes size;
-        std::shared_ptr<const std::vector<std::byte>> payload;
-      };
-      std::vector<Piece> pieces;
-      pieces.reserve(static_cast<std::size_t>(expected));
-      for (int i = 0; i < expected; ++i) {
-        mpi::Message msg = co_await comm_.recv(mpi::kAnySource, tag);
-        otc.link(msg.trace);  // 32:1 (or nf-dependent) fan-in lineage
-        pieces.push_back({msg.meta, msg.size, msg.payload});
-      }
-      std::sort(pieces.begin(), pieces.end(),
-                [](const Piece& a, const Piece& b) {
-                  return a.offset < b.offset;
-                });
-      co_await ensureFsHandle(otc);
-      // Coalesce contiguous pieces into runs; commit runs chunk by chunk.
-      std::size_t i = 0;
-      while (i < pieces.size()) {
-        std::uint64_t runLo = pieces[i].offset;
-        std::uint64_t runHi = runLo + pieces[i].size;
-        std::vector<std::byte> runBytes;
-        bool haveBytes = pieces[i].payload != nullptr;
-        if (haveBytes)
-          runBytes.assign(pieces[i].payload->begin(),
+  // cb_buffer_size chunks. Aggregator k owns domain k; an empty round has
+  // no domains.
+  const int myDomain = sh.aggIndex[static_cast<std::size_t>(comm_.rank())];
+  if (myDomain >= 0 && myDomain < meta.numDomains()) {
+    const std::uint64_t dLo = meta.domainLo(myDomain);
+    const std::uint64_t dHi = meta.domainHi(myDomain);
+    const int expected = meta.contributors(dLo, dHi);
+    struct Piece {
+      std::uint64_t offset;
+      sim::Bytes size;
+      std::shared_ptr<const std::vector<std::byte>> payload;
+    };
+    std::vector<Piece> pieces;
+    pieces.reserve(static_cast<std::size_t>(expected));
+    for (int i = 0; i < expected; ++i) {
+      mpi::Message msg = co_await comm_.recv(mpi::kAnySource, tag);
+      otc.link(msg.trace);  // 32:1 (or nf-dependent) fan-in lineage
+      pieces.push_back({msg.meta, msg.size, msg.payload});
+    }
+    std::sort(pieces.begin(), pieces.end(),
+              [](const Piece& a, const Piece& b) {
+                return a.offset < b.offset;
+              });
+    co_await ensureFsHandle(otc);
+    // Coalesce contiguous pieces into runs; commit runs chunk by chunk.
+    std::size_t i = 0;
+    while (i < pieces.size()) {
+      std::uint64_t runLo = pieces[i].offset;
+      std::uint64_t runHi = runLo + pieces[i].size;
+      std::vector<std::byte> runBytes;
+      bool haveBytes = pieces[i].payload != nullptr;
+      if (haveBytes)
+        runBytes.assign(pieces[i].payload->begin(),
+                        pieces[i].payload->end());
+      ++i;
+      while (i < pieces.size() && pieces[i].offset == runHi) {
+        if (haveBytes && pieces[i].payload) {
+          runBytes.insert(runBytes.end(), pieces[i].payload->begin(),
                           pieces[i].payload->end());
+        } else {
+          haveBytes = false;
+        }
+        runHi += pieces[i].size;
         ++i;
-        while (i < pieces.size() && pieces[i].offset == runHi) {
-          if (haveBytes && pieces[i].payload) {
-            runBytes.insert(runBytes.end(), pieces[i].payload->begin(),
-                            pieces[i].payload->end());
-          } else {
-            haveBytes = false;
-          }
-          runHi += pieces[i].size;
-          ++i;
-        }
-        std::uint64_t cursor = runLo;
-        while (cursor < runHi) {
-          const std::uint64_t chunkEnd =
-              std::min(runHi, cursor + sh.hints.cbBufferSize);
-          std::span<const std::byte> chunkData;
-          if (haveBytes)
-            chunkData = std::span<const std::byte>(
-                runBytes.data() + (cursor - runLo), chunkEnd - cursor);
-          co_await fsys_->write(myFsClientId(), fsHandle_, cursor,
-                                chunkEnd - cursor, chunkData, otc);
-          cursor = chunkEnd;
-        }
+      }
+      std::uint64_t cursor = runLo;
+      while (cursor < runHi) {
+        const std::uint64_t chunkEnd =
+            std::min(runHi, cursor + sh.hints.cbBufferSize);
+        std::span<const std::byte> chunkData;
+        if (haveBytes)
+          chunkData = std::span<const std::byte>(
+              runBytes.data() + (cursor - runLo), chunkEnd - cursor);
+        co_await fsys_->write(myFsClientId(), fsHandle_, cursor,
+                              chunkEnd - cursor, chunkData, otc);
+        cursor = chunkEnd;
       }
     }
   }
@@ -298,7 +295,7 @@ sim::Task<> MpiFile::close(obs::OpTraceContext otc) {
 }
 
 bool MpiFile::isAggregator() const {
-  return shared_->isAgg[static_cast<std::size_t>(comm_.rank())];
+  return shared_->aggIndex[static_cast<std::size_t>(comm_.rank())] >= 0;
 }
 
 int MpiFile::numAggregators() const {

@@ -1,11 +1,15 @@
 #include "mpisim/comm.hpp"
 
 #include "simcore/simcheck.hpp"
+#include "simcore/waitlist.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 namespace bgckpt::mpi {
 
@@ -26,10 +30,14 @@ struct Group {
     int tag = 0;
     std::coroutine_handle<> handle;
     Message msg;
+    Waiter* next = nullptr;
   };
+  /// One rank's mailbox. A receive posted before its message parks in its
+  /// own awaiter, so a mailbox allocates only when a message arrives before
+  /// its receive; the arrival queue it allocates then is kept.
   struct Box {
-    std::deque<Message> queue;    // unmatched arrivals, in order
-    std::deque<Waiter*> waiters;  // suspended receivers, in order
+    sim::WaitList<Waiter> waiters;               // suspended receivers, in order
+    std::unique_ptr<std::deque<Message>> early;  // unmatched arrivals, in order
   };
   std::vector<Box> boxes;
 
@@ -41,13 +49,15 @@ struct Group {
   double reduceMaxAccum = -std::numeric_limits<double>::infinity();
   double reduceSumResult = 0.0;
   double reduceMaxResult = 0.0;
-  std::vector<std::uint64_t> gatherAccum;
-  std::vector<std::uint64_t> gatherResult;
+  std::vector<std::uint64_t> gatherAccum;  // sized only during a gather
   std::shared_ptr<const std::vector<std::uint64_t>> gatherShared;
   Message bcastSlot;
   std::vector<std::tuple<int, int, int>> splitEntries;  // (color, key, rank)
+  // Hand-over state of the latest split, dropped once every member has
+  // picked up its Comm: from then on the members own the sub-communicators.
   std::map<int, std::shared_ptr<Group>> splitGroups;
   std::vector<int> splitLocalRank;
+  int splitPickedUp = 0;
 
   Group(sim::Scheduler& s, const machine::Machine& m, net::TorusNetwork& t,
         net::CollectiveNetwork& c, obs::Observability* o,
@@ -60,9 +70,7 @@ struct Group {
         jitter(std::move(j)),
         globalRanks(std::move(ranks)),
         barrier(s, globalRanks.size()),
-        boxes(globalRanks.size()),
-        gatherAccum(globalRanks.size(), 0),
-        splitLocalRank(globalRanks.size(), -1) {}
+        boxes(globalRanks.size()) {}
 
   int size() const { return static_cast<int>(globalRanks.size()); }
 
@@ -73,40 +81,42 @@ struct Group {
 
   void deliver(int dst, Message msg) {
     Box& box = boxes[static_cast<std::size_t>(dst)];
-    for (auto it = box.waiters.begin(); it != box.waiters.end(); ++it) {
-      if (matches(msg, (*it)->src, (*it)->tag)) {
-        Waiter* w = *it;
-        box.waiters.erase(it);
-        w->msg = std::move(msg);
-        sched.scheduleResume(
-            0.0, w->handle,
-            sim::WakeEdge{sim::WakeKind::kMessageDeliver, "mpi-deliver"});
-        return;
-      }
+    Waiter* w = box.waiters.takeFirst([&msg](const Waiter& posted) {
+      return matches(msg, posted.src, posted.tag);
+    });
+    if (w) {
+      w->msg = std::move(msg);
+      sched.scheduleResume(
+          0.0, w->handle,
+          sim::WakeEdge{sim::WakeKind::kMessageDeliver, "mpi-deliver"});
+      return;
     }
-    box.queue.push_back(std::move(msg));
+    if (!box.early) box.early = std::make_unique<std::deque<Message>>();
+    box.early->push_back(std::move(msg));
   }
 
   /// Called by the last rank entering a collective, before the barrier
-  /// releases: snapshot accumulators into result slots and reset.
+  /// releases: snapshot accumulators into result slots and reset. Only a
+  /// gather fills the gather buffer, and it hands the buffer over whole as
+  /// the shared snapshot.
   void finalizeCollective() {
     reduceSumResult = reduceSumAccum;
     reduceMaxResult = reduceMaxAccum;
-    gatherResult = gatherAccum;
-    gatherShared = std::make_shared<const std::vector<std::uint64_t>>(
-        gatherAccum);
     reduceSumAccum = 0.0;
     reduceMaxAccum = -std::numeric_limits<double>::infinity();
-    std::fill(gatherAccum.begin(), gatherAccum.end(), 0);
+    if (!gatherAccum.empty())
+      gatherShared = std::make_shared<const std::vector<std::uint64_t>>(
+          std::exchange(gatherAccum, {}));
     collArrived = 0;
     if (!splitEntries.empty()) finalizeSplit();
   }
 
   void finalizeSplit() {
-    std::sort(splitEntries.begin(), splitEntries.end());  // color, key, rank
-    splitGroups.clear();
+    auto entries = std::exchange(splitEntries, {});
+    std::sort(entries.begin(), entries.end());  // color, key, rank
+    splitLocalRank.assign(globalRanks.size(), -1);
     std::map<int, std::vector<int>> members;  // color -> old local ranks
-    for (const auto& [color, key, rank] : splitEntries)
+    for (const auto& [color, key, rank] : entries)
       members[color].push_back(rank);
     for (auto& [color, ranks] : members) {
       std::vector<int> globals;
@@ -121,7 +131,6 @@ struct Group {
                                                   obs, jitter,
                                                   std::move(globals)));
     }
-    splitEntries.clear();
   }
 };
 
@@ -160,11 +169,12 @@ struct RecvAwaiter {
   Group::Waiter waiter;
 
   bool await_ready() {
-    auto& box = g.boxes[static_cast<std::size_t>(me)];
-    for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
+    auto& early = g.boxes[static_cast<std::size_t>(me)].early;
+    if (!early) return false;
+    for (auto it = early->begin(); it != early->end(); ++it) {
       if (Group::matches(*it, waiter.src, waiter.tag)) {
         waiter.msg = std::move(*it);
-        box.queue.erase(it);
+        early->erase(it);
         return true;
       }
     }
@@ -172,7 +182,7 @@ struct RecvAwaiter {
   }
   void await_suspend(std::coroutine_handle<> h) {
     waiter.handle = h;
-    g.boxes[static_cast<std::size_t>(me)].waiters.push_back(&waiter);
+    g.boxes[static_cast<std::size_t>(me)].waiters.pushBack(&waiter);
   }
   Message await_resume() { return std::move(waiter.msg); }
 };
@@ -279,33 +289,19 @@ sim::Task<double> Comm::allReduceMax(double value) {
   co_return result;
 }
 
-sim::Task<std::vector<std::uint64_t>> Comm::allGatherU64(std::uint64_t value) {
-  auto& g = *group_;
-  const sim::SimTime t0 = g.sched.now();
-  g.gatherAccum[static_cast<std::size_t>(rank_)] = value;
-  if (++g.collArrived == g.size()) g.finalizeCollective();
-  co_await g.barrier.arriveAndWait();
-  std::vector<std::uint64_t> result = g.gatherResult;
-  co_await g.sched.delay(
-      g.coll.reduceCost(g.size(), sizeof(std::uint64_t)) +
-      g.coll.broadcastCost(
-          g.size(), sizeof(std::uint64_t) * g.gatherResult.size()));
-  detail::emitCollSpan(g, rank_, "collective", t0);
-  co_return result;
-}
-
 sim::Task<std::shared_ptr<const std::vector<std::uint64_t>>>
 Comm::allGatherU64Shared(std::uint64_t value) {
   auto& g = *group_;
   const sim::SimTime t0 = g.sched.now();
+  if (g.gatherAccum.empty())  // first arrival
+    g.gatherAccum.resize(static_cast<std::size_t>(g.size()));
   g.gatherAccum[static_cast<std::size_t>(rank_)] = value;
   if (++g.collArrived == g.size()) g.finalizeCollective();
   co_await g.barrier.arriveAndWait();
   auto result = g.gatherShared;
   co_await g.sched.delay(
       g.coll.reduceCost(g.size(), sizeof(std::uint64_t)) +
-      g.coll.broadcastCost(g.size(),
-                           sizeof(std::uint64_t) * g.gatherAccum.size()));
+      g.coll.broadcastCost(g.size(), sizeof(std::uint64_t) * result->size()));
   detail::emitCollSpan(g, rank_, "collective", t0);
   co_return result;
 }
@@ -318,6 +314,11 @@ sim::Task<Comm> Comm::split(int color, int key) {
   co_await g.barrier.arriveAndWait();
   auto sub = g.splitGroups.at(color);
   const int newRank = g.splitLocalRank[static_cast<std::size_t>(rank_)];
+  if (++g.splitPickedUp == g.size()) {
+    g.splitGroups.clear();
+    g.splitLocalRank = {};
+    g.splitPickedUp = 0;
+  }
   co_await g.sched.delay(g.coll.barrierCost(g.size()));
   detail::emitCollSpan(g, rank_, "collective", t0);
   co_return Comm(std::move(sub), newRank);

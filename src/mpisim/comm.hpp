@@ -107,10 +107,9 @@ class Comm {
   sim::Task<Message> bcast(int root, Message msg);
   sim::Task<double> allReduceSum(double value);
   sim::Task<double> allReduceMax(double value);
-  sim::Task<std::vector<std::uint64_t>> allGatherU64(std::uint64_t value);
 
-  /// Like allGatherU64, but every rank receives the same shared snapshot —
-  /// O(size) total memory instead of O(size^2). Essential at 64K ranks.
+  /// Gathers one value per rank; every rank receives the same shared,
+  /// rank-ordered snapshot, so a gather costs O(size) memory in total.
   sim::Task<std::shared_ptr<const std::vector<std::uint64_t>>>
   allGatherU64Shared(std::uint64_t value);
 

@@ -4,9 +4,9 @@
 // bounded, suspending send. Wakeups are routed through the scheduler at the
 // current simulated time, preserving global deterministic ordering.
 //
-// Waiter bookkeeping stores pointers into awaiter objects; an awaiter lives
-// in its suspended coroutine's frame, so the pointers are stable until the
-// coroutine is resumed.
+// Suspended senders and receivers queue through their own awaiters
+// (waitlist.hpp); an awaiter lives in its suspended coroutine's frame, so
+// the links are stable until the coroutine is resumed.
 #pragma once
 
 #include <coroutine>
@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "simcore/scheduler.hpp"
+#include "simcore/waitlist.hpp"
 
 namespace bgckpt::sim {
 
@@ -41,8 +42,7 @@ class Channel {
   /// channel it may transiently exceed capacity.
   void push(T value) {
     if (!recvWaiters_.empty()) {
-      RecvWaiter* w = recvWaiters_.front();
-      recvWaiters_.pop_front();
+      RecvWaiter* w = recvWaiters_.popFront();
       w->value.emplace(std::move(value));
       sched_.scheduleResume(0.0, w->handle,
                             WakeEdge{WakeKind::kChannelPush, "channel"});
@@ -70,9 +70,11 @@ class Channel {
   struct RecvWaiter {
     std::coroutine_handle<> handle;
     std::optional<T> value;
+    RecvWaiter* next = nullptr;
   };
   struct SendWaiter {
     std::coroutine_handle<> handle;
+    SendWaiter* next = nullptr;
   };
 
   struct SendAwaiter {
@@ -84,7 +86,7 @@ class Channel {
     }
     void await_suspend(std::coroutine_handle<> h) {
       waiter.handle = h;
-      ch.sendWaiters_.push_back(&waiter);
+      ch.sendWaiters_.pushBack(&waiter);
     }
     void await_resume() { ch.push(std::move(value)); }
   };
@@ -101,7 +103,7 @@ class Channel {
     }
     void await_suspend(std::coroutine_handle<> h) {
       this->handle = h;
-      ch.recvWaiters_.push_back(this);
+      ch.recvWaiters_.pushBack(this);
       // A suspended sender holds the item we are waiting for in its frame;
       // wake it so it can deposit the value (delivered directly to us).
       ch.wakeOneSender();
@@ -111,8 +113,7 @@ class Channel {
 
   void wakeOneSender() {
     if (!sendWaiters_.empty()) {
-      SendWaiter* w = sendWaiters_.front();
-      sendWaiters_.pop_front();
+      SendWaiter* w = sendWaiters_.popFront();
       sched_.scheduleResume(0.0, w->handle,
                             WakeEdge{WakeKind::kChannelPush, "channel"});
     }
@@ -121,8 +122,8 @@ class Channel {
   Scheduler& sched_;
   std::size_t capacity_;
   std::deque<T> items_;
-  std::deque<RecvWaiter*> recvWaiters_;
-  std::deque<SendWaiter*> sendWaiters_;
+  WaitList<RecvWaiter> recvWaiters_;
+  WaitList<SendWaiter> sendWaiters_;
 };
 
 }  // namespace bgckpt::sim

@@ -6,6 +6,10 @@
 // queueing discipline of a storage server or lock manager). `Mutex` is the
 // single-token special case. `ScopedTokens` releases on destruction.
 //
+// Waiters queue through their own awaiters (waitlist.hpp), so a Resource is
+// 56 bytes with nothing on the heap, idle or contended; the torus keeps two
+// per node and fssim two per file.
+//
 // When a SimChecker is installed on the scheduler (simcheck.hpp), every
 // release is balance-checked against the token total and each Resource
 // verifies at destruction that all tokens came back and no waiter is still
@@ -14,11 +18,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <source_location>
 
 #include "simcore/scheduler.hpp"
 #include "simcore/simcheck.hpp"
+#include "simcore/waitlist.hpp"
 
 namespace bgckpt::sim {
 
@@ -47,7 +51,7 @@ class Resource {
   [[nodiscard]] auto acquire(std::int64_t n = 1) {
     SIM_CHECK(n > 0 && n <= total_,
               "acquire amount must be within the resource total");
-    return Awaiter{*this, n, {}};
+    return Awaiter{*this, {{}, n}};
   }
 
   /// Return `n` tokens and admit as many queued waiters as now fit.
@@ -65,8 +69,7 @@ class Resource {
       }
     }
     while (!waiters_.empty() && waiters_.front()->amount <= available_) {
-      Waiter* w = waiters_.front();
-      waiters_.pop_front();
+      Waiter* w = waiters_.popFront();
       available_ -= w->amount;
       sched_.scheduleResume(0.0, w->handle,
                             WakeEdge{WakeKind::kResourceGrant, name_});
@@ -77,24 +80,23 @@ class Resource {
   struct Waiter {
     std::coroutine_handle<> handle;
     std::int64_t amount = 0;
+    Waiter* next = nullptr;
   };
 
   struct Awaiter {
     Resource& res;
-    std::int64_t amount;
     Waiter waiter;
     bool await_ready() {
       // FIFO: even if tokens are free, queued waiters go first.
-      if (res.waiters_.empty() && res.available_ >= amount) {
-        res.available_ -= amount;
+      if (res.waiters_.empty() && res.available_ >= waiter.amount) {
+        res.available_ -= waiter.amount;
         return true;
       }
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
       waiter.handle = h;
-      waiter.amount = amount;
-      res.waiters_.push_back(&waiter);
+      res.waiters_.pushBack(&waiter);
     }
     void await_resume() const noexcept {}
   };
@@ -103,7 +105,7 @@ class Resource {
   std::int64_t available_;
   std::int64_t total_;
   const char* name_;
-  std::deque<Waiter*> waiters_;
+  WaitList<Waiter> waiters_;
 };
 
 /// RAII helper: acquire then release on scope exit.

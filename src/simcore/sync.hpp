@@ -1,13 +1,14 @@
 // Higher-level synchronisation built on the scheduler: one-shot gates,
-// cyclic barriers, and wait groups (fork/join counters).
+// cyclic barriers, and wait groups (fork/join counters). Waiters queue
+// through their own awaiters (waitlist.hpp), so none of these allocates.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <vector>
 
 #include "simcore/scheduler.hpp"
 #include "simcore/simcheck.hpp"
+#include "simcore/waitlist.hpp"
 
 namespace bgckpt::sim {
 
@@ -24,27 +25,29 @@ class Gate {
   void fire() {
     if (fired_) return;
     fired_ = true;
-    for (auto h : waiters_)
-      sched_.scheduleResume(0.0, h, WakeEdge{WakeKind::kGateFire, "gate"});
-    waiters_.clear();
+    while (!waiters_.empty())
+      sched_.scheduleResume(0.0, waiters_.popFront()->handle,
+                            WakeEdge{WakeKind::kGateFire, "gate"});
   }
 
   [[nodiscard]] auto wait() {
     struct Awaiter {
       Gate& gate;
+      ParkedHandle waiter;
       bool await_ready() const { return gate.fired_; }
       void await_suspend(std::coroutine_handle<> h) {
-        gate.waiters_.push_back(h);
+        waiter.handle = h;
+        gate.waiters_.pushBack(&waiter);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter{*this, {}};
   }
 
  private:
   Scheduler& sched_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  WaitList<ParkedHandle> waiters_;
 };
 
 /// Cyclic barrier for `parties` processes. The last arrival releases all and
@@ -64,6 +67,7 @@ class Barrier {
   [[nodiscard]] auto arriveAndWait() {
     struct Awaiter {
       Barrier& bar;
+      ParkedHandle waiter;
       bool await_ready() {
         // The final arrival does not suspend; it releases everyone before
         // proceeding, which also resets the barrier for the next round.
@@ -74,24 +78,24 @@ class Barrier {
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        bar.waiters_.push_back(h);
+        waiter.handle = h;
+        bar.waiters_.pushBack(&waiter);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this};
+    return Awaiter{*this, {}};
   }
 
  private:
   void releaseAll() {
-    for (auto h : waiters_)
-      sched_.scheduleResume(0.0, h,
+    while (!waiters_.empty())
+      sched_.scheduleResume(0.0, waiters_.popFront()->handle,
                             WakeEdge{WakeKind::kBarrierRelease, "barrier"});
-    waiters_.clear();
   }
 
   Scheduler& sched_;
   std::size_t parties_;
-  std::vector<std::coroutine_handle<>> waiters_;
+  WaitList<ParkedHandle> waiters_;
 };
 
 /// Fork/join counter: `add()` before spawning work, `done()` when each piece

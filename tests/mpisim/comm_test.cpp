@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace bgckpt::mpi {
@@ -124,6 +126,66 @@ TEST(MpiComm, AnySourceReceivesInArrivalOrder) {
   EXPECT_EQ(sources, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(MpiComm, ConcurrentReceivesMatchInPostingOrder) {
+  // Six receives posted on rank 0 by tasks sharing its Comm, each with its
+  // own (source, tag); messages arrive one per second afterwards. Where two
+  // posted receives match a message, the earlier posted one wins, and a
+  // match taken from the middle or the tail of the waiter list leaves the
+  // others queued in order (a later receive still appends correctly).
+  struct Got {
+    int size;
+    int source;
+  };
+  Job job(256);
+  std::vector<int> wakeOrder;
+  std::vector<Got> got(6, Got{-1, -1});
+  auto receiver = [&wakeOrder, &got](Comm c, int id, int src,
+                                     int tag) -> Task<> {
+    Message m = co_await c.recv(src, tag);
+    wakeOrder.push_back(id);
+    got[static_cast<std::size_t>(id)] = {static_cast<int>(m.size), m.source};
+  };
+  auto sendAt = [](Comm c, double t, int tag, sim::Bytes size) -> Task<> {
+    co_await c.scheduler().delay(t - c.scheduler().now());
+    co_await c.send(0, tag, Message::ofSize(size));
+  };
+  job.run([&receiver, &sendAt](Comm comm) -> Task<> {
+    auto& sched = comm.scheduler();
+    switch (comm.rank()) {
+      case 0:
+        sched.spawn(receiver(comm, 0, 1, 5));
+        sched.spawn(receiver(comm, 1, 2, 5));
+        sched.spawn(receiver(comm, 2, kAnySource, 7));
+        sched.spawn(receiver(comm, 3, 2, 7));
+        sched.spawn(receiver(comm, 4, kAnySource, 5));
+        co_await sched.delay(3.5);
+        sched.spawn(receiver(comm, 5, 3, 9));
+        break;
+      case 1:
+        co_await sendAt(comm, 4.0, 5, 400);  // head: receiver 0
+        break;
+      case 2:
+        co_await sendAt(comm, 1.0, 5, 100);  // middle: receiver 1 beats 4
+        co_await sendAt(comm, 2.0, 7, 200);  // receiver 2 beats 3
+        co_await sendAt(comm, 6.0, 7, 600);  // the last one left: receiver 3
+        break;
+      case 3:
+        co_await sendAt(comm, 3.0, 5, 300);  // tail: receiver 4
+        co_await sendAt(comm, 5.0, 9, 500);  // appended after the tail left
+        break;
+      default:
+        break;
+    }
+  });
+  EXPECT_EQ(wakeOrder, (std::vector<int>{1, 2, 4, 0, 5, 3}));
+  const std::vector<std::pair<int, int>> want = {
+      {400, 1}, {100, 2}, {200, 2}, {600, 2}, {300, 3}, {500, 3}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].size, want[i].first) << "receiver " << i;
+    EXPECT_EQ(got[i].source, want[i].second) << "receiver " << i;
+  }
+}
+
 TEST(MpiComm, IsendCallIsMicrosecondsButDeliveryTakesTime) {
   Job job(256);
   double isendDone = -1.0, delivered = -1.0;
@@ -194,10 +256,15 @@ TEST(MpiComm, BcastDeliversRootMessage) {
 TEST(MpiComm, AllGatherCollectsEveryValue) {
   Job job(256);
   job.run([](Comm comm) -> Task<> {
-    auto vals =
-        co_await comm.allGatherU64(static_cast<std::uint64_t>(comm.rank()) * 10);
-    EXPECT_EQ(vals.size(), 256u);
-    for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(vals[i], i * 10);
+    auto vals = co_await comm.allGatherU64Shared(
+        static_cast<std::uint64_t>(comm.rank()) * 10);
+    EXPECT_EQ(vals->size(), 256u);
+    for (size_t i = 0; i < vals->size(); ++i) EXPECT_EQ((*vals)[i], i * 10);
+    // A second gather gets its own snapshot; the first one is unchanged.
+    auto again = co_await comm.allGatherU64Shared(
+        static_cast<std::uint64_t>(comm.rank()) + 1);
+    EXPECT_EQ((*again)[255], 256u);
+    EXPECT_EQ((*vals)[255], 2550u);
   });
 }
 
@@ -231,6 +298,34 @@ TEST(MpiComm, SplitByKeyReordersRanks) {
     EXPECT_EQ(sub.rank(), 255 - comm.rank());
     co_return;
   });
+}
+
+TEST(MpiComm, SubCommunicatorIsFreedWhenItsMembersDropIt) {
+  // The parent only hands sub-communicators over; their members' Comms own
+  // them. A sub-communicator's bcast slot keeps the root's message, box
+  // included, so a weak reference to the box watches its state.
+  Job job(256);
+  std::weak_ptr<void> watch;
+  bool aliveInUse = false;
+  bool freedAfterDrop = false;
+  job.run([&](Comm comm) -> Task<> {
+    {
+      Comm sub = co_await comm.split(comm.rank() / 64, comm.rank());
+      Message m;
+      if (comm.rank() == 0) {
+        m.box = std::make_shared<int>(7);
+        watch = m.box;
+      }
+      m = co_await sub.bcast(0, m);
+      m = Message();
+      co_await sub.barrier();
+      if (comm.rank() == 0) aliveInUse = !watch.expired();
+    }
+    co_await comm.barrier();  // every member has dropped its sub Comm
+    if (comm.rank() == 0) freedAfterDrop = watch.expired();
+  });
+  EXPECT_TRUE(aliveInUse);
+  EXPECT_TRUE(freedAfterDrop);
 }
 
 TEST(MpiComm, WaitAllCompletesAllRequests) {

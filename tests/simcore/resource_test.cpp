@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace bgckpt::sim {
@@ -103,6 +104,60 @@ TEST(Resource, FifoEvenWhenTokensFree) {
   sched.spawn(late());
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Resource, OneReleaseAdmitsSeveralWaitersInArrivalOrder) {
+  Scheduler sched;
+  Resource res(sched, 4);
+  std::vector<std::pair<int, double>> grants;  // (waiter, grant time)
+  auto holder = [&]() -> Task<> {
+    co_await res.acquire(4);
+    co_await sched.delay(1.0);
+    res.release(4);
+  };
+  // Arrive at 0.1, 0.2, ... asking 1, 2, 1, 2: the release at t=1 admits
+  // the first three (4 tokens) in arrival order; the fourth waits for one.
+  auto waiter = [&](int id, std::int64_t n) -> Task<> {
+    co_await sched.delay(0.1 * id);
+    co_await res.acquire(n);
+    grants.emplace_back(id, sched.now());
+    co_await sched.delay(1.0);
+    res.release(n);
+  };
+  sched.spawn(holder());
+  for (int id = 1; id <= 4; ++id) sched.spawn(waiter(id, id % 2 ? 1 : 2));
+  sched.runUntil(0.5);
+  EXPECT_EQ(res.queueLength(), 4u);
+  sched.runUntil(1.0);
+  EXPECT_EQ(res.queueLength(), 1u);
+  sched.run();
+  const std::vector<std::pair<int, double>> want = {
+      {1, 1.0}, {2, 1.0}, {3, 1.0}, {4, 2.0}};
+  EXPECT_EQ(grants, want);
+  EXPECT_EQ(res.available(), 4);
+}
+
+TEST(Resource, ReacquireAfterGrantJoinsBackOfQueue) {
+  Scheduler sched;
+  Resource res(sched, 1);
+  std::vector<std::pair<int, double>> grants;
+  auto proc = [&](int id, int rounds) -> Task<> {
+    for (int i = 0; i < rounds; ++i) {
+      co_await res.acquire();
+      grants.emplace_back(id, sched.now());
+      co_await sched.delay(1.0);
+      res.release();
+    }
+  };
+  // P0 holds first; P1 and P2 queue behind it. P0's second acquire, made
+  // right after its release handed the token to P1, queues behind P2.
+  sched.spawn(proc(0, 2));
+  sched.spawn(proc(1, 1));
+  sched.spawn(proc(2, 1));
+  sched.run();
+  const std::vector<std::pair<int, double>> want = {
+      {0, 0.0}, {1, 1.0}, {2, 2.0}, {0, 3.0}};
+  EXPECT_EQ(grants, want);
 }
 
 TEST(Resource, ScopedTokensReleaseOnScopeExit) {
