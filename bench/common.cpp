@@ -15,8 +15,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "simcore/shard.hpp"
-
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flightrec.hpp"
@@ -25,6 +23,7 @@
 #include "obs/runtimeprof.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "simcore/parallel.hpp"
 
 namespace bgckpt::bench {
 
@@ -43,11 +42,10 @@ std::string gOpTracePath;
 std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
 std::string gObsDir;
 std::string gRuntimeProfPath;
-std::string gRuntimeTracePath;
 // The process-wide runtime profiler (obs/runtimeprof.hpp), created and
 // installed by obsInit when --runtime-profile is given; flushed (JSON +
-// manifest + optional Chrome trace) by perfFlush. Process-global rather
-// than per-stack: real time cuts across stacks.
+// manifest) by perfFlush. Process-global rather than per-stack: real time
+// cuts across stacks.
 std::unique_ptr<obs::RuntimeProfiler> gRuntimeProf;
 bool gRuntimeProfFlushed = false;
 // Captured by obsInit for the run manifests written next to each artifact.
@@ -278,10 +276,6 @@ void obsInit(int argc, char** argv) {
       gRuntimeProfPath = "runtimeprof.json";
     } else if (std::strncmp(a, "--runtime-profile=", 18) == 0) {
       gRuntimeProfPath = a + 18;
-    } else if (std::strcmp(a, "--runtime-trace") == 0 && i + 1 < argc) {
-      gRuntimeTracePath = argv[++i];
-    } else if (std::strncmp(a, "--runtime-trace=", 16) == 0) {
-      gRuntimeTracePath = a + 16;
     } else if (std::strcmp(a, "--obs-dir") == 0 && i + 1 < argc) {
       gObsDir = argv[++i];
     } else if (std::strncmp(a, "--obs-dir=", 10) == 0) {
@@ -346,14 +340,10 @@ void obsInit(int argc, char** argv) {
         std::exit(2);
       }
     }
-    obs::RuntimeProfiler::Config cfg;
-    if (!gRuntimeTracePath.empty()) cfg.maxSpansPerRun = 200000;
-    gRuntimeProf = std::make_unique<obs::RuntimeProfiler>(cfg);
+    gRuntimeProf = std::make_unique<obs::RuntimeProfiler>();
     gRuntimeProf->install();
-    std::fprintf(stderr, "[obs] runtime execution profile to %s%s%s\n",
-                 gRuntimeProfPath.c_str(),
-                 gRuntimeTracePath.empty() ? "" : ", worker spans to ",
-                 gRuntimeTracePath.c_str());
+    std::fprintf(stderr, "[obs] runtime execution profile to %s\n",
+                 gRuntimeProfPath.c_str());
   }
 }
 
@@ -361,24 +351,19 @@ sim::SimCheckMode simCheckMode() { return gSimCheckMode; }
 
 unsigned benchThreads() { return gThreads; }
 
-bool runtimeProfileActive() { return gRuntimeProf != nullptr; }
-
 void perfRecord(const std::string& label, double wallSeconds,
-                std::uint64_t events, unsigned threads) {
+                std::uint64_t events) {
   if (gRuntimeProf)
-    gRuntimeProf->recordPoint(label, wallSeconds, events,
-                              threads > 0 ? threads : gThreads);
+    gRuntimeProf->recordPoint(label, wallSeconds, events, gThreads);
   if (gPerfJsonPath.empty()) return;
   gPerfEntries.push_back(
-      PerfEntry{label, wallSeconds, events, threads > 0 ? threads : gThreads,
-                SimMeta{}});
+      PerfEntry{label, wallSeconds, events, gThreads, SimMeta{}});
 }
 
 namespace {
 
-/// Export the runtime profile (once): JSON + manifest sidecar, plus the
-/// Chrome trace when --runtime-trace asked for one. Announces on stderr so
-/// figure stdout stays byte-identical with profiling on.
+/// Export the runtime profile (once): JSON + manifest sidecar. Announces
+/// on stderr so figure stdout stays byte-identical with profiling on.
 bool runtimeProfFlush() {
   if (!gRuntimeProf || gRuntimeProfFlushed) return true;
   gRuntimeProfFlushed = true;
@@ -392,19 +377,10 @@ bool runtimeProfFlush() {
   }
   writeManifest(gRuntimeProfPath, "runtimeprof", 0, 0);
   std::fprintf(stderr,
-               "[obs] runtime profile: %zu shard run(s), %zu parallel "
-               "region(s), %zu point(s) -> %s\n",
-               gRuntimeProf->shardRuns().size(), gRuntimeProf->regions().size(),
-               gRuntimeProf->points().size(), gRuntimeProfPath.c_str());
-  if (!gRuntimeTracePath.empty()) {
-    if (!gRuntimeProf->writeChromeTrace(gRuntimeTracePath)) {
-      std::fprintf(stderr, "error: --runtime-trace: cannot write %s\n",
-                   gRuntimeTracePath.c_str());
-      return false;
-    }
-    std::fprintf(stderr, "[obs] runtime worker spans -> %s\n",
-                 gRuntimeTracePath.c_str());
-  }
+               "[obs] runtime profile: %zu parallel region(s), %zu point(s) "
+               "-> %s\n",
+               gRuntimeProf->regions().size(), gRuntimeProf->points().size(),
+               gRuntimeProfPath.c_str());
   return true;
 }
 
@@ -455,7 +431,13 @@ bool perfFlush() {
                "\"events_per_second\": %.0f}\n}\n",
                totalWall, static_cast<unsigned long long>(totalEvents),
                totalEps);
-  std::fclose(f);
+  // fclose flushes the buffered tail, which is the write a full disk fails.
+  const bool ok = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !ok) {
+    std::fprintf(stderr, "error: --perf-json: cannot write %s\n",
+                 gPerfJsonPath.c_str());
+    return false;
+  }
   std::printf("[perf] wrote %zu run records to %s\n", gPerfEntries.size(),
               gPerfJsonPath.c_str());
   return true;

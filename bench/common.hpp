@@ -83,9 +83,8 @@ std::string secs(double seconds);
 ///                      trace events per layer per stack; SimChecker
 ///                      violations and failed SHAPE CHECKs dump it to stderr
 ///   --runtime-profile[=FILE]
-///                      real-time execution profile of the parallel engine
-///                      (obs/runtimeprof.hpp): per-shard window phase wall
-///                      times, critical-shard attribution, per-parallelFor-
+///                      real-time execution profile of the --threads point
+///                      prefetch (obs/runtimeprof.hpp): per-parallelFor-
 ///                      job walls and per-point wall records. FILE defaults
 ///                      to runtimeprof.json; written at perfFlush with a
 ///                      manifest sidecar. Feed it to `trace_report
@@ -95,11 +94,6 @@ std::string secs(double seconds);
 ///                      identity comparisons. Figure stdout stays
 ///                      byte-identical with profiling on (announce lines go
 ///                      to stderr).
-///   --runtime-trace FILE
-///                      with --runtime-profile: also export the real-time
-///                      worker spans (window phases, tid = worker) as a
-///                      Chrome trace viewable next to the simulated-time
-///                      --trace output.
 ///   --threads=N        simulate the harness's independent points on N
 ///                      worker threads (default 1 = the serial reference).
 ///                      Results, stdout, and every perf/obs artifact are
@@ -117,10 +111,6 @@ void obsInit(int argc, char** argv);
 
 /// The worker-thread count requested with --threads (>= 1).
 unsigned benchThreads();
-
-/// True when --runtime-profile was requested (the profiler is installed as
-/// the process-wide sim::RuntimeObserver for the rest of the run).
-bool runtimeProfileActive();
 
 /// Wall-clock stopwatch for benchmark harnesses. Lives in bench/common on
 /// purpose: srclint's wall-clock rule bans host clocks everywhere else in
@@ -145,10 +135,9 @@ class WallTimer {
 /// Record one simulated run in the --perf-json report (no-op without the
 /// flag). The runSim overloads call this automatically; harnesses that
 /// drive runCheckpoint/runCampaign themselves can call it directly. The
-/// record carries the --threads value; pass `threads` explicitly to tag a
-/// run that managed its own parallelism (e.g. micro_queue's sharded cases).
+/// record carries the --threads value.
 void perfRecord(const std::string& label, double wallSeconds,
-                std::uint64_t events, unsigned threads = 0);
+                std::uint64_t events);
 
 /// Write the --perf-json report, if requested. Returns false (and prints
 /// to stderr) if the file could not be written. Called by reportChecks.

@@ -10,27 +10,15 @@
 //                    figure benches; exercises the active-bucket/near-heap
 //                    insert path and event-pool recycling
 //   ZeroDelayStorm   chains of zero-delay wakeups — the now-FIFO tier
-//   ShardedRing      the same self-rescheduling population split across
-//                    1/2/4/8 shards of a ShardGroup, at varying cross-shard
-//                    traffic ratios, cooperative vs threaded — the A/B for
-//                    the conservative-window parallel core
 //
-// Run with --benchmark_filter=Tiered or =Legacy to compare queue sides,
-// =Coop/=Threaded for the sharded core. With --perf-json each sharded case
-// also lands one run record (tagged with its thread count) for
-// tools/perf_compare.
+// Run with --benchmark_filter=Tiered or =Legacy to compare queue sides.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <functional>
 
-#include "common.hpp"
-#include "machine/bgp.hpp"
-#include "obs/runtimeprof.hpp"
 #include "simcore/random.hpp"
 #include "simcore/scheduler.hpp"
-#include "simcore/shard.hpp"
 
 namespace {
 
@@ -146,129 +134,4 @@ void BM_ZeroDelayStorm_Legacy(benchmark::State& s) {
 BENCHMARK(BM_ZeroDelayStorm_Tiered)->Arg(1 << 10);
 BENCHMARK(BM_ZeroDelayStorm_Legacy)->Arg(1 << 10);
 
-// The sharded A/B: a fixed population of self-rescheduling actors spread
-// over S shards. Every `crossEvery`-th reschedule hops to the next shard
-// through the mailbox path (0 = never); the rest re-arm locally at delays
-// below the lookahead. The lookahead is the physically-derived minimum
-// cross-partition latency on the BG/P torus (one hop).
-struct ShardedRing {
-  ShardGroup* group = nullptr;
-  int rounds = 0;
-  int crossEvery = 0;
-  Duration lookahead = 0.0;
-
-  void step(unsigned shard, int actor, int round) {
-    if (round >= rounds) return;
-    const bool hop = crossEvery > 0 && group->shards() > 1 &&
-                     (actor + round) % crossEvery == 0;
-    if (hop) {
-      const unsigned dst = (shard + 1) % group->shards();
-      group->send(shard, dst, lookahead,
-                  [this, dst, actor, round] { step(dst, actor, round + 1); });
-      return;
-    }
-    const double dt = lookahead * (0.1 + 0.01 * static_cast<double>(actor % 7));
-    group->shard(shard).scheduleCall(
-        dt, [this, shard, actor, round] { step(shard, actor, round + 1); });
-  }
-};
-
-void runShardedRing(benchmark::State& state, bool threaded,
-                    bool profiled = false) {
-  const auto shards = static_cast<unsigned>(state.range(0));
-  const auto crossEvery = static_cast<int>(state.range(1));
-  constexpr int kActors = 1024;  // total, split across shards
-  constexpr int kRounds = 64;
-  const Duration lookahead = bgckpt::machine::ComputeConfig{}.torusHopLatency;
-  const unsigned threads = threaded ? shards : 1;
-  // The Profiled variant installs a scratch RuntimeProfiler so "Threaded vs
-  // Profiled" on the same filter is the active-overhead A/B; the plain
-  // variants run with the observer hooks dormant (the null-check branch),
-  // which is what the coop-vs-threaded speedup gate and the committed
-  // baselines keep honest. When --runtime-profile is already on, the
-  // process-wide profiler is left in place instead.
-  std::unique_ptr<bgckpt::obs::RuntimeProfiler> localProf;
-  if (profiled && !bgckpt::bench::runtimeProfileActive()) {
-    localProf = std::make_unique<bgckpt::obs::RuntimeProfiler>();
-    localProf->install();
-  }
-  std::uint64_t events = 0;
-  double wall = 0.0;
-  for (auto _ : state) {
-    ShardGroup::Config cfg;
-    cfg.shards = shards;
-    cfg.threads = threads;
-    cfg.lookahead = lookahead;
-    ShardGroup group(cfg);
-    ShardedRing ring{&group, kRounds, crossEvery, lookahead};
-    for (int a = 0; a < kActors; ++a) {
-      const unsigned shard = static_cast<unsigned>(a) % shards;
-      group.postSetup(shard, [&ring, shard, a](Scheduler& sched) {
-        sched.scheduleCall(0.0, [&ring, shard, a] { ring.step(shard, a, 0); });
-      });
-    }
-    const bgckpt::bench::WallTimer timer;
-    const ShardGroup::Stats stats = group.run();
-    wall += timer.seconds();
-    events += stats.events;
-    benchmark::DoNotOptimize(stats.events);
-  }
-  if (localProf) localProf->uninstall();
-  state.SetItemsProcessed(state.iterations() * kActors * kRounds);
-  const std::string cross =
-      crossEvery > 0 ? "1/" + std::to_string(crossEvery) : "none";
-  bgckpt::bench::perfRecord(
-      "sharded_ring shards=" + std::to_string(shards) + " cross=" + cross +
-          (threaded ? " threaded" : " coop") + (profiled ? " profiled" : ""),
-      wall, events, threads);
-}
-void BM_ShardedRing_Coop(benchmark::State& s) { runShardedRing(s, false); }
-void BM_ShardedRing_Threaded(benchmark::State& s) { runShardedRing(s, true); }
-void BM_ShardedRing_Profiled(benchmark::State& s) {
-  runShardedRing(s, true, true);
-}
-// {shards, crossEvery}: cross-shard ratios 0, ~1.6% (1/64), 12.5% (1/8).
-// Iterations are pinned (not min-time adaptive) so a coop run and a threaded
-// run of the same case record identical event totals in --perf-json — that
-// is what lets CI gate `perf_compare --min-speedup` on the pair.
-BENCHMARK(BM_ShardedRing_Coop)
-    ->Iterations(10)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({2, 64})
-    ->Args({2, 8})
-    ->Args({4, 0})
-    ->Args({4, 64})
-    ->Args({4, 8})
-    ->Args({8, 0})
-    ->Args({8, 64})
-    ->Args({8, 8});
-BENCHMARK(BM_ShardedRing_Threaded)
-    ->Iterations(10)
-    ->Args({2, 0})
-    ->Args({2, 64})
-    ->Args({2, 8})
-    ->Args({4, 0})
-    ->Args({4, 64})
-    ->Args({4, 8})
-    ->Args({8, 0})
-    ->Args({8, 64})
-    ->Args({8, 8});
-BENCHMARK(BM_ShardedRing_Profiled)
-    ->Iterations(10)
-    ->Args({8, 0})
-    ->Args({8, 64})
-    ->Args({8, 8});
-
 }  // namespace
-
-// Custom main (instead of benchmark_main): parse the shared bench flags
-// first so the sharded cases can land --perf-json run records, then flush
-// them after the benchmark run.
-int main(int argc, char** argv) {
-  bgckpt::bench::obsInit(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return bgckpt::bench::perfFlush() ? 0 : 1;
-}

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 namespace bgckpt::obs {
@@ -38,219 +36,7 @@ void writeEscaped(std::FILE* f, const std::string& s) {
   std::fputc('"', f);
 }
 
-const char* phaseName(sim::WindowPhase p) noexcept {
-  switch (p) {
-    case sim::WindowPhase::kSetup: return "setup";
-    case sim::WindowPhase::kDrain: return "drain";
-    case sim::WindowPhase::kReduce: return "reduce";
-    case sim::WindowPhase::kBarrier: return "barrier";
-    case sim::WindowPhase::kExec: return "exec";
-  }
-  return "?";
-}
-
-void writeHistogram(std::FILE* f, const char* key, const LogHistogram& h) {
-  // Sparse emission: [[bucket, count], ...]. Bucket 32 is "about 1x" —
-  // bucket i covers ratios in [2^(i-32), 2^(i-31)); bucket 0 is x <= 0.
-  std::fprintf(f, "\"%s\": [", key);
-  bool first = true;
-  for (int i = 0; i < LogHistogram::kBuckets; ++i) {
-    if (h.counts[i] == 0) continue;
-    std::fprintf(f, "%s[%d, %llu]", first ? "" : ", ", i,
-                 static_cast<unsigned long long>(h.counts[i]));
-    first = false;
-  }
-  std::fputs("]", f);
-}
-
 }  // namespace
-
-void LogHistogram::add(double ratio) noexcept {
-  int bucket = 0;
-  if (ratio > 0.0 && std::isfinite(ratio)) {
-    bucket = 32 + std::ilogb(ratio);
-    if (bucket < 1) bucket = 1;
-    if (bucket > kBuckets - 1) bucket = kBuckets - 1;
-  }
-  ++counts[bucket];
-}
-
-std::uint64_t LogHistogram::total() const noexcept {
-  std::uint64_t t = 0;
-  for (std::uint64_t c : counts) t += c;
-  return t;
-}
-
-// ---------------------------------------------------------------------------
-// Per-run recorder: implements the ShardRunObserver callbacks. Accumulator
-// slots are cache-line-aligned and written only by the owning worker
-// thread (shard phases run on shard i's pinned worker; barrier slots are
-// per worker; reduce/window run single-threaded inside the barrier
-// completion), so the hot path takes no locks and no atomics.
-class RuntimeProfiler::RunRecorder final : public sim::ShardRunObserver {
- public:
-  RunRecorder(ShardRunProfile* profile, std::size_t maxSpans,
-              std::uint64_t startNs)
-      : profile_(profile), startNs_(startNs), maxSpans_(maxSpans) {
-    const unsigned s = profile->shards;
-    const unsigned t = profile->threads;
-    profile_->perShard.resize(s);
-    profile_->perWorker.resize(t);
-    shardScratch_.resize(s);
-    workerScratch_.resize(t);
-    if (maxSpans_ > 0) {
-      workerSpans_.resize(t);
-      const std::size_t perWorker = maxSpans_ / t + 1;
-      for (auto& v : workerSpans_) v.reserve(perWorker < 4096 ? perWorker : 4096);
-    }
-  }
-
-  void phaseBegin(sim::WindowPhase phase, unsigned idx) noexcept override {
-    const std::uint64_t t = nowNs();
-    switch (phase) {
-      case sim::WindowPhase::kBarrier:
-        workerScratch_[idx].beginNs = t;
-        break;
-      case sim::WindowPhase::kReduce:
-        reduceBeginNs_ = t;
-        break;
-      default:
-        shardScratch_[idx].beginNs = t;
-    }
-  }
-
-  void phaseEnd(sim::WindowPhase phase, unsigned idx,
-                std::uint64_t items) noexcept override {
-    const std::uint64_t t = nowNs();
-    std::uint64_t begin = 0;
-    unsigned worker = 0;
-    switch (phase) {
-      case sim::WindowPhase::kBarrier:
-        begin = workerScratch_[idx].beginNs;
-        worker = idx;
-        profile_->perWorker[idx].barrierNs += t - begin;
-        break;
-      case sim::WindowPhase::kReduce:
-        begin = reduceBeginNs_;
-        profile_->reduceNs += t - begin;
-        break;
-      case sim::WindowPhase::kSetup:
-        begin = shardScratch_[idx].beginNs;
-        worker = idx % profile_->threads;
-        profile_->perShard[idx].setupNs += t - begin;
-        break;
-      case sim::WindowPhase::kDrain:
-        begin = shardScratch_[idx].beginNs;
-        worker = idx % profile_->threads;
-        profile_->perShard[idx].drainNs += t - begin;
-        profile_->perShard[idx].delivered += items;
-        break;
-      case sim::WindowPhase::kExec:
-        begin = shardScratch_[idx].beginNs;
-        worker = idx % profile_->threads;
-        profile_->perShard[idx].execNs += t - begin;
-        profile_->perShard[idx].events += items;
-        break;
-    }
-    if (maxSpans_ > 0) recordSpan(phase, idx, worker, begin, t);
-  }
-
-  void window(std::uint64_t index, const sim::SimTime* nextTimes,
-              unsigned shards, sim::SimTime minNext, sim::SimTime horizon,
-              bool done) noexcept override {
-    (void)index;
-    (void)horizon;
-    // Runs single-threaded inside the barrier completion: every worker's
-    // writes for the previous window happen-before this point.
-    std::uint64_t eventsTotal = 0;
-    for (unsigned i = 0; i < shards; ++i)
-      eventsTotal += profile_->perShard[i].events;
-    if (windowsSeen_ > 0)
-      profile_->eventsHist.add(
-          static_cast<double>(eventsTotal - prevEventsTotal_));
-    prevEventsTotal_ = eventsTotal;
-    if (done) return;
-    ++windowsSeen_;
-    profile_->windows = windowsSeen_;
-    // Critical shard: the argmin of the nextTime reduction — the shard
-    // whose clock set this window's horizon.
-    unsigned critical = 0;
-    for (unsigned i = 0; i < shards; ++i) {
-      if (nextTimes[i] == minNext) {
-        critical = i;
-        break;
-      }
-    }
-    ++profile_->perShard[critical].criticalWindows;
-    const double la = profile_->lookahead;
-    if (la > 0.0) {
-      if (havePrevMin_)
-        profile_->advanceHist.add((minNext - prevMinNext_) / la);
-      for (unsigned i = 0; i < shards; ++i)
-        if (std::isfinite(nextTimes[i]))
-          profile_->slackHist.add((nextTimes[i] - minNext) / la);
-    }
-    prevMinNext_ = minNext;
-    havePrevMin_ = true;
-  }
-
-  void finished(const sim::ShardGroup::Stats& stats) noexcept override {
-    profile_->stats = stats;
-    profile_->windows = stats.windows;
-    profile_->wallNs = nowNs() - startNs_;
-    if (maxSpans_ > 0) {
-      for (auto& v : workerSpans_) {
-        profile_->spans.insert(profile_->spans.end(), v.begin(), v.end());
-        v.clear();
-      }
-      profile_->spans.insert(profile_->spans.end(), reduceSpans_.begin(),
-                             reduceSpans_.end());
-      reduceSpans_.clear();
-      std::sort(profile_->spans.begin(), profile_->spans.end(),
-                [](const ShardRunProfile::PhaseSpan& a,
-                   const ShardRunProfile::PhaseSpan& b) {
-                  return a.beginNs < b.beginNs;
-                });
-      profile_->droppedSpans = droppedSpans_;
-    }
-  }
-
- private:
-  struct alignas(64) Scratch {
-    std::uint64_t beginNs = 0;
-  };
-
-  void recordSpan(sim::WindowPhase phase, unsigned idx, unsigned worker,
-                  std::uint64_t begin, std::uint64_t end) noexcept {
-    auto& dst = phase == sim::WindowPhase::kReduce ? reduceSpans_
-                                                   : workerSpans_[worker];
-    if (spanCount(worker) >= maxSpans_ / profile_->threads + 1) {
-      ++droppedSpans_;  // racy increment is fine: diagnostic counter
-      return;
-    }
-    dst.push_back(ShardRunProfile::PhaseSpan{phase, idx, worker, begin, end});
-  }
-
-  std::size_t spanCount(unsigned worker) const noexcept {
-    return workerSpans_[worker].size() + (worker == 0 ? reduceSpans_.size() : 0);
-  }
-
-  ShardRunProfile* profile_;
-  std::uint64_t startNs_ = 0;
-  std::size_t maxSpans_ = 0;
-  std::vector<Scratch> shardScratch_;
-  std::vector<Scratch> workerScratch_;
-  std::uint64_t reduceBeginNs_ = 0;
-  // window()-only state (single-threaded).
-  std::uint64_t windowsSeen_ = 0;
-  std::uint64_t prevEventsTotal_ = 0;
-  double prevMinNext_ = 0.0;
-  bool havePrevMin_ = false;
-  // Span buffers: one per worker plus the single-threaded reduce buffer.
-  std::vector<std::vector<ShardRunProfile::PhaseSpan>> workerSpans_;
-  std::vector<ShardRunProfile::PhaseSpan> reduceSpans_;
-  std::uint64_t droppedSpans_ = 0;
-};
 
 struct RuntimeProfiler::RegionState {
   ParallelRegionProfile* profile = nullptr;
@@ -261,7 +47,7 @@ struct RuntimeProfiler::RegionState {
   std::vector<std::uint64_t> jobBeginNs;
 };
 
-RuntimeProfiler::RuntimeProfiler(const Config& config) : config_(config) {}
+RuntimeProfiler::RuntimeProfiler() = default;
 
 RuntimeProfiler::~RuntimeProfiler() { uninstall(); }
 
@@ -287,33 +73,11 @@ void RuntimeProfiler::recordPoint(const std::string& label, double wallSeconds,
   points_.push_back(PointRecord{label, wallSeconds, events, threads});
 }
 
-sim::ShardRunObserver* RuntimeProfiler::beginShardRun(
-    const sim::ShardRunInfo& info) noexcept {
-  try {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (runs_.size() >= config_.maxShardRuns) {
-      ++droppedRuns_;
-      return nullptr;
-    }
-    auto profile = std::make_unique<ShardRunProfile>();
-    profile->shards = info.shards;
-    profile->threads = info.threads;
-    profile->lookahead = info.lookahead;
-    auto recorder = std::make_unique<RunRecorder>(
-        profile.get(), config_.maxSpansPerRun, nowNs());
-    runs_.push_back(std::move(profile));
-    recorders_.push_back(std::move(recorder));
-    return recorders_.back().get();
-  } catch (...) {
-    return nullptr;  // allocation failure: skip profiling this run
-  }
-}
-
 void RuntimeProfiler::parallelForBegin(std::uint64_t id, std::size_t jobs,
                                        unsigned threads) noexcept {
   try {
     std::lock_guard<std::mutex> lock(mu_);
-    if (regions_.size() >= config_.maxRegions) {
+    if (regions_.size() >= kMaxRegions) {
       ++droppedRegions_;
       pendingLabels_.clear();
       return;
@@ -385,76 +149,8 @@ bool RuntimeProfiler::writeJson(const std::string& path) const {
   if (!f) return false;
   std::fprintf(f, "{\n  \"schema\": \"%s\",\n  \"clock\": \"steady\",\n",
                kRuntimeProfSchemaVersion);
-  std::fprintf(f, "  \"dropped_shard_runs\": %llu,\n",
-               static_cast<unsigned long long>(droppedRuns_));
   std::fprintf(f, "  \"dropped_regions\": %llu,\n",
                static_cast<unsigned long long>(droppedRegions_));
-
-  std::fputs("  \"shard_runs\": [", f);
-  for (std::size_t r = 0; r < runs_.size(); ++r) {
-    const ShardRunProfile& run = *runs_[r];
-    std::fprintf(f, "%s\n    {\"shards\": %u, \"threads\": %u, "
-                 "\"lookahead\": %.17g, \"windows\": %llu, \"wall_ns\": %llu,\n",
-                 r == 0 ? "" : ",", run.shards, run.threads, run.lookahead,
-                 static_cast<unsigned long long>(run.windows),
-                 static_cast<unsigned long long>(run.wallNs));
-    std::uint64_t setup = 0, drain = 0, exec = 0, barrier = 0;
-    for (const auto& sh : run.perShard) {
-      setup += sh.setupNs;
-      drain += sh.drainNs;
-      exec += sh.execNs;
-    }
-    for (const auto& w : run.perWorker) barrier += w.barrierNs;
-    std::fprintf(f, "     \"phase_ns\": {\"setup\": %llu, \"drain\": %llu, "
-                 "\"reduce\": %llu, \"barrier\": %llu, \"exec\": %llu},\n",
-                 static_cast<unsigned long long>(setup),
-                 static_cast<unsigned long long>(drain),
-                 static_cast<unsigned long long>(run.reduceNs),
-                 static_cast<unsigned long long>(barrier),
-                 static_cast<unsigned long long>(exec));
-    std::fprintf(f, "     \"events\": %llu, \"messages\": %llu, "
-                 "\"overflow\": %llu,\n",
-                 static_cast<unsigned long long>(run.stats.events),
-                 static_cast<unsigned long long>(run.stats.messages),
-                 static_cast<unsigned long long>(run.stats.overflow));
-    std::fputs("     \"per_shard\": [", f);
-    for (std::size_t i = 0; i < run.perShard.size(); ++i) {
-      const auto& sh = run.perShard[i];
-      std::fprintf(f, "%s\n      {\"shard\": %zu, \"setup_ns\": %llu, "
-                   "\"drain_ns\": %llu, \"exec_ns\": %llu, \"events\": %llu, "
-                   "\"delivered\": %llu, \"critical_windows\": %llu}",
-                   i == 0 ? "" : ",", i,
-                   static_cast<unsigned long long>(sh.setupNs),
-                   static_cast<unsigned long long>(sh.drainNs),
-                   static_cast<unsigned long long>(sh.execNs),
-                   static_cast<unsigned long long>(sh.events),
-                   static_cast<unsigned long long>(sh.delivered),
-                   static_cast<unsigned long long>(sh.criticalWindows));
-    }
-    std::fputs("],\n     \"per_worker\": [", f);
-    for (std::size_t i = 0; i < run.perWorker.size(); ++i)
-      std::fprintf(f, "%s{\"worker\": %zu, \"barrier_ns\": %llu}",
-                   i == 0 ? "" : ", ", i,
-                   static_cast<unsigned long long>(run.perWorker[i].barrierNs));
-    std::fputs("],\n     \"channels\": [", f);
-    for (std::size_t i = 0; i < run.stats.channels.size(); ++i) {
-      const auto& ch = run.stats.channels[i];
-      std::fprintf(f, "%s{\"src\": %u, \"dst\": %u, \"overflow\": %llu, "
-                   "\"ring_high_water\": %llu}",
-                   i == 0 ? "" : ", ", ch.src, ch.dst,
-                   static_cast<unsigned long long>(ch.overflow),
-                   static_cast<unsigned long long>(ch.ringHighWater));
-    }
-    std::fputs("],\n     ", f);
-    writeHistogram(f, "window_advance_hist", run.advanceHist);
-    std::fputs(",\n     ", f);
-    writeHistogram(f, "slack_hist", run.slackHist);
-    std::fputs(",\n     ", f);
-    writeHistogram(f, "window_events_hist", run.eventsHist);
-    std::fprintf(f, ",\n     \"dropped_spans\": %llu}",
-                 static_cast<unsigned long long>(run.droppedSpans));
-  }
-  std::fputs("],\n", f);
 
   std::fputs("  \"parallel_regions\": [", f);
   for (std::size_t r = 0; r < regions_.size(); ++r) {
@@ -495,34 +191,10 @@ bool RuntimeProfiler::writeJson(const std::string& path) const {
                  p.threads);
   }
   std::fputs("]\n}\n", f);
+  // fclose flushes the buffered tail; on a full disk that flush is the
+  // write that fails, so its result decides success as much as ferror.
   const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool RuntimeProfiler::writeChromeTrace(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::fputs("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n", f);
-  bool first = true;
-  for (std::size_t r = 0; r < runs_.size(); ++r) {
-    const ShardRunProfile& run = *runs_[r];
-    for (const auto& sp : run.spans) {
-      std::fprintf(f,
-                   "%s{\"ph\": \"X\", \"pid\": %zu, \"tid\": %u, "
-                   "\"name\": \"%s/%u\", \"cat\": \"runtime\", "
-                   "\"ts\": %.3f, \"dur\": %.3f}",
-                   first ? "" : ",\n", r, sp.worker, phaseName(sp.phase),
-                   sp.idx, static_cast<double>(sp.beginNs) / 1e3,
-                   static_cast<double>(sp.endNs - sp.beginNs) / 1e3);
-      first = false;
-    }
-  }
-  std::fputs("\n]}\n", f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace bgckpt::obs

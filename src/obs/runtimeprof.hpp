@@ -1,26 +1,22 @@
-// Runtime execution profiler: wall-clock observability for the parallel
-// engine (ShardGroup windows and sim::parallelFor regions).
+// Runtime execution profiler: wall-clock observability for
+// sim::parallelFor regions (the figure-point prefetch).
 //
 // Every other obs layer records *simulated* time. This one records *real*
-// time — where a threaded run actually spends its wall clock: which shard
-// is critical per window, how much of each worker's wall is barrier wait
-// vs drain vs execute, whether mailboxes spill, and which parallelFor job
-// (i.e. which fig5 point) pins the region's makespan. It implements the
-// sim::RuntimeObserver seam from simcore/shard.hpp; simcore itself never
-// reads a clock, so determinism and figure stdout are untouched — the
-// profiler observes the execution, it never schedules events.
+// time — where a threaded run actually spends its wall clock: which
+// parallelFor job (i.e. which fig5 point) pins the region's makespan, and
+// how each point's wall compares across runs. It implements the
+// sim::RuntimeObserver seam from simcore/parallel.hpp; simcore itself
+// never reads a clock, so determinism and figure stdout are untouched —
+// the profiler observes the execution, it never schedules events.
 //
 // Deliberately process-global rather than hung off the per-stack
 // Observability hub: real time cuts across stacks (one worker thread
 // interleaves many simulations under prefetchSims), so there is exactly
 // one profiler per process, installed with install() and exported with
-// writeJson()/writeChromeTrace(). bench/common wires it to
-// --runtime-profile[=FILE].
+// writeJson(). bench/common wires it to --runtime-profile[=FILE].
 //
-// Memory is bounded by construction: per-shard / per-worker accumulators
-// (cache-line-slotted, each written only by its owning thread), fixed
-// 64-bucket log2 histograms, capped run and span counts. Windows are
-// *not* stored individually.
+// Memory is bounded by construction: at most kMaxRegions regions are
+// kept; later ones are counted as dropped.
 #pragma once
 
 #include <cstddef>
@@ -30,69 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "simcore/shard.hpp"
+#include "simcore/parallel.hpp"
 
 namespace bgckpt::obs {
 
 /// JSON schema tag for the exported profile.
 inline constexpr const char* kRuntimeProfSchemaVersion = "bgckpt-runtimeprof-1";
-
-/// Fixed log2 histogram: bucket 0 holds x <= 0, bucket i (1..63) holds
-/// ratios in [2^(i-32), 2^(i-31)). Bucket 32 is therefore "about 1x".
-struct LogHistogram {
-  static constexpr int kBuckets = 64;
-  std::uint64_t counts[kBuckets] = {};
-  void add(double ratio) noexcept;
-  std::uint64_t total() const noexcept;
-};
-
-/// One recorded ShardGroup::run.
-struct ShardRunProfile {
-  unsigned shards = 0;
-  unsigned threads = 0;
-  double lookahead = 0.0;
-  std::uint64_t wallNs = 0;  ///< beginShardRun -> finished
-
-  struct ShardSlot {
-    std::uint64_t setupNs = 0;
-    std::uint64_t drainNs = 0;
-    std::uint64_t execNs = 0;
-    std::uint64_t events = 0;     ///< events run (from exec phase ends)
-    std::uint64_t delivered = 0;  ///< mailbox arrivals injected
-    std::uint64_t criticalWindows = 0;  ///< windows where this shard set minNext
-  };
-  struct WorkerSlot {
-    std::uint64_t barrierNs = 0;
-  };
-
-  std::vector<ShardSlot> perShard;
-  std::vector<WorkerSlot> perWorker;
-  std::uint64_t reduceNs = 0;
-  std::uint64_t windows = 0;
-
-  /// Simulated-time shape of the run (deterministic): window advance and
-  /// per-shard slack, both in units of the lookahead; plus events per
-  /// window.
-  LogHistogram advanceHist;
-  LogHistogram slackHist;
-  LogHistogram eventsHist;
-
-  /// Aggregate Stats from the group (per-pair channel pressure included).
-  sim::ShardGroup::Stats stats;
-
-  /// Real-time phase spans for the Chrome trace (collected only when
-  /// Config::maxSpansPerRun > 0; capped, drops counted). Timestamps are
-  /// nanoseconds since profiler construction.
-  struct PhaseSpan {
-    sim::WindowPhase phase{};
-    unsigned idx = 0;     ///< shard (setup/drain/exec) or worker (barrier)
-    unsigned worker = 0;  ///< worker thread the span ran on
-    std::uint64_t beginNs = 0;
-    std::uint64_t endNs = 0;
-  };
-  std::vector<PhaseSpan> spans;
-  std::uint64_t droppedSpans = 0;
-};
 
 /// One recorded parallelFor region.
 struct ParallelRegionProfile {
@@ -120,18 +59,10 @@ struct PointRecord {
 
 class RuntimeProfiler final : public sim::RuntimeObserver {
  public:
-  struct Config {
-    /// Keep at most this many ShardGroup runs (benchmark loops can start
-    /// thousands); later runs are counted in droppedRuns, not stored.
-    std::size_t maxShardRuns = 256;
-    /// Keep at most this many parallelFor regions.
-    std::size_t maxRegions = 256;
-    /// Cap on Chrome-trace phase spans per shard run (0 = don't collect).
-    std::size_t maxSpansPerRun = 0;
-  };
+  /// Keep at most this many parallelFor regions.
+  static constexpr std::size_t kMaxRegions = 256;
 
-  RuntimeProfiler() : RuntimeProfiler(Config{}) {}
-  explicit RuntimeProfiler(const Config& config);
+  RuntimeProfiler();
   ~RuntimeProfiler() override;
 
   RuntimeProfiler(const RuntimeProfiler&) = delete;
@@ -152,8 +83,6 @@ class RuntimeProfiler final : public sim::RuntimeObserver {
                    std::uint64_t events, unsigned threads);
 
   // sim::RuntimeObserver ----------------------------------------------------
-  sim::ShardRunObserver* beginShardRun(const sim::ShardRunInfo& info)
-      noexcept override;
   void parallelForBegin(std::uint64_t id, std::size_t jobs,
                         unsigned threads) noexcept override;
   void jobBegin(std::uint64_t id, std::size_t job,
@@ -163,36 +92,23 @@ class RuntimeProfiler final : public sim::RuntimeObserver {
   void parallelForEnd(std::uint64_t id) noexcept override;
 
   /// Export the profile as JSON (schema bgckpt-runtimeprof-1). Returns
-  /// false on I/O failure.
+  /// false on I/O failure, including a failed final flush.
   bool writeJson(const std::string& path) const;
-  /// Export real-time worker spans as a Chrome trace (chrome://tracing,
-  /// "displayTimeUnit": "ms"; tid = worker thread, spans = window phases).
-  /// Only has content when Config::maxSpansPerRun > 0.
-  bool writeChromeTrace(const std::string& path) const;
 
   // Introspection for tests and reports.
-  const std::vector<std::unique_ptr<ShardRunProfile>>& shardRuns() const {
-    return runs_;
-  }
   const std::vector<std::unique_ptr<ParallelRegionProfile>>& regions() const {
     return regions_;
   }
   const std::vector<PointRecord>& points() const { return points_; }
-  std::uint64_t droppedRuns() const { return droppedRuns_; }
 
  private:
-  class RunRecorder;
   struct RegionState;
 
-  Config config_;
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<RunRecorder>> recorders_;
-  std::vector<std::unique_ptr<ShardRunProfile>> runs_;
   std::vector<std::unique_ptr<ParallelRegionProfile>> regions_;
   std::vector<std::unique_ptr<RegionState>> liveRegions_;
   std::vector<PointRecord> points_;
   std::vector<std::string> pendingLabels_;
-  std::uint64_t droppedRuns_ = 0;
   std::uint64_t droppedRegions_ = 0;
   bool installed_ = false;
 };

@@ -312,12 +312,6 @@ void Scheduler::scheduleResume(Duration delayTime, std::coroutine_handle<> h,
   pushIndex(idx);
 }
 
-void Scheduler::scheduleCallAt(SimTime when, std::function<void()> fn,
-                               WakeEdge edge, std::source_location loc) {
-  SIM_CHECK(when >= now_, "scheduleCallAt into the past");
-  scheduleAt(when, std::move(fn), edge, loc);
-}
-
 void Scheduler::scheduleCall(Duration delayTime, std::function<void()> fn,
                              WakeEdge edge, std::source_location loc) {
   scheduleAt(now_ + delayTime, std::move(fn), edge, loc);
@@ -416,34 +410,6 @@ std::uint64_t Scheduler::run() {
     }
   } else {
     while (size_ > 0) {
-      step();
-      if (firstError_) break;
-    }
-  }
-  if (firstError_) {
-    auto ep = std::exchange(firstError_, nullptr);
-    std::rethrow_exception(ep);
-  }
-  return eventsProcessed_ - before;
-}
-
-SimTime Scheduler::peekNextTime() {
-  if (legacy_)
-    return legacyQueue_.empty() ? std::numeric_limits<SimTime>::infinity()
-                                : legacyQueue_.top().time;
-  if (size_ == 0) return std::numeric_limits<SimTime>::infinity();
-  return nextEventTime();
-}
-
-std::uint64_t Scheduler::runBefore(SimTime horizon) {
-  const std::uint64_t before = eventsProcessed_;
-  if (legacy_) {
-    while (!legacyQueue_.empty() && legacyQueue_.top().time < horizon) {
-      stepLegacy();
-      if (firstError_) break;
-    }
-  } else {
-    while (size_ > 0 && nextEventTime() < horizon) {
       step();
       if (firstError_) break;
     }

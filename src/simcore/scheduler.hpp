@@ -158,14 +158,6 @@ class Scheduler {
   void scheduleCall(Duration delay, std::function<void()> fn, WakeEdge edge,
                     std::source_location loc = std::source_location::current());
 
-  /// Queue a callback at the *absolute* simulated time `when` (>= now()).
-  /// Cross-shard event injection (simcore/shard.hpp) uses this: the sender
-  /// computed `when` on its own clock, and re-deriving it as a delay against
-  /// this scheduler's clock (`now + (when - now)`) is not exact in floating
-  /// point — the merge would not be bit-identical to a serial execution.
-  void scheduleCallAt(SimTime when, std::function<void()> fn, WakeEdge edge,
-                      std::source_location loc = std::source_location::current());
-
   /// Awaitable that suspends the current task for `dt` simulated seconds.
   [[nodiscard]] auto delay(
       Duration dt, std::source_location loc = std::source_location::current()) {
@@ -194,17 +186,6 @@ class Scheduler {
   /// Process events with timestamps <= `untilTime`. Advances `now()` to
   /// `untilTime` if the queue empties earlier.
   std::uint64_t runUntil(SimTime untilTime);
-
-  /// Process events with timestamps strictly < `horizon` and stop. Unlike
-  /// runUntil, `now()` is left at the last dispatched event: the caller (the
-  /// conservative-window loop in shard.cpp) may still inject events at any
-  /// time >= the horizon, so the clock must not run ahead of them.
-  std::uint64_t runBefore(SimTime horizon);
-
-  /// Timestamp of the earliest queued event; +infinity when the queue is
-  /// empty. The shard synchronization protocol reduces this across shards
-  /// to derive each conservative window.
-  SimTime peekNextTime();
 
   /// Root tasks spawned but not yet finished. Nonzero after run() returns
   /// means deadlock: someone is waiting on a wakeup that will never come.

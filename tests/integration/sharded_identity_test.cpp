@@ -1,9 +1,9 @@
-// Byte-identity gate for the parallel simulation core: the figure benches
+// Byte-identity gate for the parallel figure path: the figure benches
 // must produce the SAME bytes — stdout and every --telemetry/--attr export —
 // whether the simulation points run serially or prefetched on 8 threads.
 // This is the determinism contract of bench/common.cpp's prefetch cache
 // (FIFO consumption in program order, pre-assigned artifact ordinals,
-// replayed perf records) and of sim::ShardGroup's deterministic merge.
+// replayed perf records) over sim::parallelFor.
 //
 // Manifest sidecars (*.manifest.json) are excluded from the comparison:
 // they record the exact argv of the run, which legitimately differs by the
@@ -144,4 +144,13 @@ TEST(ShardedIdentity, Fig5StdoutAndExportsMatchSerial) {
 
 TEST(ShardedIdentity, Fig9StdoutAndExportsMatchSerial) {
   expectByteIdentical("fig9_dist_1pfpp", "");
+}
+
+// perfFlush's writers must report a full disk: the buffered report only
+// reaches the device when fclose flushes it, so that is where it fails.
+TEST(ShardedIdentity, PerfJsonOnFullDiskExitsNonzero) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const RunResult r = run(std::string(BENCH_BIN_DIR) +
+                          "/fig9_dist_1pfpp --perf-json /dev/full");
+  EXPECT_NE(r.exitCode, 0) << r.output;
 }

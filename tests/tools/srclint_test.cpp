@@ -185,18 +185,6 @@ TEST(SrclintRules, DeterminismNegatives) {
   EXPECT_EQ(r.exitCode, 0) << r.output;
 }
 
-TEST(SrclintRules, ShardSafetyPositives) {
-  const auto r =
-      run(srclint() + " " + fx("bad/src/fssim/shard_send_bad.cpp"));
-  EXPECT_EQ(r.exitCode, 1) << r.output;
-  EXPECT_EQ(countOf(r.output, "[shard-send-lookahead]"), 2) << r.output;
-}
-
-TEST(SrclintRules, ShardSafetyNegatives) {
-  const auto r = run(srclint() + " " + fx("ok/src/fssim/shard_send_ok.cpp"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-}
-
 TEST(SrclintRules, ShardGlobalReadResolvesAcrossFiles) {
   const auto r = run(srclint() + " " + fx("bad/src/obs/globals_decl.cpp") +
                      " " + fx("bad/src/simcore/reader_bad.cpp"));
@@ -261,9 +249,9 @@ TEST(SrclintCli, ListRulesNamesEveryFamily) {
   EXPECT_EQ(r.exitCode, 0) << r.output;
   for (const char* rule :
        {"ternary-co-await", "coro-lambda-capture", "coro-spawn-dangling",
-        "det-unordered-iteration", "shard-send-lookahead",
-        "shard-global-read", "static-mutable", "wall-clock",
-        "manifest-stamp", "allow-unknown-rule", "baseline-stale"})
+        "det-unordered-iteration", "shard-global-read", "static-mutable",
+        "wall-clock", "manifest-stamp", "allow-unknown-rule",
+        "baseline-stale"})
     EXPECT_TRUE(has(r.output, rule)) << rule << "\n" << r.output;
 }
 

@@ -2,7 +2,7 @@
 //
 // The line-regex srclint could not see past a single physical line, so every
 // rule had to be expressible as "this token appears here". The scope-aware
-// rules (coroutine lifetime, determinism, shard safety) need statements,
+// rules (coroutine lifetime, determinism, thread safety) need statements,
 // balanced braces, and function extents, which in turn need honest handling
 // of the three things that break naive scanners: comments (line and block,
 // spanning lines), string literals (including raw strings, whose delimiters

@@ -23,7 +23,7 @@ int usage() {
       << "usage: srclint [options] <file-or-dir>...\n"
          "\n"
          "Project-invariant lint for the bgckpt tree: coroutine-lifetime,\n"
-         "determinism, and shard-safety rules no generic linter knows.\n"
+         "determinism, and thread-safety rules no generic linter knows.\n"
          "\n"
          "options:\n"
          "  --root <dir>            report paths relative to <dir>\n"

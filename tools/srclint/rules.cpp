@@ -78,12 +78,13 @@ const std::vector<RuleInfo> kRules = {
      "re-mints mid-path severs the request's lineage and double-counts it\n"
      "in every percentile table. Backends that legitimately originate\n"
      "requests (e.g. hostio) carry an explicit allow with justification."},
-    {"static-mutable", "shard-safety",
+    {"static-mutable", "thread-safety",
      "unsynchronized static/namespace-scope mutable state in src/simcore "
      "or src/netsim",
-     "The sharded scheduler runs these layers on worker threads; hidden\n"
-     "static state is a data race and a determinism leak (shards must not\n"
-     "observe each other outside the mailbox protocol). The scope-aware\n"
+     "With --threads=N, parallelFor workers each run an independent\n"
+     "SimStack through these layers at the same time; hidden static state\n"
+     "is shared by all of them, so it is a data race and a determinism\n"
+     "leak (one point's run would observe another's). The scope-aware\n"
      "version catches what the old declaration regex could not: namespace-\n"
      "scope variables *without* the static keyword, and function-local\n"
      "statics. Declarations marked const/constexpr/thread_local, or of\n"
@@ -125,27 +126,16 @@ const std::vector<RuleInfo> kRules = {
      "reaches an export/stdout/telemetry sink or accumulates into floats\n"
      "(FP addition does not commute). Collect and sort keys first, or use\n"
      "an ordered container."},
-    {"shard-send-lookahead", "shard-safety",
-     "cross-shard send() whose delay is not provably >= the lookahead",
-     "The conservative window protocol is only correct when every\n"
-     "cross-shard event lands at least `lookahead` in the future; a\n"
-     "shorter delay would deliver into an already-executing window —\n"
-     "silent causality corruption that no test with benign timing will\n"
-     "catch. ShardGroup::send SIM_CHECKs this at runtime; the static rule\n"
-     "requires the delay *expression* to be visibly derived from the\n"
-     "lookahead/hop-latency constant (and free of top-level subtraction,\n"
-     "which could push it below). Anything else needs an allow naming why\n"
-     "the bound holds."},
-    {"shard-global-read", "shard-safety",
+    {"shard-global-read", "thread-safety",
      "simcore/netsim function reads mutable namespace-scope state",
      "The static-mutable rule stops *declaring* hidden state inside the\n"
-     "sharded layers; this rule closes the other half: code in\n"
-     "src/simcore or src/netsim that *reads* a mutable namespace-scope\n"
-     "variable — declared in the same file or, cross-file, any src/\n"
-     "global following the gName convention — is a data race and a\n"
-     "determinism leak once shards run on worker threads. Route the state\n"
-     "through the Scheduler, the ShardGroup mailboxes, or an explicitly\n"
-     "synchronized registry."},
+     "layers every parallelFor worker runs; this rule closes the other\n"
+     "half: code in src/simcore or src/netsim that *reads* a mutable\n"
+     "namespace-scope variable — declared in the same file or, cross-file,\n"
+     "any src/ global following the gName convention — is a data race and\n"
+     "a determinism leak once concurrent SimStacks share it. Keep the state\n"
+     "per stack (in the Scheduler or the layer object), or behind an\n"
+     "explicitly synchronized registry."},
     {"manifest-stamp", "provenance",
      "\".manifest.json\" spelled outside the shared stamping helper "
      "(allowlist: src/obs/runstore.*)",
@@ -188,14 +178,6 @@ bool isPunct(const Token& t, const char* s) {
 
 bool isIdent(const Token& t, const char* s) {
   return t.kind == Tok::kIdent && t.text == s;
-}
-
-bool containsCI(const std::string& hay, const char* needle) {
-  std::string low;
-  low.reserve(hay.size());
-  for (char c : hay)
-    low.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  return low.find(needle) != std::string::npos;
 }
 
 const std::set<std::string> kWallClockIdents = {
@@ -825,56 +807,7 @@ void unorderedIterationRule(FileCtx& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// shard-safety: shard-send-lookahead
-// ---------------------------------------------------------------------------
-
-void shardSendLookaheadRule(FileCtx& ctx) {
-  const AnalyzedFile& f = ctx.f;
-  if (f.isShardCpp) return;  // the implementation layer owns the SIM_CHECK
-  const auto& toks = f.lex.tokens;
-  const auto& match = f.scopes.match;
-  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (!isIdent(toks[i], "send")) continue;
-    if (!isPunct(toks[i - 1], ".") && !isPunct(toks[i - 1], "->")) continue;
-    if (!isPunct(toks[i + 1], "(")) continue;
-    const std::size_t close = match[i + 1];
-    if (close == kNone) continue;
-    const auto args = splitArgs(toks, match, i + 1, close);
-    // ShardGroup::send is the only 4-or-6 argument send in the tree
-    // (mpisim send/isend take 3, Channel::send takes 1).
-    if (args.size() < 4) continue;
-    const auto [db, de] = args[2];
-    bool provable = false;
-    bool subtraction = false;
-    for (std::size_t q = db; q < de; ++q) {
-      const Token& t = toks[q];
-      if (t.kind == Tok::kIdent &&
-          (containsCI(t.text, "lookahead") || containsCI(t.text, "hop") ||
-           containsCI(t.text, "latency")))
-        provable = true;
-      if (t.kind == Tok::kPunct && t.text == "-") subtraction = true;
-      if (t.kind == Tok::kPunct && t.text == "(" && match[q] != kNone &&
-          match[q] < de)
-        q = match[q];  // subtraction inside a call is that call's business
-    }
-    if (provable && !subtraction) continue;
-    std::string expr;
-    for (std::size_t q = db; q < de; ++q) {
-      if (!expr.empty()) expr += " ";
-      expr += toks[q].text;
-    }
-    ctx.report(toks[i].line, "shard-send-lookahead",
-               "cross-shard send() delay `" + expr +
-                   "` is not provably >= the conservative lookahead (no "
-                   "lookahead/hop-latency constant in the expression" +
-                   (subtraction ? ", and it subtracts" : "") +
-                   "); a short delay corrupts the window protocol "
-                   "silently");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// shard-safety + static-mutable: namespace-scope state
+// thread-safety: static-mutable and shard-global-read
 // ---------------------------------------------------------------------------
 
 void staticMutableRule(FileCtx& ctx) {
@@ -887,7 +820,7 @@ void staticMutableRule(FileCtx& ctx) {
     if (v.isExempt) continue;
     ctx.report(v.line, "static-mutable",
                "mutable namespace-scope state `" + v.name +
-                   "` in a layer that runs on shard worker threads; make it "
+                   "` in a layer that runs on parallelFor workers; make it "
                    "const/constexpr/thread_local/atomic, or add `// "
                    "srclint:allow(static-mutable): <what synchronises it>`");
   }
@@ -917,7 +850,7 @@ void staticMutableRule(FileCtx& ctx) {
     if (exempt || name.empty()) continue;
     ctx.report(toks[i].line, "static-mutable",
                "function-local static `" + name +
-                   "` in a layer that runs on shard worker threads; make it "
+                   "` in a layer that runs on parallelFor workers; make it "
                    "const/thread_local/atomic or guard it with a named "
                    "mutex (// srclint:allow(static-mutable): ...)");
   }
@@ -971,8 +904,8 @@ void shardGlobalReadRule(const std::vector<AnalyzedFile>& files,
                  "`" + t.text +
                      "` is mutable namespace-scope state (declared at " +
                      g.file->lex.path + ":" + std::to_string(g.line) +
-                     "); shard worker threads race on it — route it through "
-                     "the Scheduler, mailboxes, or a synchronized registry");
+                     "); concurrent SimStacks race on it — keep it per "
+                     "stack or behind a synchronized registry");
     }
   }
 }
@@ -1006,7 +939,6 @@ AnalyzedFile analyze(LexedFile lexed) {
   f.inObs = name.find("src/obs/") != std::string::npos;
   f.inIolib = name.find("src/iolib/") != std::string::npos;
   f.isSchedulerCpp = name.find("simcore/scheduler.cpp") != std::string::npos;
-  f.isShardCpp = name.find("simcore/shard.cpp") != std::string::npos;
   const auto dot = name.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : name.substr(dot);
   f.isHeader = ext == ".hpp" || ext == ".h";
@@ -1039,7 +971,6 @@ std::vector<Finding> runRules(const std::vector<AnalyzedFile>& files) {
     coroLambdaCaptureRule(ctx);
     coroSpawnDanglingRule(ctx);
     unorderedIterationRule(ctx, unorderedMembers);
-    shardSendLookaheadRule(ctx);
     staticMutableRule(ctx);
   }
   shardGlobalReadRule(files, ctxs);

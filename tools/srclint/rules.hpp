@@ -3,7 +3,7 @@
 // Every rule encodes one of *this* project's invariants — things no generic
 // linter knows to look for. The original token rules ride on the new lexer
 // (so string literals and comments can never fool them again); the
-// scope-aware families — coroutine lifetime, determinism, shard safety —
+// scope-aware families — coroutine lifetime, determinism, thread safety —
 // need the ScopeModel and, for shard-global-read, the whole file set.
 //
 // Run `srclint --list-rules` for the catalog and `--explain <name>` for the
@@ -28,7 +28,7 @@ struct Finding {
 
 struct RuleInfo {
   const char* name;
-  const char* family;   // coroutine-lifetime / determinism / shard-safety /
+  const char* family;   // coroutine-lifetime / determinism / thread-safety /
                         // hygiene / meta
   const char* summary;  // one line, for --list-rules and SARIF
   const char* explain;  // full rationale, for --explain
@@ -57,7 +57,6 @@ struct AnalyzedFile {
   bool inObs = false;
   bool inIolib = false;
   bool isSchedulerCpp = false;
-  bool isShardCpp = false;
   bool isHeader = false;
 };
 

@@ -30,12 +30,9 @@
 // waterfalls for the retained tail (the N slowest requests) or, with
 // --req ID, for one chosen request; --diff compares the hop-percentile
 // tables of two runs (e.g. rbIO vs coIO). --runtime renders the real-time
-// execution profile written by `<bench> --runtime-profile`: per-shard
-// window-phase tables with a worker-wall decomposition summing to 100%, a
-// critical-shard summary line, and per-parallelFor-point wall times with
-// the serial-fraction / Amdahl-ceiling analysis; --diff compares two
-// profiles point by point and phase by phase (before/after a sharding
-// change).
+// execution profile written by `<bench> --runtime-profile`:
+// per-parallelFor-point wall times with the serial-fraction /
+// Amdahl-ceiling analysis; --diff compares two profiles point by point.
 //
 // --campaign renders the cross-run ledger a `tools/sweep` run wrote: the
 // per-strategy bandwidth-vs-np table (the fig5 surface re-derived from
@@ -736,153 +733,6 @@ int runWaterfallMode(const char* pathA, const char* pathB, long long reqId,
 
 // ------------------------------------------------------- --runtime mode --
 
-/// One shard-group configuration's accumulated totals. Benchmark loops run
-/// the same (shards, threads) topology many times; the report merges them
-/// so the phase shares describe the topology, not one 10ms iteration.
-struct ShardGroupAgg {
-  unsigned shards = 0;
-  unsigned threads = 0;
-  std::uint64_t runs = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t events = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t overflow = 0;
-  double wallNs = 0;
-  double setupNs = 0, drainNs = 0, reduceNs = 0, barrierNs = 0, execNs = 0;
-  struct Shard {
-    double drainNs = 0, execNs = 0;
-    std::uint64_t events = 0, delivered = 0, criticalWindows = 0;
-  };
-  std::vector<Shard> perShard;
-  std::vector<double> workerBarrierNs;
-
-  /// Worker wall = drain + reduce + barrier-wait + exec. The reduce runs
-  /// *inside* one worker's barrier wait each window, so it is carved out
-  /// of the barrier total — the four shares then sum to 100% exactly.
-  double barrierWaitNs() const {
-    return barrierNs > reduceNs ? barrierNs - reduceNs : 0.0;
-  }
-  double workerWallNs() const {
-    return drainNs + reduceNs + barrierWaitNs() + execNs;
-  }
-};
-
-struct RuntimeProfDoc {
-  Value doc;
-  std::vector<ShardGroupAgg> groups;  // keyed by (shards, threads)
-};
-
-/// Load and validate one `--runtime-profile` export, behind the same gate
-/// as loadTimeline.
-bool loadRuntimeProf(const char* path, RuntimeProfDoc* out) {
-  if (!loadGatedArtifact(path, "runtimeprof",
-                         bgckpt::obs::kRuntimeProfSchemaVersion, &out->doc))
-    return false;
-  const Value* runs = out->doc.find("shard_runs");
-  if (runs == nullptr || !runs->isArray()) return true;
-  for (const Value& rv : *runs->array) {
-    if (!rv.isObject()) continue;
-    const auto shards = static_cast<unsigned>(rv.numberOr("shards", 0));
-    const auto threads = static_cast<unsigned>(rv.numberOr("threads", 0));
-    ShardGroupAgg* g = nullptr;
-    for (ShardGroupAgg& cand : out->groups)
-      if (cand.shards == shards && cand.threads == threads) g = &cand;
-    if (g == nullptr) {
-      out->groups.emplace_back();
-      g = &out->groups.back();
-      g->shards = shards;
-      g->threads = threads;
-      g->perShard.resize(shards);
-      g->workerBarrierNs.assign(threads, 0.0);
-    }
-    ++g->runs;
-    g->windows += static_cast<std::uint64_t>(rv.numberOr("windows", 0));
-    g->events += static_cast<std::uint64_t>(rv.numberOr("events", 0));
-    g->messages += static_cast<std::uint64_t>(rv.numberOr("messages", 0));
-    g->overflow += static_cast<std::uint64_t>(rv.numberOr("overflow", 0));
-    g->wallNs += rv.numberOr("wall_ns", 0);
-    if (const Value* ph = rv.find("phase_ns"); ph && ph->isObject()) {
-      g->setupNs += ph->numberOr("setup", 0);
-      g->drainNs += ph->numberOr("drain", 0);
-      g->reduceNs += ph->numberOr("reduce", 0);
-      g->barrierNs += ph->numberOr("barrier", 0);
-      g->execNs += ph->numberOr("exec", 0);
-    }
-    if (const Value* ps = rv.find("per_shard"); ps && ps->isArray()) {
-      for (const Value& sv : *ps->array) {
-        if (!sv.isObject()) continue;
-        const auto i = static_cast<std::size_t>(sv.numberOr("shard", 0));
-        if (i >= g->perShard.size()) continue;
-        auto& slot = g->perShard[i];
-        slot.drainNs += sv.numberOr("drain_ns", 0);
-        slot.execNs += sv.numberOr("exec_ns", 0);
-        slot.events += static_cast<std::uint64_t>(sv.numberOr("events", 0));
-        slot.delivered +=
-            static_cast<std::uint64_t>(sv.numberOr("delivered", 0));
-        slot.criticalWindows +=
-            static_cast<std::uint64_t>(sv.numberOr("critical_windows", 0));
-      }
-    }
-    if (const Value* pw = rv.find("per_worker"); pw && pw->isArray()) {
-      for (const Value& wv : *pw->array) {
-        if (!wv.isObject()) continue;
-        const auto i = static_cast<std::size_t>(wv.numberOr("worker", 0));
-        if (i < g->workerBarrierNs.size())
-          g->workerBarrierNs[i] += wv.numberOr("barrier_ns", 0);
-      }
-    }
-  }
-  return true;
-}
-
-void renderShardGroup(const ShardGroupAgg& g) {
-  std::printf("\nshard group [shards=%u threads=%u]: %" PRIu64
-              " run(s), %" PRIu64 " windows, %" PRIu64 " events, %" PRIu64
-              " messages, %" PRIu64 " spills, wall %.3f ms\n",
-              g.shards, g.threads, g.runs, g.windows, g.events, g.messages,
-              g.overflow, g.wallNs / 1e6);
-  const double ww = g.workerWallNs();
-  if (ww > 0) {
-    const auto share = [ww](double ns) { return ns / ww * 100.0; };
-    std::printf("worker wall decomposition: drain %.1f%% + reduce %.1f%% + "
-                "barrier-wait %.1f%% + execute %.1f%% = 100%%\n",
-                share(g.drainNs), share(g.reduceNs), share(g.barrierWaitNs()),
-                share(g.execNs));
-    std::printf("parallel efficiency: %.1f%% of worker wall is useful "
-                "execute (setup excluded: %.3f ms)\n",
-                share(g.execNs), g.setupNs / 1e6);
-  }
-  std::printf("\n%7s %12s %12s %12s %12s %10s %7s\n", "shard", "drain-ms",
-              "exec-ms", "events", "delivered", "critical", "crit%");
-  for (std::size_t i = 0; i < g.perShard.size(); ++i) {
-    const auto& s = g.perShard[i];
-    std::printf("%7zu %12.3f %12.3f %12" PRIu64 " %12" PRIu64 " %10" PRIu64
-                " %6.1f%%\n",
-                i, s.drainNs / 1e6, s.execNs / 1e6, s.events, s.delivered,
-                s.criticalWindows,
-                g.windows > 0 ? static_cast<double>(s.criticalWindows) /
-                                    static_cast<double>(g.windows) * 100.0
-                              : 0.0);
-  }
-  std::printf("%7s", "barrier");
-  for (std::size_t w = 0; w < g.workerBarrierNs.size() && w < 8; ++w)
-    std::printf(" w%zu=%.2fms", w, g.workerBarrierNs[w] / 1e6);
-  std::printf("\n");
-  // The one-line summary: who sets the horizon, and what that costs.
-  std::size_t critShard = 0;
-  for (std::size_t i = 1; i < g.perShard.size(); ++i)
-    if (g.perShard[i].criticalWindows >
-        g.perShard[critShard].criticalWindows)
-      critShard = i;
-  if (g.windows > 0 && !g.perShard.empty() && ww > 0)
-    std::printf("critical shard: shard %zu critical in %.0f%% of windows; "
-                "barrier wait = %.0f%% of worker wall\n",
-                critShard,
-                static_cast<double>(g.perShard[critShard].criticalWindows) /
-                    static_cast<double>(g.windows) * 100.0,
-                g.barrierWaitNs() / ww * 100.0);
-}
-
 /// A region's Amdahl decomposition: the serial fraction is the share of
 /// total job work pinned in the single longest job. Independent jobs can
 /// never finish before max(longest job, total work / T), so the speedup
@@ -948,26 +798,25 @@ void renderRegion(const Value& rv) {
 }
 
 int runRuntimeMode(const char* pathA, const char* pathB) {
-  RuntimeProfDoc a;
-  if (!loadRuntimeProf(pathA, &a)) return 2;
+  using bgckpt::obs::kRuntimeProfSchemaVersion;
+  Value a;
+  if (!loadGatedArtifact(pathA, "runtimeprof", kRuntimeProfSchemaVersion, &a))
+    return 2;
   std::printf("runtime profile: %s\n", pathA);
-  const Value* regionsA = a.doc.find("parallel_regions");
-  const Value* pointsA = a.doc.find("points");
+  const Value* regionsA = a.find("parallel_regions");
+  const Value* pointsA = a.find("points");
   const std::size_t nRegions =
       regionsA != nullptr && regionsA->isArray() ? regionsA->array->size() : 0;
   const std::size_t nPoints =
       pointsA != nullptr && pointsA->isArray() ? pointsA->array->size() : 0;
-  std::printf("%zu shard-group config(s), %zu parallel region(s), %zu "
-              "point record(s)\n",
-              a.groups.size(), nRegions, nPoints);
-  if (a.doc.numberOr("dropped_shard_runs", 0) > 0)
-    std::printf("WARNING: %.0f shard run(s) beyond the retention cap were "
-                "not recorded\n",
-                a.doc.numberOr("dropped_shard_runs", 0));
+  std::printf("%zu parallel region(s), %zu point record(s)\n", nRegions,
+              nPoints);
 
   if (pathB != nullptr) {
-    RuntimeProfDoc b;
-    if (!loadRuntimeProf(pathB, &b)) return 2;
+    Value b;
+    if (!loadGatedArtifact(pathB, "runtimeprof", kRuntimeProfSchemaVersion,
+                           &b))
+      return 2;
     std::printf("diff against: %s\n", pathB);
     // Point-by-point wall comparison (labels are deterministic, so they
     // line up across runs whatever the thread counts were).
@@ -983,8 +832,8 @@ int runRuntimeMode(const char* pathA, const char* pathB) {
         (first ? slot.first : slot.second) += pv.numberOr("wall_s", 0);
       }
     };
-    collect(a.doc, true, points);
-    collect(b.doc, false, points);
+    collect(a, true, points);
+    collect(b, false, points);
     if (!points.empty()) {
       std::printf("\n%-40s %12s %12s %8s\n", "point", "A wall-s", "B wall-s",
                   "B/A");
@@ -993,31 +842,9 @@ int runRuntimeMode(const char* pathA, const char* pathB) {
                     ab.second,
                     ab.first > 0 ? ab.second / ab.first : 0.0);
     }
-    // Phase-share comparison per matching shard-group topology.
-    for (const ShardGroupAgg& ga : a.groups) {
-      for (const ShardGroupAgg& gb : b.groups) {
-        if (ga.shards != gb.shards || ga.threads != gb.threads) continue;
-        const double wa = ga.workerWallNs();
-        const double wb = gb.workerWallNs();
-        if (wa <= 0 || wb <= 0) continue;
-        std::printf("\nshard group [shards=%u threads=%u] phase shares "
-                    "(A -> B):\n",
-                    ga.shards, ga.threads);
-        const auto row = [&](const char* name, double na, double nb) {
-          std::printf("  %-12s %6.1f%% -> %6.1f%%  (%+.1f)\n", name,
-                      na / wa * 100.0, nb / wb * 100.0,
-                      nb / wb * 100.0 - na / wa * 100.0);
-        };
-        row("drain", ga.drainNs, gb.drainNs);
-        row("reduce", ga.reduceNs, gb.reduceNs);
-        row("barrier-wait", ga.barrierWaitNs(), gb.barrierWaitNs());
-        row("execute", ga.execNs, gb.execNs);
-      }
-    }
     return 0;
   }
 
-  for (const ShardGroupAgg& g : a.groups) renderShardGroup(g);
   if (nRegions > 0)
     for (const Value& rv : *regionsA->array)
       if (rv.isObject()) renderRegion(rv);
