@@ -201,6 +201,30 @@ void writeManifest(const std::string& artifactPath, const char* artifact,
   }
 }
 
+/// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
+/// and stores VALUE in `out`. A separate value that is missing or is itself
+/// a flag exits 2: otherwise `--telemetry --optrace` would write a file
+/// named "--optrace" and never turn op tracing on.
+bool flagValue(int argc, char** argv, int& i, const char* name,
+               std::string& out) {
+  const char* a = argv[i];
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(a, name, n) != 0) return false;
+  if (a[n] == '=') {
+    out = a + n + 1;
+    return true;
+  }
+  if (a[n] != '\0') return false;
+  const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
+  if (next == nullptr || std::strncmp(next, "--", 2) == 0) {
+    std::fprintf(stderr, "error: %s needs a value%s%s\n", a,
+                 next != nullptr ? ", got " : "", next != nullptr ? next : "");
+    std::exit(2);
+  }
+  out = argv[++i];
+  return true;
+}
+
 }  // namespace
 
 void obsInit(int argc, char** argv) {
@@ -227,34 +251,24 @@ void obsInit(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strcmp(a, "--trace") == 0 && i + 1 < argc) {
-      gTracePath = argv[++i];
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      gTracePath = a + 8;
-    } else if (std::strcmp(a, "--metrics") == 0 && i + 1 < argc) {
-      gMetricsPath = argv[++i];
-    } else if (std::strncmp(a, "--metrics=", 10) == 0) {
-      gMetricsPath = a + 10;
-    } else if (std::strcmp(a, "--perf-json") == 0 && i + 1 < argc) {
-      gPerfJsonPath = argv[++i];
-    } else if (std::strncmp(a, "--perf-json=", 12) == 0) {
-      gPerfJsonPath = a + 12;
-    } else if (std::strcmp(a, "--attr") == 0 && i + 1 < argc) {
-      gAttrPath = argv[++i];
-    } else if (std::strncmp(a, "--attr=", 7) == 0) {
-      gAttrPath = a + 7;
-    } else if (std::strcmp(a, "--critpath") == 0 && i + 1 < argc) {
-      gCritPathPath = argv[++i];
-    } else if (std::strncmp(a, "--critpath=", 11) == 0) {
-      gCritPathPath = a + 11;
-    } else if (std::strcmp(a, "--telemetry") == 0 && i + 1 < argc) {
-      gTelemetryPath = argv[++i];
-    } else if (std::strncmp(a, "--telemetry=", 12) == 0 && i + 1 < argc) {
+    std::string threads;
+    if (std::strncmp(a, "--telemetry=", 12) == 0) {
       // --telemetry=<dt> <file>: the value attached to the flag is the
       // bucket width in simulated seconds; the output path follows.
       const double dt = std::strtod(a + 12, nullptr);
       gTelemetryDt = dt > 0 ? dt : 0.0;
-      gTelemetryPath = argv[++i];
+      flagValue(argc, argv, i, a, gTelemetryPath);
+    } else if (flagValue(argc, argv, i, "--trace", gTracePath) ||
+               flagValue(argc, argv, i, "--metrics", gMetricsPath) ||
+               flagValue(argc, argv, i, "--perf-json", gPerfJsonPath) ||
+               flagValue(argc, argv, i, "--attr", gAttrPath) ||
+               flagValue(argc, argv, i, "--critpath", gCritPathPath) ||
+               flagValue(argc, argv, i, "--telemetry", gTelemetryPath) ||
+               flagValue(argc, argv, i, "--obs-dir", gObsDir)) {
+      continue;
+    } else if (flagValue(argc, argv, i, "--threads", threads)) {
+      const long n = std::strtol(threads.c_str(), nullptr, 10);
+      gThreads = n > 1 ? static_cast<unsigned>(n) : 1;
     } else if (std::strcmp(a, "--optrace") == 0) {
       gOpTraceEnabled = true;
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
@@ -276,22 +290,12 @@ void obsInit(int argc, char** argv) {
       gRuntimeProfPath = "runtimeprof.json";
     } else if (std::strncmp(a, "--runtime-profile=", 18) == 0) {
       gRuntimeProfPath = a + 18;
-    } else if (std::strcmp(a, "--obs-dir") == 0 && i + 1 < argc) {
-      gObsDir = argv[++i];
-    } else if (std::strncmp(a, "--obs-dir=", 10) == 0) {
-      gObsDir = a + 10;
     } else if (std::strcmp(a, "--flightrec") == 0) {
       gFlightRecEvents = obs::FlightRecorder::kDefaultEvents;
     } else if (std::strncmp(a, "--flightrec=", 12) == 0) {
       const long n = std::strtol(a + 12, nullptr, 10);
       gFlightRecEvents = n > 0 ? static_cast<std::size_t>(n)
                                : obs::FlightRecorder::kDefaultEvents;
-    } else if (std::strcmp(a, "--threads") == 0 && i + 1 < argc) {
-      const long n = std::strtol(argv[++i], nullptr, 10);
-      gThreads = n > 1 ? static_cast<unsigned>(n) : 1;
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      const long n = std::strtol(a + 10, nullptr, 10);
-      gThreads = n > 1 ? static_cast<unsigned>(n) : 1;
     } else if (std::strcmp(a, "--simcheck") == 0) {
       gSimCheckMode = sim::SimCheckMode::kOn;
     } else if (std::strncmp(a, "--simcheck=", 11) == 0) {
@@ -438,8 +442,8 @@ bool perfFlush() {
                  gPerfJsonPath.c_str());
     return false;
   }
-  std::printf("[perf] wrote %zu run records to %s\n", gPerfEntries.size(),
-              gPerfJsonPath.c_str());
+  std::fprintf(stderr, "[perf] wrote %zu run records to %s\n",
+               gPerfEntries.size(), gPerfJsonPath.c_str());
   return true;
 }
 
@@ -456,10 +460,6 @@ bool obsActive() {
 /// to a serial run whatever order the workers finish in.
 void attachObsNumbered(iolib::SimStack& stack, int n) {
   const int np = stack.rt.numRanks();
-  // --trace/--metrics historically announce on stdout; concurrent workers
-  // would interleave them, so with --threads > 1 they join the newer flags
-  // on stderr (stdout stays byte-identical across thread counts).
-  std::FILE* announce = gThreads > 1 ? stderr : stdout;
   // Each artifact written by this attach gets a "<path>.manifest.json"
   // sidecar so downstream tools can validate provenance and schema.
   std::vector<std::pair<const char*, std::string>> artifacts;
@@ -472,21 +472,21 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
       std::fprintf(stderr, "error: --trace: %s\n", e.what());
       std::exit(2);
     }
-    std::fprintf(announce, "[obs] streaming Chrome trace to %s (+ %s)\n",
+    std::fprintf(stderr, "[obs] streaming Chrome trace to %s (+ %s)\n",
                  chrome.c_str(), jsonl.c_str());
     artifacts.emplace_back("trace", chrome);
   }
   if (!gMetricsPath.empty()) {
     const std::string json = numbered(gMetricsPath, n);
     stack.obs.exportOnDestroy(json, swapJsonForCsv(json));
-    std::fprintf(announce, "[obs] metrics will be written to %s and %s\n",
+    std::fprintf(stderr, "[obs] metrics will be written to %s and %s\n",
                  json.c_str(), swapJsonForCsv(json).c_str());
     artifacts.emplace_back("metrics", json);
   }
-  // The newer flags announce on stderr: figure stdout must stay
-  // byte-identical whether or not attribution/critpath/flightrec are on.
-  // Their sinks only write at finalize, so probe the path now — a typo
-  // must fail at startup with exit 2, the same contract as --trace.
+  // Every announce line goes to stderr, so figure stdout is byte-identical
+  // whichever flags are on. These sinks only write at finalize, so probe
+  // the path now — a typo must fail at startup with exit 2, the same
+  // contract as --trace.
   const auto requireWritable = [](const char* flag, const std::string& path) {
     std::ofstream f(path);
     if (!f) {

@@ -52,8 +52,7 @@ std::string secs(double seconds);
 ///                      their own SimStack honour the SIM_CHECK environment
 ///                      variable instead.
 ///   --attr <file>      export per-rank blocked-time attribution there as
-///                      JSON, plus a CSV twin (obs/attr.hpp). Announce
-///                      lines go to stderr, so figure stdout is unchanged.
+///                      JSON, plus a CSV twin (obs/attr.hpp)
 ///   --critpath <file>  record the causal event graph and write the
 ///                      critical-path report there as JSON (obs/critpath.hpp)
 ///   --telemetry[=DT] <file>
@@ -62,8 +61,7 @@ std::string secs(double seconds);
 ///                      kDefaultDt) and write the timeseries there as JSON,
 ///                      plus a CSV twin. Feed the JSON to `trace_report
 ///                      --timeline` for utilization heatmaps and
-///                      server-imbalance stats. Announce lines go to
-///                      stderr; figure stdout is byte-identical.
+///                      server-imbalance stats.
 ///   --optrace[=RATE] [file]
 ///                      per-request causal tracing (obs/optrace.hpp): every
 ///                      checkpoint write op carries a span context from the
@@ -73,8 +71,6 @@ std::string secs(double seconds);
 ///                      are always kept). With a file, the hop-percentile
 ///                      tables, lineage trees, and tail waterfalls are
 ///                      exported as JSON for `trace_report --waterfall`.
-///                      Announce lines go to stderr; figure stdout is
-///                      byte-identical with tracing on.
 ///   --obs-dir DIR      derive every observability artifact path not given
 ///                      explicitly (trace/metrics/attr/critpath/telemetry/
 ///                      optrace + their manifests) as DIR/<artifact>.json,
@@ -91,21 +87,19 @@ std::string secs(double seconds);
 ///                      --runtime`. Wall-clock by nature, so the JSON is
 ///                      NOT byte-stable across runs — it is deliberately
 ///                      not derived by --obs-dir and excluded from artifact
-///                      identity comparisons. Figure stdout stays
-///                      byte-identical with profiling on (announce lines go
-///                      to stderr).
+///                      identity comparisons.
 ///   --threads=N        simulate the harness's independent points on N
 ///                      worker threads (default 1 = the serial reference).
 ///                      Results, stdout, and every perf/obs artifact are
 ///                      byte-identical to the serial run: points are
 ///                      prefetched into a cache and consumed in program
-///                      order (see prefetchSims). The only difference is
-///                      that the --trace/--metrics announce lines move to
-///                      stderr so concurrent workers cannot interleave
-///                      stdout.
+///                      order (see prefetchSims).
 /// Every file-producing flag also writes a `<file>.manifest.json` sidecar
 /// (schema version, bench name, np, flag set) that tools/trace_report
-/// validates before parsing. Unknown arguments are ignored so harnesses
+/// validates before parsing. Every announce line ("[obs] ...", "[perf]
+/// ...") goes to stderr, so figure stdout is the same whichever flags are
+/// on. A flag that takes a separate value exits 2 when the value is
+/// missing or is itself a flag. Unknown arguments are ignored so harnesses
 /// stay forward-compatible.
 void obsInit(int argc, char** argv);
 

@@ -4,6 +4,7 @@
 // writers stream continuously; coIO's field-synchronised rounds leave lock
 // and synchronisation gaps.
 #include <cstdio>
+#include <memory>
 
 #include "common.hpp"
 #include "profiling/report.hpp"
@@ -17,20 +18,24 @@ int main(int argc, char** argv) {
          "32,768 processors; column shade = processes in a write call.");
 
   constexpr int kNp = 32768;
+  // The timelines need every write's interval, so each stack feeds an
+  // IoProfile; the write counts and op table come from stack.profile.
+  prof::IoProfile rbProfile;
+  prof::IoProfile coProfile;
   iolib::SimStack rbStack(kNp);
   bench::attachObs(rbStack);
+  rbStack.obs.addSink(std::make_shared<prof::IoProfileSink>(rbProfile));
   const auto rb = runSim(rbStack, kNp, iolib::StrategyConfig::rbIo(64, true));
   iolib::SimStack coStack(kNp);
   bench::attachObs(coStack);
+  coStack.obs.addSink(std::make_shared<prof::IoProfileSink>(coProfile));
   const auto co = runSim(coStack, kNp, iolib::StrategyConfig::coIo(kNp / 64));
 
   const double horizon = std::max(rb.makespan, co.makespan);
   const int bins = 64;
   const double binW = horizon / bins;
-  auto rbLine =
-      rbStack.profile.activityTimeline(prof::Op::kWrite, binW, horizon);
-  auto coLine =
-      coStack.profile.activityTimeline(prof::Op::kWrite, binW, horizon);
+  auto rbLine = rbProfile.activityTimeline(prof::Op::kWrite, binW, horizon);
+  auto coLine = coProfile.activityTimeline(prof::Op::kWrite, binW, horizon);
 
   std::printf("rbIO nf=ng : makespan %s, %llu write calls\n",
               secs(rb.makespan).c_str(),

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 #include "iolib/strategies.hpp"
 #include "profiling/report.hpp"
@@ -28,6 +29,8 @@ int main(int argc, char** argv) {
   }
 
   iolib::SimStack stack(np);
+  prof::IoProfile profile;
+  stack.obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
   const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
   std::printf("running %s on %d simulated ranks...\n",
               cfg.describe().c_str(), np);
@@ -39,12 +42,12 @@ int main(int argc, char** argv) {
   opt.numRanks = np;
   opt.jobName = cfg.describe();
   opt.slowestRanksShown = 8;
-  std::printf("%s", prof::renderReport(stack.profile, opt).c_str());
+  std::printf("%s", prof::renderReport(profile, opt).c_str());
 
   // The write-activity strip, as in Fig. 12.
   const int bins = 64;
-  auto line = stack.profile.activityTimeline(
-      prof::Op::kWrite, result.makespan / bins, result.makespan);
+  auto line = profile.activityTimeline(prof::Op::kWrite,
+                                      result.makespan / bins, result.makespan);
   std::printf("\nwrite activity over time (64 slices):\n  |");
   int maxed = 1;
   for (int v : line) maxed = std::max(maxed, v);

@@ -45,9 +45,9 @@ SimStack::SimStack(int numRanks, SimStackOptions options)
       fsys(sched, mach, ion, fabric, options.seed, options.fsConfig, &obs),
       rt(sched, mach, torus, coll, options.seed, &obs),
       seed(options.seed) {
-  // The legacy profile rides the kIo event stream like any other sink, so
+  // The op counts ride the kIo event stream like any other sink, so
   // strategy code records each op exactly once.
-  obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
+  obs.addSink(std::make_shared<prof::IoCountsSink>(profile));
   obs.observeScheduler(sched);
   if (options.flightRecorderEvents > 0) {
     flightRecorder = obs::FlightRecorder::create(options.flightRecorderEvents);

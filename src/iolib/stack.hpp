@@ -59,8 +59,9 @@ class SimStack {
   std::unique_ptr<sim::SimChecker> checker;
   machine::Machine mach;
   /// Observability hub for the whole stack. Every layer below reports into
-  /// it; `profile` is fed from its kIo event stream via prof::IoProfileSink.
-  /// Benches attach extra sinks (Chrome trace, JSONL) with obs.addSink().
+  /// it; `profile` is fed from its kIo event stream via prof::IoCountsSink.
+  /// Benches attach extra sinks (Chrome trace, JSONL, a prof::IoProfileSink
+  /// for per-op records) with obs.addSink().
   /// Declared before the layers (they hold a pointer) and after sched (its
   /// destructor reads the scheduler clock for end-of-run exports).
   obs::Observability obs;
@@ -70,7 +71,8 @@ class SimStack {
   stor::StorageFabric fabric;
   fs::ParallelFsSim fsys;
   mpi::Runtime rt;
-  prof::IoProfile profile;
+  /// Per-op counts, bytes and busy seconds: O(1) space, no per-op records.
+  prof::IoCounts profile;
   /// Present iff SimStackOptions::flightRecorderEvents > 0 (also reachable
   /// through the global obs::dumpFlightRecorders registry).
   std::shared_ptr<obs::FlightRecorder> flightRecorder;

@@ -8,8 +8,9 @@ namespace bgckpt::iolib {
 
 /// Execute one coordinated checkpoint step on the simulated machine: all
 /// ranks synchronise, write one checkpoint with the configured strategy,
-/// and per-rank blocked times are measured. Per-op intervals are appended
-/// to `stack.profile`.
+/// and per-rank blocked times are measured. Each op is counted in
+/// `stack.profile`; its interval reaches any prof::IoProfileSink attached
+/// to `stack.obs`.
 CheckpointResult runCheckpoint(SimStack& stack, const CheckpointSpec& spec,
                                const StrategyConfig& cfg);
 

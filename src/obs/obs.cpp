@@ -116,7 +116,8 @@ void Observability::completeBytes(Layer layer, int tid, const char* name,
 
 void Observability::message(int src, int dst, sim::Bytes bytes,
                             sim::SimTime sendTime, sim::SimTime deliverTime) {
-  metrics_.recordPair(src, dst, bytes, deliverTime - sendTime);
+  if (!metricsJsonPath_.empty() || !metricsCsvPath_.empty())
+    metrics_.recordPair(src, dst, bytes, deliverTime - sendTime);
   if (!tracing(Layer::kMpi)) return;
   TraceEvent ev;
   ev.layer = Layer::kMpi;

@@ -7,9 +7,11 @@
 // MPI runtime, checkpoint strategies) takes an optional `Observability*`
 // and is exactly as fast as before when handed nullptr.
 //
-// iolib::SimStack always attaches prof::IoProfileSink (profiling/profile.hpp)
-// so the legacy IoProfile keeps filling from the same event stream; a
-// ChromeTraceSink is attached only when the user asks for a trace file.
+// iolib::SimStack always attaches prof::IoCountsSink (profiling/profile.hpp),
+// which keeps per-op totals in O(1) space. Everything that grows with the
+// run is attached only by its reader: per-op records (prof::IoProfileSink)
+// by the benches that plot them, a ChromeTraceSink when the user asks for a
+// trace file, and the MPI pair matrix once exportOnDestroy has a path.
 #pragma once
 
 #include <memory>
@@ -86,8 +88,9 @@ class Observability {
                 sim::SimTime end);
   void completeBytes(Layer layer, int tid, const char* name,
                      sim::SimTime start, sim::SimTime end, sim::Bytes bytes);
-  /// MPI message delivery: complete event on the sender's row plus the
-  /// per-pair metrics entry.
+  /// MPI message delivery: complete event on the sender's row, plus the
+  /// per-pair metrics entry once exportOnDestroy has a path (only the
+  /// metrics export reads the pair matrix).
   void message(int src, int dst, sim::Bytes bytes, sim::SimTime sendTime,
                sim::SimTime deliverTime);
   void counterSample(Layer layer, const char* name, sim::SimTime ts,
@@ -146,7 +149,8 @@ class Observability {
 
   /// Ask the destructor to call finalize(scheduler.now()) and write the
   /// metrics files (empty path = skip that format). Used by bench/common
-  /// so every harness exports on exit without bespoke teardown code.
+  /// so every harness exports on exit without bespoke teardown code. With
+  /// a path set, message() also fills the MPI pair matrix from then on.
   void exportOnDestroy(std::string metricsJsonPath, std::string metricsCsvPath);
 
  private:

@@ -19,8 +19,7 @@ const char* opName(Op op) {
 }
 
 std::optional<Op> opFromName(std::string_view name) {
-  for (const Op op : {Op::kCreate, Op::kOpen, Op::kWrite, Op::kClose,
-                      Op::kSend, Op::kRecv, Op::kOther})
+  for (const Op op : kAllOps)
     if (name == opName(op)) return op;
   return std::nullopt;
 }
@@ -64,20 +63,6 @@ std::vector<int> IoProfile::activityTimeline(Op op, double binWidth,
     for (std::size_t b = lo; b < hi && b < bins; ++b) ++counts[b];
   }
   return counts;
-}
-
-sim::Bytes IoProfile::totalBytes(Op op) const {
-  sim::Bytes total = 0;
-  for (const auto& r : records_)
-    if (r.op == op) total += r.bytes;
-  return total;
-}
-
-std::uint64_t IoProfile::opCount(Op op) const {
-  std::uint64_t n = 0;
-  for (const auto& r : records_)
-    if (r.op == op) ++n;
-  return n;
 }
 
 }  // namespace bgckpt::prof

@@ -1,18 +1,23 @@
-// Darshan-style I/O profiling.
+// Darshan-style I/O profiling, fed from the obs kIo event stream.
 //
-// Strategies record per-rank operation intervals here; the figure benches
-// post-process them into the paper's plots: per-rank I/O-time scatters
-// (Figs. 9-11) and write-activity timelines (Fig. 12).
+// Two recorders share one sink. IoCounts keeps a count, a byte total and a
+// busy-seconds sum per op in O(1) space; every iolib::SimStack keeps one as
+// `stack.profile`. IoProfile keeps every op record as well, for the
+// readers that post-process them into the paper's plots: per-rank I/O-time
+// scatters (Figs. 9-11), write-activity timelines (Fig. 12) and the
+// Darshan report. A reader attaches its own IoProfile:
+//
+//   prof::IoProfile profile;
+//   stack.obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "simcore/scheduler.hpp"
 #include "simcore/units.hpp"
 
 namespace bgckpt::prof {
@@ -26,6 +31,10 @@ enum class Op : std::uint8_t {
   kRecv,   // writer side of the handoff
   kOther,
 };
+
+inline constexpr std::array<Op, 7> kAllOps = {
+    Op::kCreate, Op::kOpen, Op::kWrite, Op::kClose,
+    Op::kSend,   Op::kRecv, Op::kOther};
 
 const char* opName(Op op);
 /// Inverse of opName; nullopt for names that are not I/O ops (e.g. the
@@ -42,16 +51,51 @@ struct OpRecord {
   sim::Duration duration() const { return end - start; }
 };
 
+/// Job-wide totals per op. Busy seconds accumulate in record order, so a
+/// table rendered from them matches one summed over an IoProfile's records.
+class IoCounts {
+ public:
+  /// Same signature as IoProfile::record so one sink feeds either; the
+  /// rank is not kept.
+  void record(int /*rank*/, Op op, sim::SimTime start, sim::SimTime end,
+              sim::Bytes bytes = 0) {
+    Totals& t = byOp_[static_cast<std::size_t>(op)];
+    ++t.count;
+    t.bytes += bytes;
+    t.busy += end - start;
+  }
+
+  std::uint64_t opCount(Op op) const { return totals(op).count; }
+  sim::Bytes totalBytes(Op op) const { return totals(op).bytes; }
+  /// Sum of op durations (time ranks spent blocked in the op).
+  sim::Duration busySeconds(Op op) const { return totals(op).busy; }
+
+ private:
+  struct Totals {
+    std::uint64_t count = 0;
+    sim::Bytes bytes = 0;
+    sim::Duration busy = 0;
+  };
+  const Totals& totals(Op op) const {
+    return byOp_[static_cast<std::size_t>(op)];
+  }
+
+  std::array<Totals, kAllOps.size()> byOp_{};
+};
+
+/// Every op record, plus the same totals IoCounts keeps.
 class IoProfile {
  public:
   void record(int rank, Op op, sim::SimTime start, sim::SimTime end,
               sim::Bytes bytes = 0) {
     records_.push_back({rank, op, start, end, bytes});
+    counts_.record(rank, op, start, end, bytes);
   }
-  void reserve(std::size_t n) { records_.reserve(n); }
-  void clear() { records_.clear(); }
 
   const std::vector<OpRecord>& records() const { return records_; }
+  const IoCounts& counts() const { return counts_; }
+  std::uint64_t opCount(Op op) const { return counts_.opCount(op); }
+  sim::Bytes totalBytes(Op op) const { return counts_.totalBytes(op); }
 
   /// Per-rank wall-clock I/O time: last end minus first start of that
   /// rank's records (the per-processor times of Figs. 9-11). Ranks with no
@@ -68,65 +112,24 @@ class IoProfile {
   std::vector<int> activityTimeline(Op op, double binWidth,
                                     double horizon) const;
 
-  sim::Bytes totalBytes(Op op) const;
-  std::uint64_t opCount(Op op) const;
-
  private:
   std::vector<OpRecord> records_;
+  IoCounts counts_;
 };
 
-/// RAII timer: records one op from construction to stop(), or — if stop()
-/// is never reached (exception, early co_return) — at destruction, so the
-/// record is never silently dropped. Construct with the scheduler to give
-/// the destructor a clock; with a plain start time the fallback record is
-/// zero-width (end == start).
-class ScopedOp {
+/// Trace sink that replays the kIo event stream into an IoCounts or an
+/// IoProfile, so the profile is a consumer of the same events every other
+/// sink sees rather than a parallel bookkeeping path.
+template <typename Recorder>
+class IoRecorderSink final : public obs::TraceSink {
  public:
-  ScopedOp(IoProfile& profile, int rank, Op op, sim::SimTime now)
-      : profile_(profile), rank_(rank), op_(op), start_(now) {}
-  ScopedOp(IoProfile& profile, int rank, Op op, const sim::Scheduler& sched)
-      : profile_(profile),
-        rank_(rank),
-        op_(op),
-        start_(sched.now()),
-        sched_(&sched) {}
-  ScopedOp(const ScopedOp&) = delete;
-  ScopedOp& operator=(const ScopedOp&) = delete;
-
-  ~ScopedOp() {
-    if (!stopped_)
-      profile_.record(rank_, op_, start_,
-                      sched_ ? sched_->now() : start_);
-  }
-
-  void stop(sim::SimTime now, sim::Bytes bytes = 0) {
-    if (stopped_) return;
-    stopped_ = true;
-    profile_.record(rank_, op_, start_, now, bytes);
-  }
-
- private:
-  IoProfile& profile_;
-  int rank_;
-  Op op_;
-  sim::SimTime start_;
-  const sim::Scheduler* sched_ = nullptr;
-  bool stopped_ = false;
-};
-
-/// Trace sink that replays the kIo event stream into an IoProfile, so the
-/// legacy profile API (per-rank scatters, Fig. 12 timelines, the Darshan
-/// report) is a consumer of the same events every other sink sees rather
-/// than a parallel bookkeeping path.
-class IoProfileSink final : public obs::TraceSink {
- public:
-  explicit IoProfileSink(IoProfile& profile) : profile_(profile) {}
+  explicit IoRecorderSink(Recorder& recorder) : recorder_(recorder) {}
 
   void event(const obs::TraceEvent& ev) override {
     if (ev.phase != 'X') return;  // phase spans (B/E) are not op records
     const auto op = opFromName(ev.name);
     if (!op) return;
-    profile_.record(ev.tid, *op, ev.ts, ev.ts + ev.dur, ev.bytes);
+    recorder_.record(ev.tid, *op, ev.ts, ev.ts + ev.dur, ev.bytes);
   }
 
   unsigned layerMask() const override {
@@ -134,7 +137,10 @@ class IoProfileSink final : public obs::TraceSink {
   }
 
  private:
-  IoProfile& profile_;
+  Recorder& recorder_;
 };
+
+using IoCountsSink = IoRecorderSink<IoCounts>;
+using IoProfileSink = IoRecorderSink<IoProfile>;
 
 }  // namespace bgckpt::prof

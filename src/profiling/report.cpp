@@ -1,7 +1,6 @@
 #include "profiling/report.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -10,29 +9,15 @@
 
 namespace bgckpt::prof {
 
-namespace {
-
-constexpr std::array<Op, 7> kAllOps = {Op::kCreate, Op::kOpen,  Op::kWrite,
-                                       Op::kClose,  Op::kSend,  Op::kRecv,
-                                       Op::kOther};
-
-}  // namespace
-
-std::string renderOpTable(const IoProfile& profile) {
+std::string renderOpTable(const IoCounts& counts) {
   std::ostringstream out;
   out << "  op      |   count |        bytes |   busy time | mean latency\n";
   out << "  --------+---------+--------------+-------------+-------------\n";
   for (Op op : kAllOps) {
-    std::uint64_t count = 0;
-    sim::Bytes bytes = 0;
-    double busy = 0;
-    for (const auto& r : profile.records()) {
-      if (r.op != op) continue;
-      ++count;
-      bytes += r.bytes;
-      busy += r.duration();
-    }
+    const std::uint64_t count = counts.opCount(op);
     if (count == 0) continue;
+    const sim::Bytes bytes = counts.totalBytes(op);
+    const double busy = counts.busySeconds(op);
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "  %-7s | %7llu | %12s | %11s | %11s\n", opName(op),
@@ -105,7 +90,7 @@ std::string renderReport(const IoProfile& profile, const ReportOptions& opt) {
                                          : 0)
                     .c_str());
   out << buf;
-  out << "\n" << renderOpTable(profile);
+  out << "\n" << renderOpTable(profile.counts());
   if (opt.numRanks > 0)
     out << "\n"
         << renderSlowestRanks(profile, opt.numRanks, opt.slowestRanksShown);

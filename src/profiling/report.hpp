@@ -21,8 +21,8 @@ struct ReportOptions {
 /// Render the whole report.
 std::string renderReport(const IoProfile& profile, const ReportOptions& opt);
 
-/// One line per op kind: count, bytes, total busy time, mean size/latency.
-std::string renderOpTable(const IoProfile& profile);
+/// One line per op kind: count, bytes, total busy time, mean latency.
+std::string renderOpTable(const IoCounts& counts);
 
 /// The N ranks with the largest I/O envelope, with their op mix.
 std::string renderSlowestRanks(const IoProfile& profile, int numRanks,

@@ -8,6 +8,10 @@
 // Manifest sidecars (*.manifest.json) are excluded from the comparison:
 // they record the exact argv of the run, which legitimately differs by the
 // --threads flag itself.
+//
+// The file also holds the bench command-line contracts that need a built
+// bench: a full disk fails --perf-json, a valued flag rejects a flag as its
+// value, and observability flags leave stdout unchanged.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -29,9 +33,9 @@ struct RunResult {
   std::string output;
 };
 
-/// Runs a bench binary and captures stdout only. stderr is discarded: with
-/// --threads > 1 the obs announce lines move there and their interleaving
-/// with worker progress is not deterministic (documented in bench/common).
+/// Runs a bench binary and captures stdout only. stderr is discarded: the
+/// obs announce lines go there, and with --threads > 1 their interleaving
+/// with worker progress is not deterministic.
 RunResult run(const std::string& cmd) {
   RunResult r;
   FILE* pipe = popen((cmd + " 2>/dev/null").c_str(), "r");
@@ -153,4 +157,38 @@ TEST(ShardedIdentity, PerfJsonOnFullDiskExitsNonzero) {
   const RunResult r = run(std::string(BENCH_BIN_DIR) +
                           "/fig9_dist_1pfpp --perf-json /dev/full");
   EXPECT_NE(r.exitCode, 0) << r.output;
+}
+
+// A flag that takes a value must not swallow the next flag as its file
+// name: the run exits 2 and writes nothing named after the swallowed flag.
+TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
+  const TempDir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  const RunResult r =
+      run("cd " + tmp.path().string() + " && " + BENCH_BIN_DIR +
+          "/eq7_measured_vs_model --np 256 --telemetry --optrace");
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  for (const auto& e : fs::directory_iterator(tmp.path()))
+    EXPECT_NE(e.path().filename().string().rfind("--optrace", 0), 0u)
+        << "stray file " << e.path();
+}
+
+// Every announce line goes to stderr, so --trace and --metrics leave figure
+// stdout byte-identical; --metrics still fills the MPI pair matrix.
+TEST(ShardedIdentity, TraceAndMetricsLeaveStdoutUnchanged) {
+  const TempDir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  const std::string bench =
+      std::string(BENCH_BIN_DIR) + "/eq7_measured_vs_model --np 256";
+  const RunResult plain = run(bench);
+  ASSERT_EQ(plain.exitCode, 0) << plain.output;
+  const fs::path metrics = tmp.path() / "m.json";
+  const RunResult observed =
+      run(bench + " --trace " + (tmp.path() / "t.json").string() +
+          " --metrics " + metrics.string());
+  ASSERT_EQ(observed.exitCode, 0) << observed.output;
+  EXPECT_EQ(plain.output, observed.output);
+  // m.json is the first stack's export: coIO np:nf=64:1 at 256 ranks.
+  EXPECT_NE(readFile(metrics).find("\"mpiPairsTotal\": 260,"),
+            std::string::npos);
 }

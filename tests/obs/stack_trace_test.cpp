@@ -108,8 +108,8 @@ TEST(StackTrace, CoIoTraceBalancedWithCollectiveWrites) {
 }
 
 TEST(StackTrace, ProfileMatchesEventStream) {
-  // The legacy IoProfile is fed from the same kIo events the trace sees:
-  // its op counts must equal the trace's X-event counts per op name.
+  // The stack's op counts are fed from the same kIo events the trace sees:
+  // they must equal the trace's X-event counts per op name.
   auto chrome = std::make_shared<std::ostringstream>();
   iolib::SimStack stack(256, quiet());
   auto sink = std::make_shared<obs::ChromeTraceSink>(*chrome);
@@ -137,8 +137,8 @@ TEST(StackTrace, ProfileMatchesEventStream) {
 TEST(StackTrace, UntracedStackStillFillsProfileAndMetrics) {
   iolib::SimStack stack(256, quiet());
   iolib::runCheckpoint(stack, smallSpec(), iolib::StrategyConfig::onePfpp());
-  // No ChromeTraceSink attached: the IoProfileSink alone must keep the
-  // legacy profile working, and layer metrics accumulate regardless.
+  // No ChromeTraceSink attached: the stack's own IoCountsSink keeps the
+  // op counts, and layer metrics accumulate regardless.
   EXPECT_EQ(stack.profile.opCount(prof::Op::kCreate), 256u);
   EXPECT_GT(stack.obs.metrics().counter("fs.token.acquires").value(), 0u);
   EXPECT_GT(stack.obs.metrics().counter("stor.requests").value(), 0u);

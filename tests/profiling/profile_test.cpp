@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/obs.hpp"
-#include "simcore/scheduler.hpp"
-#include "simcore/task.hpp"
 
 namespace bgckpt::prof {
 namespace {
@@ -38,6 +36,7 @@ TEST(IoProfile, CountersByOp) {
   EXPECT_EQ(p.totalBytes(Op::kWrite), 300u);
   EXPECT_EQ(p.totalBytes(Op::kSend), 999u);
   EXPECT_EQ(p.opCount(Op::kClose), 0u);
+  EXPECT_DOUBLE_EQ(p.counts().busySeconds(Op::kWrite), 2.0);
 }
 
 TEST(IoProfile, ActivityTimelineCountsOverlaps) {
@@ -65,54 +64,6 @@ TEST(IoProfile, OpNames) {
   EXPECT_STREQ(opName(Op::kCreate), "create");
   EXPECT_STREQ(opName(Op::kSend), "send");
   EXPECT_STREQ(opName(Op::kOther), "other");
-}
-
-TEST(ScopedOp, RecordsOnStop) {
-  IoProfile p;
-  ScopedOp op(p, 3, Op::kClose, 5.0);
-  op.stop(7.5, 42);
-  ASSERT_EQ(p.records().size(), 1u);
-  EXPECT_EQ(p.records()[0].rank, 3);
-  EXPECT_DOUBLE_EQ(p.records()[0].duration(), 2.5);
-  EXPECT_EQ(p.records()[0].bytes, 42u);
-}
-
-TEST(ScopedOp, StopThenDestroyRecordsExactlyOnce) {
-  IoProfile p;
-  {
-    ScopedOp op(p, 0, Op::kWrite, 1.0);
-    op.stop(2.0, 7);
-    op.stop(3.0, 9);  // second stop is a no-op
-  }
-  ASSERT_EQ(p.records().size(), 1u);
-  EXPECT_DOUBLE_EQ(p.records()[0].end, 2.0);
-  EXPECT_EQ(p.records()[0].bytes, 7u);
-}
-
-TEST(ScopedOp, AbandonedOpRecordsZeroWidthAtDestruction) {
-  // Legacy start-time constructor: no clock to read, so the fallback
-  // record is zero-width rather than silently dropped.
-  IoProfile p;
-  { ScopedOp op(p, 4, Op::kOpen, 2.5); }
-  ASSERT_EQ(p.records().size(), 1u);
-  EXPECT_EQ(p.records()[0].rank, 4);
-  EXPECT_DOUBLE_EQ(p.records()[0].start, 2.5);
-  EXPECT_DOUBLE_EQ(p.records()[0].end, 2.5);
-}
-
-TEST(ScopedOp, AbandonedOpReadsSchedulerClockAtDestruction) {
-  sim::Scheduler sched;
-  IoProfile p;
-  auto body = [&]() -> sim::Task<> {
-    ScopedOp op(p, 1, Op::kWrite, sched);
-    co_await sched.delay(2.0);
-    // No stop(): destruction when the frame unwinds must still record.
-  };
-  sched.spawn(body());
-  sched.run();
-  ASSERT_EQ(p.records().size(), 1u);
-  EXPECT_DOUBLE_EQ(p.records()[0].start, 0.0);
-  EXPECT_DOUBLE_EQ(p.records()[0].end, 2.0);
 }
 
 TEST(IoProfile, ActivityTimelineEmptyProfile) {

@@ -16,7 +16,7 @@ IoProfile sampleProfile() {
 }
 
 TEST(Report, OpTableListsUsedOpsOnly) {
-  const auto table = renderOpTable(sampleProfile());
+  const auto table = renderOpTable(sampleProfile().counts());
   EXPECT_NE(table.find("create"), std::string::npos);
   EXPECT_NE(table.find("write"), std::string::npos);
   EXPECT_NE(table.find("send"), std::string::npos);
