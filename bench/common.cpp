@@ -1,6 +1,6 @@
 #include "common.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +20,6 @@
 #include "obs/flightrec.hpp"
 #include "obs/optrace.hpp"
 #include "obs/runstore.hpp"
-#include "obs/runtimeprof.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "simcore/parallel.hpp"
@@ -41,31 +40,34 @@ bool gOpTraceEnabled = false;
 std::string gOpTracePath;
 std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
 std::string gObsDir;
-std::string gRuntimeProfPath;
-// The process-wide runtime profiler (obs/runtimeprof.hpp), created and
-// installed by obsInit when --runtime-profile is given; flushed (JSON +
-// manifest) by perfFlush. Process-global rather than per-stack: real time
-// cuts across stacks.
-std::unique_ptr<obs::RuntimeProfiler> gRuntimeProf;
-bool gRuntimeProfFlushed = false;
-// Captured by obsInit for the run manifests written next to each artifact.
-std::string gBenchName;
-std::vector<std::string> gCmdArgs;
-// Manifest-v2 provenance: the sweep driver exports the revision and the
-// ledger config hash it derived for this child (BGCKPT_GIT_REV /
-// BGCKPT_CONFIG_HASH); standalone runs self-derive a config hash over
-// (bench, args) and stamp the rev as "unknown".
-std::string gGitRev;
-std::string gConfigHash;
 sim::SimCheckMode gSimCheckMode = sim::SimCheckMode::kAuto;
 unsigned gThreads = 1;
 int gStacksAttached = 0;
+// Guards the two attach registries below: prefetch workers attach
+// concurrently.
+std::mutex gAttachMu;
 // Keep attached recorders alive past their stacks so a SHAPE CHECK failure
 // at report time can still dump what each run was doing (the global
-// registry in obs/flightrec holds only weak references). Guarded: prefetch
-// workers attach concurrently.
-std::mutex gFlightRecMu;
+// registry in obs/flightrec holds only weak references).
 std::vector<std::shared_ptr<obs::FlightRecorder>> gFlightRecorders;
+// Export path -> the flag that asked for it, so reportChecks can name the
+// flag of an export obs::failedWrites() lists.
+std::map<std::string, const char*> gExportFlags;
+
+/// Held only by the stack attachObs attached it to, so a live weak_ptr
+/// means a live stack: reportChecks finalizes the stacks a harness still
+/// holds, which writes their exports before it picks the exit code.
+class LiveStack final : public obs::TraceSink {
+ public:
+  explicit LiveStack(iolib::SimStack& stack) : stack_(stack) {}
+  void event(const obs::TraceEvent&) override {}
+  unsigned layerMask() const override { return 0; }
+  void exportNow() { stack_.obs.finalize(stack_.sched.now()); }
+
+ private:
+  iolib::SimStack& stack_;
+};
+std::vector<std::weak_ptr<LiveStack>> gLiveStacks;
 
 /// Strategy/result metadata attached to runSim perf records. The campaign
 /// roll-up (trace_report --campaign) re-derives figure tables from these
@@ -90,6 +92,15 @@ struct PerfEntry {
   SimMeta sim;
 };
 std::vector<PerfEntry> gPerfEntries;
+
+/// One prefetchSims fan-out: wall time of the region and of each job, a job
+/// timed from stack build through teardown.
+struct ParallelRegion {
+  unsigned threads = 1;
+  double wallSeconds = 0.0;
+  std::vector<std::pair<std::string, double>> jobs;  // (label, wall seconds)
+};
+std::vector<ParallelRegion> gRegions;
 
 /// Completed-but-not-yet-consumed simulation points (see prefetchSims).
 /// Written single-threaded after the parallel phase, consumed by runSim.
@@ -153,52 +164,10 @@ std::string numbered(const std::string& path, int n) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-std::string swapJsonForCsv(const std::string& path) {
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0)
-    return path.substr(0, path.size() - 5) + ".csv";
-  return path + ".csv";
-}
-
 std::string jsonlTwin(const std::string& path) {
   if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0)
     return path + "l";
   return path + ".jsonl";
-}
-
-/// Write the run manifest next to an obs artifact: which harness produced
-/// it, on what partition, with which flags, at which revision. Serialized
-/// by the shared stamping helper (obs::writeArtifactManifest) so every
-/// sidecar in the repo carries the same v2 provenance fields. The artifact
-/// path itself was already probed writable, so a failure here is
-/// unexpected enough to warrant the same exit-2 contract.
-void writeManifest(const std::string& artifactPath, const char* artifact,
-                   int np, int stackN) {
-  obs::ManifestInfo info;
-  info.artifact = artifact;
-  info.bench = gBenchName;
-  info.np = np;
-  info.stack = stackN;
-  info.bucketDt = gTelemetryDt > 0 ? gTelemetryDt : obs::Telemetry::kDefaultDt;
-  info.gitRev = gGitRev;
-  info.configHash = gConfigHash;
-  const auto flag = [&](const char* name, bool active) {
-    if (active) info.flags.emplace_back(name);
-  };
-  flag("--trace", !gTracePath.empty());
-  flag("--metrics", !gMetricsPath.empty());
-  flag("--attr", !gAttrPath.empty());
-  flag("--critpath", !gCritPathPath.empty());
-  flag("--telemetry", !gTelemetryPath.empty());
-  flag("--optrace", gOpTraceEnabled);
-  flag("--obs-dir", !gObsDir.empty());
-  flag("--flightrec", gFlightRecEvents > 0);
-  flag("--runtime-profile", !gRuntimeProfPath.empty());
-  info.args = gCmdArgs;
-  if (!obs::writeArtifactManifest(artifactPath, info)) {
-    std::fprintf(stderr, "error: cannot write manifest for %s\n",
-                 artifactPath.c_str());
-    std::exit(2);
-  }
 }
 
 /// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
@@ -228,27 +197,6 @@ bool flagValue(int argc, char** argv, int& i, const char* name,
 }  // namespace
 
 void obsInit(int argc, char** argv) {
-  if (argc > 0) {
-    gBenchName = argv[0];
-    const auto slash = gBenchName.find_last_of('/');
-    if (slash != std::string::npos) gBenchName = gBenchName.substr(slash + 1);
-  }
-  gCmdArgs.assign(argv + (argc > 0 ? 1 : 0), argv + argc);
-  const char* rev = std::getenv("BGCKPT_GIT_REV");
-  gGitRev = rev != nullptr && *rev != '\0' ? rev : "unknown";
-  if (const char* hash = std::getenv("BGCKPT_CONFIG_HASH");
-      hash != nullptr && *hash != '\0') {
-    gConfigHash = hash;
-  } else {
-    // Standalone run: hash (bench, args) so two invocations of the same
-    // command line still share a config identity.
-    std::string material = gBenchName;
-    for (const std::string& a : gCmdArgs) {
-      material += '\n';
-      material += a;
-    }
-    gConfigHash = obs::hex16(obs::fnv1a64(material));
-  }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     std::string threads;
@@ -286,10 +234,6 @@ void obsInit(int argc, char** argv) {
       }
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
         gOpTracePath = argv[++i];
-    } else if (std::strcmp(a, "--runtime-profile") == 0) {
-      gRuntimeProfPath = "runtimeprof.json";
-    } else if (std::strncmp(a, "--runtime-profile=", 18) == 0) {
-      gRuntimeProfPath = a + 18;
     } else if (std::strcmp(a, "--flightrec") == 0) {
       gFlightRecEvents = obs::FlightRecorder::kDefaultEvents;
     } else if (std::strncmp(a, "--flightrec=", 12) == 0) {
@@ -330,24 +274,6 @@ void obsInit(int argc, char** argv) {
     derive(gTelemetryPath, "telemetry.json");
     gOpTraceEnabled = true;
     derive(gOpTracePath, "optrace.json");
-    // Deliberately NOT derived: the runtime profile records wall time, so
-    // its JSON can never be byte-stable; keeping it out of the obs dir
-    // keeps the serial-vs-threaded artifact identity contract intact.
-  }
-  if (!gRuntimeProfPath.empty()) {
-    // Fail a typo'd path at startup (exit 2), same contract as --trace.
-    {
-      std::ofstream probe(gRuntimeProfPath);
-      if (!probe) {
-        std::fprintf(stderr, "error: --runtime-profile: cannot open %s\n",
-                     gRuntimeProfPath.c_str());
-        std::exit(2);
-      }
-    }
-    gRuntimeProf = std::make_unique<obs::RuntimeProfiler>();
-    gRuntimeProf->install();
-    std::fprintf(stderr, "[obs] runtime execution profile to %s\n",
-                 gRuntimeProfPath.c_str());
   }
 }
 
@@ -357,41 +283,12 @@ unsigned benchThreads() { return gThreads; }
 
 void perfRecord(const std::string& label, double wallSeconds,
                 std::uint64_t events) {
-  if (gRuntimeProf)
-    gRuntimeProf->recordPoint(label, wallSeconds, events, gThreads);
   if (gPerfJsonPath.empty()) return;
   gPerfEntries.push_back(
       PerfEntry{label, wallSeconds, events, gThreads, SimMeta{}});
 }
 
-namespace {
-
-/// Export the runtime profile (once): JSON + manifest sidecar. Announces
-/// on stderr so figure stdout stays byte-identical with profiling on.
-bool runtimeProfFlush() {
-  if (!gRuntimeProf || gRuntimeProfFlushed) return true;
-  gRuntimeProfFlushed = true;
-  // Stop observing before export: no run should be in flight at flush
-  // time, and uninstalling makes that a hard property.
-  gRuntimeProf->uninstall();
-  if (!gRuntimeProf->writeJson(gRuntimeProfPath)) {
-    std::fprintf(stderr, "error: --runtime-profile: cannot write %s\n",
-                 gRuntimeProfPath.c_str());
-    return false;
-  }
-  writeManifest(gRuntimeProfPath, "runtimeprof", 0, 0);
-  std::fprintf(stderr,
-               "[obs] runtime profile: %zu parallel region(s), %zu point(s) "
-               "-> %s\n",
-               gRuntimeProf->regions().size(), gRuntimeProf->points().size(),
-               gRuntimeProfPath.c_str());
-  return true;
-}
-
-}  // namespace
-
 bool perfFlush() {
-  if (!runtimeProfFlush()) return false;
   if (gPerfJsonPath.empty()) return true;
   std::FILE* f = std::fopen(gPerfJsonPath.c_str(), "w");
   if (!f) {
@@ -401,7 +298,8 @@ bool perfFlush() {
   }
   double totalWall = 0.0;
   std::uint64_t totalEvents = 0;
-  std::fprintf(f, "{\n  \"runs\": [\n");
+  std::fprintf(f, "{\n  \"schema\": \"%s\",\n  \"runs\": [\n",
+               obs::kPerfSchemaVersion);
   for (std::size_t i = 0; i < gPerfEntries.size(); ++i) {
     const PerfEntry& e = gPerfEntries[i];
     const double eps = e.wallSeconds > 0.0
@@ -414,8 +312,6 @@ bool perfFlush() {
                  jsonEscape(e.label).c_str(), e.threads, e.wallSeconds,
                  static_cast<unsigned long long>(e.events), eps);
     if (e.sim.present) {
-      // Flat scalar fields only: perf_compare scans each record up to its
-      // first '}', so nothing nested may appear here.
       std::fprintf(f,
                    ", \"np\": %d, \"nf\": %d, \"strategy\": \"%s\", "
                    "\"config\": \"%s\", \"measured_gbs\": \"%s\", "
@@ -432,9 +328,26 @@ bool perfFlush() {
       totalWall > 0.0 ? static_cast<double>(totalEvents) / totalWall : 0.0;
   std::fprintf(f,
                "  ],\n  \"total\": {\"wall_seconds\": %.6f, \"events\": %llu, "
-               "\"events_per_second\": %.0f}\n}\n",
+               "\"events_per_second\": %.0f}",
                totalWall, static_cast<unsigned long long>(totalEvents),
                totalEps);
+  if (!gRegions.empty()) {
+    std::fprintf(f, ",\n  \"parallel_regions\": [\n");
+    for (std::size_t r = 0; r < gRegions.size(); ++r) {
+      const ParallelRegion& reg = gRegions[r];
+      std::fprintf(f,
+                   "    {\"threads\": %u, \"wall_seconds\": %.6f, "
+                   "\"jobs\": [\n",
+                   reg.threads, reg.wallSeconds);
+      for (std::size_t j = 0; j < reg.jobs.size(); ++j)
+        std::fprintf(f, "      {\"label\": \"%s\", \"wall_seconds\": %.6f}%s\n",
+                     jsonEscape(reg.jobs[j].first).c_str(),
+                     reg.jobs[j].second, j + 1 < reg.jobs.size() ? "," : "");
+      std::fprintf(f, "    ]}%s\n", r + 1 < gRegions.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]");
+  }
+  std::fprintf(f, "\n}\n");
   // fclose flushes the buffered tail, which is the write a full disk fails.
   const bool ok = std::ferror(f) == 0;
   if (std::fclose(f) != 0 || !ok) {
@@ -459,10 +372,10 @@ bool obsActive() {
 /// numbers in point order so the ".2"/".3" artifact suffixes are identical
 /// to a serial run whatever order the workers finish in.
 void attachObsNumbered(iolib::SimStack& stack, int n) {
-  const int np = stack.rt.numRanks();
-  // Each artifact written by this attach gets a "<path>.manifest.json"
-  // sidecar so downstream tools can validate provenance and schema.
-  std::vector<std::pair<const char*, std::string>> artifacts;
+  const auto exportFlag = [](const std::string& path, const char* flag) {
+    std::lock_guard<std::mutex> lock(gAttachMu);
+    gExportFlags[path] = flag;
+  };
   if (!gTracePath.empty()) {
     const std::string chrome = numbered(gTracePath, n);
     const std::string jsonl = jsonlTwin(chrome);
@@ -472,56 +385,51 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
       std::fprintf(stderr, "error: --trace: %s\n", e.what());
       std::exit(2);
     }
+    exportFlag(chrome, "--trace");
+    exportFlag(jsonl, "--trace");
     std::fprintf(stderr, "[obs] streaming Chrome trace to %s (+ %s)\n",
                  chrome.c_str(), jsonl.c_str());
-    artifacts.emplace_back("trace", chrome);
   }
   if (!gMetricsPath.empty()) {
     const std::string json = numbered(gMetricsPath, n);
-    stack.obs.exportOnDestroy(json, swapJsonForCsv(json));
-    std::fprintf(stderr, "[obs] metrics will be written to %s and %s\n",
-                 json.c_str(), swapJsonForCsv(json).c_str());
-    artifacts.emplace_back("metrics", json);
+    stack.obs.exportOnDestroy(json);
+    exportFlag(json, "--metrics");
+    std::fprintf(stderr, "[obs] metrics will be written to %s\n",
+                 json.c_str());
   }
   // Every announce line goes to stderr, so figure stdout is byte-identical
   // whichever flags are on. These sinks only write at finalize, so probe
   // the path now — a typo must fail at startup with exit 2, the same
   // contract as --trace.
-  const auto requireWritable = [](const char* flag, const std::string& path) {
+  const auto requireWritable = [&](const char* flag, const std::string& path) {
     std::ofstream f(path);
     if (!f) {
       std::fprintf(stderr, "error: %s: cannot open %s\n", flag, path.c_str());
       std::exit(2);
     }
+    exportFlag(path, flag);
   };
   if (!gAttrPath.empty()) {
     const std::string json = numbered(gAttrPath, n);
     requireWritable("--attr", json);
-    requireWritable("--attr", swapJsonForCsv(json));
     auto attr = std::make_shared<obs::AttributionSink>();
-    attr->exportTo(json, swapJsonForCsv(json));
+    attr->exportTo(json);
     stack.obs.addSink(std::move(attr));
-    std::fprintf(stderr, "[obs] blocked-time attribution to %s and %s\n",
-                 json.c_str(), swapJsonForCsv(json).c_str());
-    artifacts.emplace_back("attr", json);
+    std::fprintf(stderr, "[obs] blocked-time attribution to %s\n",
+                 json.c_str());
   }
   if (!gCritPathPath.empty()) {
     const std::string json = numbered(gCritPathPath, n);
     requireWritable("--critpath", json);
     stack.obs.attachCritPath(stack.sched, json);
     std::fprintf(stderr, "[obs] critical-path report to %s\n", json.c_str());
-    artifacts.emplace_back("critpath", json);
   }
   if (!gTelemetryPath.empty()) {
     const std::string json = numbered(gTelemetryPath, n);
-    const std::string csv = swapJsonForCsv(json);
     requireWritable("--telemetry", json);
-    requireWritable("--telemetry", csv);
-    stack.obs.attachTelemetry(stack.sched, gTelemetryDt, json, csv);
-    std::fprintf(stderr,
-                 "[obs] sampled telemetry (dt=%.3gs) to %s and %s\n",
-                 stack.obs.telemetry().bucketDt(), json.c_str(), csv.c_str());
-    artifacts.emplace_back("telemetry", json);
+    stack.obs.attachTelemetry(stack.sched, gTelemetryDt, json);
+    std::fprintf(stderr, "[obs] sampled telemetry (dt=%.3gs) to %s\n",
+                 stack.obs.telemetry().bucketDt(), json.c_str());
   }
   if (gOpTraceEnabled) {
     const std::string json =
@@ -532,9 +440,7 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
                  stack.obs.opTracer()->sampleEvery(),
                  json.empty() ? "" : ", report to ",
                  json.c_str());
-    if (!json.empty()) artifacts.emplace_back("optrace", json);
   }
-  for (const auto& [kind, path] : artifacts) writeManifest(path, kind, np, n);
   if (gFlightRecEvents > 0) {
     // Fresh-stack runSim already creates one via SimStackOptions; cover
     // harnesses that build their own SimStack and only call attachObs.
@@ -543,7 +449,7 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
       stack.obs.addSink(stack.flightRecorder);
     }
     {
-      std::lock_guard<std::mutex> lock(gFlightRecMu);
+      std::lock_guard<std::mutex> lock(gAttachMu);
       gFlightRecorders.push_back(stack.flightRecorder);
     }
     std::fprintf(stderr, "[obs] flight recorder armed (%zu events/layer)\n",
@@ -551,11 +457,32 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
   }
 }
 
+/// Finalize every attached stack a harness still holds (the rest exported
+/// at teardown), then report each export that failed to write. Returns
+/// false if any did.
+bool obsFlush() {
+  for (const auto& weak : gLiveStacks)
+    if (const auto live = weak.lock()) live->exportNow();
+  gLiveStacks.clear();
+  bool ok = true;
+  for (const std::string& path : obs::failedWrites()) {
+    const auto it = gExportFlags.find(path);
+    std::fprintf(stderr, "error: %s: cannot write %s\n",
+                 it != gExportFlags.end() ? it->second : "export",
+                 path.c_str());
+    ok = false;
+  }
+  return ok;
+}
+
 }  // namespace
 
 void attachObs(iolib::SimStack& stack) {
   if (!obsActive()) return;
   attachObsNumbered(stack, ++gStacksAttached);
+  auto live = std::make_shared<LiveStack>(stack);
+  gLiveStacks.push_back(live);
+  stack.obs.addSink(std::move(live));
 }
 
 void banner(const std::string& artifact, const std::string& description) {
@@ -568,7 +495,8 @@ void banner(const std::string& artifact, const std::string& description) {
 }
 
 int reportChecks(const std::vector<Check>& checks) {
-  if (!perfFlush()) return 1;
+  const bool perfWritten = perfFlush();
+  if (!obsFlush() || !perfWritten) return 1;
   int failures = 0;
   std::printf("\n");
   for (const auto& c : checks) {
@@ -610,12 +538,10 @@ iolib::CheckpointResult runMeasured(iolib::SimStack& stack, int np,
                                     double& wallSeconds,
                                     std::uint64_t& events) {
   const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
-  const auto wall0 = std::chrono::steady_clock::now();
+  const WallTimer wall;
   const std::uint64_t events0 = stack.sched.eventsProcessed();
   auto result = iolib::runCheckpoint(stack, spec, cfg);
-  wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
+  wallSeconds = wall.seconds();
   events = stack.sched.eventsProcessed() - events0;
   return result;
 }
@@ -652,32 +578,37 @@ void prefetchSims(const std::vector<SimPoint>& points) {
   struct Slot {
     std::string key;
     CachedRun run;
+    double jobSeconds = 0.0;  // stack build through teardown
   };
   std::vector<Slot> slots(points.size());
-  if (gRuntimeProf) {
-    // Name the parallelFor jobs after their figure points, so the profile's
-    // job table (and trace_report --runtime) says "np=65536 coIO nf=1"
-    // instead of "job 7".
-    std::vector<std::string> labels;
-    labels.reserve(points.size());
-    for (const SimPoint& p : points)
-      labels.push_back("np=" + std::to_string(p.np) + " " + p.cfg.describe());
-    gRuntimeProf->setPointLabels(std::move(labels));
-  }
+  const WallTimer regionWall;
   sim::parallelFor(points.size(), gThreads, [&](std::size_t i) {
+    const WallTimer jobWall;
     const SimPoint& p = points[i];
-    iolib::SimStackOptions opt;
-    opt.seed = p.seed;
-    opt.simcheck = gSimCheckMode;
-    opt.flightRecorderEvents = gFlightRecEvents;
-    iolib::SimStack stack(p.np, opt);
-    if (obs) attachObsNumbered(stack, base + static_cast<int>(i) + 1);
     Slot& slot = slots[i];
-    slot.key = pointKey(p.np, p.cfg, p.seed);
-    slot.run.label = "np=" + std::to_string(p.np) + " " + p.cfg.describe();
-    slot.run.result =
-        runMeasured(stack, p.np, p.cfg, slot.run.wallSeconds, slot.run.events);
+    {
+      iolib::SimStackOptions opt;
+      opt.seed = p.seed;
+      opt.simcheck = gSimCheckMode;
+      opt.flightRecorderEvents = gFlightRecEvents;
+      iolib::SimStack stack(p.np, opt);
+      if (obs) attachObsNumbered(stack, base + static_cast<int>(i) + 1);
+      slot.key = pointKey(p.np, p.cfg, p.seed);
+      slot.run.label = "np=" + std::to_string(p.np) + " " + p.cfg.describe();
+      slot.run.result = runMeasured(stack, p.np, p.cfg, slot.run.wallSeconds,
+                                    slot.run.events);
+    }
+    slot.jobSeconds = jobWall.seconds();
   });
+  if (!gPerfJsonPath.empty()) {
+    ParallelRegion region;
+    region.threads = static_cast<unsigned>(
+        std::min<std::size_t>(gThreads, points.size()));
+    region.wallSeconds = regionWall.seconds();
+    for (const Slot& slot : slots)
+      region.jobs.emplace_back(slot.run.label, slot.jobSeconds);
+    gRegions.push_back(std::move(region));
+  }
   for (Slot& slot : slots)
     gSimCache[slot.key].push_back(std::move(slot.run));
 }

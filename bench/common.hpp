@@ -29,7 +29,10 @@ struct Check {
 
 void banner(const std::string& artifact, const std::string& description);
 
-/// Print all checks; returns the process exit code (0 iff all pass).
+/// Write the --perf-json record, finalize every attached stack the harness
+/// still holds (so its exports are written), and print all checks. Returns
+/// the process exit code: 0 iff every check passes, 1 if one fails or an
+/// export could not be written (`error: --FLAG: cannot write PATH`).
 int reportChecks(const std::vector<Check>& checks);
 
 /// Format helpers.
@@ -40,28 +43,29 @@ std::string secs(double seconds);
 ///   --trace <file>     stream a Chrome trace_event JSON there (open the
 ///                      file in Perfetto / chrome://tracing), plus a
 ///                      <file>.jsonl event log for tools/trace_report
-///   --metrics <file>   export the metrics registry as JSON there, plus a
-///                      CSV twin (.json suffix swapped for .csv)
-///   --perf-json <file> write a machine-readable perf record there: one
-///                      entry per simulated run (wall seconds, events
-///                      processed, events/sec) plus totals. Feed two of
-///                      these to tools/perf_compare to gate regressions.
+///   --metrics <file>   export the metrics registry as JSON there
+///   --perf-json <file> write a machine-readable perf record there (schema
+///                      bgckpt-perf-1): one entry per simulated run (wall
+///                      seconds, events processed, events/sec), totals, and
+///                      with --threads the wall time of each prefetch region
+///                      and of its jobs. Feed two of these to
+///                      tools/perf_compare to gate regressions, or one to
+///                      `trace_report --runtime` for the parallel profile.
 ///   --simcheck[=MODE]  enable the runtime invariant checker on every
 ///                      fresh-stack runSim (MODE: on [default], warn, off;
 ///                      see simcore/simcheck.hpp). Harnesses that build
 ///                      their own SimStack honour the SIM_CHECK environment
 ///                      variable instead.
 ///   --attr <file>      export per-rank blocked-time attribution there as
-///                      JSON, plus a CSV twin (obs/attr.hpp)
+///                      JSON (obs/attr.hpp)
 ///   --critpath <file>  record the causal event graph and write the
 ///                      critical-path report there as JSON (obs/critpath.hpp)
 ///   --telemetry[=DT] <file>
 ///                      sample every registered telemetry probe into
 ///                      DT-second buckets (default obs::Telemetry::
-///                      kDefaultDt) and write the timeseries there as JSON,
-///                      plus a CSV twin. Feed the JSON to `trace_report
-///                      --timeline` for utilization heatmaps and
-///                      server-imbalance stats.
+///                      kDefaultDt) and write the timeseries there as JSON.
+///                      Feed it to `trace_report --timeline` for
+///                      utilization heatmaps and server-imbalance stats.
 ///   --optrace[=RATE] [file]
 ///                      per-request causal tracing (obs/optrace.hpp): every
 ///                      checkpoint write op carries a span context from the
@@ -73,34 +77,25 @@ std::string secs(double seconds);
 ///                      exported as JSON for `trace_report --waterfall`.
 ///   --obs-dir DIR      derive every observability artifact path not given
 ///                      explicitly (trace/metrics/attr/critpath/telemetry/
-///                      optrace + their manifests) as DIR/<artifact>.json,
-///                      creating DIR first. Explicit flags win.
+///                      optrace) as DIR/<artifact>.json, creating DIR
+///                      first. Explicit flags win.
 ///   --flightrec[=N]    keep a flight recorder of the last N (default 256)
 ///                      trace events per layer per stack; SimChecker
 ///                      violations and failed SHAPE CHECKs dump it to stderr
-///   --runtime-profile[=FILE]
-///                      real-time execution profile of the --threads point
-///                      prefetch (obs/runtimeprof.hpp): per-parallelFor-
-///                      job walls and per-point wall records. FILE defaults
-///                      to runtimeprof.json; written at perfFlush with a
-///                      manifest sidecar. Feed it to `trace_report
-///                      --runtime`. Wall-clock by nature, so the JSON is
-///                      NOT byte-stable across runs — it is deliberately
-///                      not derived by --obs-dir and excluded from artifact
-///                      identity comparisons.
 ///   --threads=N        simulate the harness's independent points on N
 ///                      worker threads (default 1 = the serial reference).
-///                      Results, stdout, and every perf/obs artifact are
+///                      Results, stdout, and every obs artifact are
 ///                      byte-identical to the serial run: points are
 ///                      prefetched into a cache and consumed in program
-///                      order (see prefetchSims).
-/// Every file-producing flag also writes a `<file>.manifest.json` sidecar
-/// (schema version, bench name, np, flag set) that tools/trace_report
-/// validates before parsing. Every announce line ("[obs] ...", "[perf]
-/// ...") goes to stderr, so figure stdout is the same whichever flags are
-/// on. A flag that takes a separate value exits 2 when the value is
-/// missing or is itself a flag. Unknown arguments are ignored so harnesses
-/// stay forward-compatible.
+///                      order (see prefetchSims). The perf record differs
+///                      only in wall times, thread counts and its
+///                      parallel_regions.
+/// Every announce line ("[obs] ...", "[perf] ...") goes to stderr, so
+/// figure stdout is the same whichever flags are on. A path that cannot be
+/// opened exits 2 at startup; a file that cannot be written exits 1 at
+/// reportChecks. A flag that takes a separate value exits 2 when the value
+/// is missing or is itself a flag. Unknown arguments are ignored so
+/// harnesses stay forward-compatible.
 void obsInit(int argc, char** argv);
 
 /// The worker-thread count requested with --threads (>= 1).
@@ -133,7 +128,7 @@ class WallTimer {
 void perfRecord(const std::string& label, double wallSeconds,
                 std::uint64_t events);
 
-/// Write the --perf-json report, if requested. Returns false (and prints
+/// Write the --perf-json record, if requested. Returns false (and prints
 /// to stderr) if the file could not be written. Called by reportChecks.
 bool perfFlush();
 
@@ -144,7 +139,9 @@ sim::SimCheckMode simCheckMode();
 /// fresh-stack runSim overload; harnesses that build their own SimStack
 /// (e.g. fig12) call it once per stack. Each attach after the first gets a
 /// numbered path suffix (".2", ".3", ...) so multi-stack harnesses emit one
-/// trace per stack. No-op when neither flag was given.
+/// trace per stack. A stack writes its exports when it is destroyed, or at
+/// reportChecks if the harness still holds it. No-op when no observability
+/// flag was given.
 void attachObs(iolib::SimStack& stack);
 
 /// One independent simulation point: what the fresh-stack runSim overload
@@ -162,10 +159,13 @@ struct SimPoint {
 /// artifact numbers). A later fresh-stack runSim with matching (np, config,
 /// seed) consumes its cache entry in FIFO order — so a harness that
 /// prefetches its whole point list in call order produces byte-identical
-/// stdout and perf/obs artifacts whatever the thread count. Each simulated
-/// point is itself a single-threaded discrete-event run (the points are
-/// independent; determinism is per point by construction). No-op when
-/// --threads <= 1: the serial path stays exactly the reference.
+/// stdout and obs artifacts whatever the thread count, and the same perf
+/// run records apart from wall times. Each simulated point is itself a
+/// single-threaded discrete-event run (the points are independent;
+/// determinism is per point by construction). The region's wall time and
+/// each job's (stack build through teardown) go to the perf record's
+/// parallel_regions. No-op when --threads <= 1: the serial path stays
+/// exactly the reference.
 void prefetchSims(const std::vector<SimPoint>& points);
 
 /// Run one simulated checkpoint on a fresh Intrepid stack (paper noise

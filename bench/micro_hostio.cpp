@@ -150,7 +150,7 @@ void BM_HostObsArtifacts(benchmark::State& state) {
   for (auto _ : state) {
     obs::Observability obs;
     auto attr = std::make_shared<obs::AttributionSink>();
-    attr->exportTo(attrJson, "");
+    attr->exportTo(attrJson);
     obs.addSink(attr);
     obs::OpTraceSink& sink = obs.attachOpTrace(/*sampleEvery=*/1);
     sink.exportTo(optraceJson);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
 
 #include "simcore/simcheck.hpp"
@@ -260,23 +259,8 @@ std::string AttributionEngine::Report::toJson() const {
   return out;
 }
 
-std::string AttributionEngine::Report::toCsv() const {
-  std::string out = "rank,phase,seconds\n";
-  char buf[96];
-  for (const RankSlice& r : ranks) {
-    for (int p = 0; p < kNumPhases; ++p) {
-      std::snprintf(buf, sizeof(buf), "%d,%s,%.9g\n", r.rank,
-                    phaseName(static_cast<Phase>(p)),
-                    r.seconds[static_cast<std::size_t>(p)]);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-void AttributionSink::exportTo(std::string jsonPath, std::string csvPath) {
+void AttributionSink::exportTo(std::string jsonPath) {
   jsonPath_ = std::move(jsonPath);
-  csvPath_ = std::move(csvPath);
 }
 
 void AttributionSink::event(const TraceEvent& ev) { engine_.addEvent(ev); }
@@ -290,18 +274,7 @@ void AttributionSink::finalize(sim::SimTime horizon) {
   const double tol = 1e-9 * std::max(1.0, static_cast<double>(horizon));
   SIM_CHECK(report_.partitionDefect() <= tol,
             "attribution phases must partition [0, horizon] per rank");
-  auto writeText = [](const std::string& path, const std::string& text) {
-    if (path.empty()) return;
-    std::ofstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "error: attribution: cannot write %s\n",
-                   path.c_str());
-      return;
-    }
-    f << text;
-  };
-  writeText(jsonPath_, report_.toJson());
-  writeText(csvPath_, report_.toCsv());
+  if (!jsonPath_.empty()) writeArtifact(jsonPath_, report_.toJson());
 }
 
 }  // namespace bgckpt::obs

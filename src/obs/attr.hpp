@@ -88,7 +88,6 @@ class AttributionEngine {
     /// Exactly 0 by construction; exported so tests can assert it.
     double partitionDefect() const;
     std::string toJson() const;
-    std::string toCsv() const;
   };
 
   /// Sweep all recorded spans into the exclusive partition. Spans are
@@ -113,14 +112,14 @@ class AttributionEngine {
 };
 
 /// TraceSink adaptor: collects events during the run, computes the report
-/// at Observability::finalize(horizon), optionally writes JSON/CSV files,
-/// and keeps the report readable in-process (the eq7 bench reads measured
+/// at Observability::finalize(horizon), optionally writes it as JSON, and
+/// keeps the report readable in-process (the eq7 bench reads measured
 /// blocked time from here).
 class AttributionSink final : public TraceSink {
  public:
   AttributionSink() = default;
-  /// Request file export at finalize; empty path skips that format.
-  void exportTo(std::string jsonPath, std::string csvPath);
+  /// Request JSON export at finalize; an empty path skips it.
+  void exportTo(std::string jsonPath);
 
   void event(const TraceEvent& ev) override;
   void finalize(sim::SimTime horizon) override;
@@ -136,7 +135,6 @@ class AttributionSink final : public TraceSink {
   AttributionEngine::Report report_;
   bool finalized_ = false;
   std::string jsonPath_;
-  std::string csvPath_;
 };
 
 }  // namespace bgckpt::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 
 namespace bgckpt::obs {
@@ -130,7 +129,9 @@ std::string CritPathRecorder::Path::toJson() const {
     std::snprintf(buf, sizeof(buf), fmt, args...);
     out += buf;
   };
-  out += "{\n";
+  out += "{\n  \"schema\": \"";
+  out += kSchemaVersion;
+  out += "\",\n";
   addf("  \"horizon_seconds\": %.9g,\n", static_cast<double>(horizon));
   addf("  \"events_recorded\": %llu,\n",
        static_cast<unsigned long long>(eventsRecorded));
@@ -169,14 +170,7 @@ void CritPathRecorder::finalize(sim::SimTime horizon) {
   if (finalized_) return;
   finalized_ = true;
   path_ = computePath(horizon);
-  if (jsonPath_.empty()) return;
-  std::ofstream f(jsonPath_);
-  if (!f) {
-    std::fprintf(stderr, "error: critpath: cannot write %s\n",
-                 jsonPath_.c_str());
-    return;
-  }
-  f << path_.toJson();
+  if (!jsonPath_.empty()) writeArtifact(jsonPath_, path_.toJson());
 }
 
 }  // namespace bgckpt::obs

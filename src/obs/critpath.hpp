@@ -37,6 +37,9 @@ namespace bgckpt::obs {
 
 class CritPathRecorder final : public TraceSink {
  public:
+  /// JSON schema tag of the exported report (Path::toJson).
+  static constexpr const char* kSchemaVersion = "bgckpt-critpath-1";
+
   CritPathRecorder() = default;
   /// Request JSON export at finalize; empty path skips it.
   void exportTo(std::string jsonPath);

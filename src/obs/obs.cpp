@@ -45,8 +45,6 @@ Observability::~Observability() {
   // finalize, even without a metrics export request; finalize() is
   // idempotent, so a stack already finalized by hand skips the work.
   finalize(horizon);
-  if (!metricsJsonPath_.empty()) metrics_.writeJson(metricsJsonPath_);
-  if (!metricsCsvPath_.empty()) metrics_.writeCsv(metricsCsvPath_);
 }
 
 void Observability::addSink(std::shared_ptr<TraceSink> sink) {
@@ -116,7 +114,7 @@ void Observability::completeBytes(Layer layer, int tid, const char* name,
 
 void Observability::message(int src, int dst, sim::Bytes bytes,
                             sim::SimTime sendTime, sim::SimTime deliverTime) {
-  if (!metricsJsonPath_.empty() || !metricsCsvPath_.empty())
+  if (!metricsJsonPath_.empty())
     metrics_.recordPair(src, dst, bytes, deliverTime - sendTime);
   if (!tracing(Layer::kMpi)) return;
   TraceEvent ev;
@@ -173,8 +171,7 @@ Telemetry& Observability::telemetry() {
 
 TelemetrySink& Observability::attachTelemetry(sim::Scheduler& sched,
                                               double bucketDt,
-                                              std::string jsonPath,
-                                              std::string csvPath) {
+                                              std::string jsonPath) {
   if (!telemetrySink_) {
     Telemetry& reg = telemetry();
     reg.enable(sched, bucketDt);
@@ -183,8 +180,7 @@ TelemetrySink& Observability::attachTelemetry(sim::Scheduler& sched,
     telemetrySink_ = std::make_shared<TelemetrySink>(reg);
     addSink(telemetrySink_);
   }
-  if (!jsonPath.empty() || !csvPath.empty())
-    telemetrySink_->exportTo(std::move(jsonPath), std::move(csvPath));
+  if (!jsonPath.empty()) telemetrySink_->exportTo(std::move(jsonPath));
   return *telemetrySink_;
 }
 
@@ -241,6 +237,8 @@ void Observability::finalize(sim::SimTime horizon) {
     }
     metrics_.gauge("sim.horizon_seconds").set(horizon);
   }
+  if (!metricsJsonPath_.empty())
+    writeArtifact(metricsJsonPath_, metrics_.toJson());
   for (const auto& sink : sinks_) sink->finalize(horizon);
   // Tie the sampled view to the exact event view: whenever both sinks are
   // attached, their independently integrated busy times must agree.
@@ -254,10 +252,8 @@ void Observability::finalize(sim::SimTime horizon) {
   for (const auto& sink : sinks_) sink->flush();
 }
 
-void Observability::exportOnDestroy(std::string metricsJsonPath,
-                                    std::string metricsCsvPath) {
+void Observability::exportOnDestroy(std::string metricsJsonPath) {
   metricsJsonPath_ = std::move(metricsJsonPath);
-  metricsCsvPath_ = std::move(metricsCsvPath);
 }
 
 }  // namespace bgckpt::obs

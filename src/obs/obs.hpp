@@ -120,12 +120,11 @@ class Observability {
   /// Start sampled telemetry on `sched`: enables the registry at bucket
   /// width `bucketDt` (<=0 = default), wires the sampling cadence into the
   /// scheduler probe, and registers a TelemetrySink so series close and
-  /// export (optional JSON/CSV paths) at finalize. Repeated calls return
-  /// the existing sink. Finalize cross-checks the sampled busy time
-  /// against any attached AttributionSink.
+  /// export (optional JSON path) at finalize. Repeated calls return the
+  /// existing sink. Finalize cross-checks the sampled busy time against any
+  /// attached AttributionSink.
   TelemetrySink& attachTelemetry(sim::Scheduler& sched, double bucketDt = 0.0,
-                                 std::string jsonPath = "",
-                                 std::string csvPath = "");
+                                 std::string jsonPath = "");
   TelemetrySink* telemetrySink() const { return telemetrySink_.get(); }
 
   /// Start per-request causal tracing (obs/optrace.hpp): creates the
@@ -142,16 +141,20 @@ class Observability {
   OpTraceSink* opTraceSink() const { return opTraceSink_.get(); }
 
   /// Convert accumulated busy-seconds gauges into utilization gauges over
-  /// [0, horizon] and finalize + flush all sinks. Idempotent: the first
-  /// call wins (later calls — e.g. the exportOnDestroy teardown after a
-  /// manual finalize — only re-flush, so gauges are never derived twice).
+  /// [0, horizon], write the metrics export (if requested), and finalize +
+  /// flush all sinks, which write their own exports. Every export goes
+  /// through writeArtifact, so a failed one is listed by failedWrites().
+  /// Idempotent: the first call wins (later calls — e.g. the destructor's
+  /// after a manual finalize — only re-flush, so gauges are never derived
+  /// twice).
   void finalize(sim::SimTime horizon);
 
-  /// Ask the destructor to call finalize(scheduler.now()) and write the
-  /// metrics files (empty path = skip that format). Used by bench/common
-  /// so every harness exports on exit without bespoke teardown code. With
-  /// a path set, message() also fills the MPI pair matrix from then on.
-  void exportOnDestroy(std::string metricsJsonPath, std::string metricsCsvPath);
+  /// Write the metrics JSON to `metricsJsonPath` at finalize; the destructor
+  /// finalizes at scheduler.now() if nothing did earlier. Used by
+  /// bench/common so every harness exports on exit without bespoke teardown
+  /// code. With a path set, message() also fills the MPI pair matrix from
+  /// then on.
+  void exportOnDestroy(std::string metricsJsonPath);
 
  private:
   MetricsRegistry metrics_;
@@ -166,7 +169,6 @@ class Observability {
   std::shared_ptr<OpTraceSink> opTraceSink_;
   bool finalized_ = false;
   std::string metricsJsonPath_;
-  std::string metricsCsvPath_;
 };
 
 /// RAII span for one I/O operation on the kIo layer: emits a complete

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "simcore/simcheck.hpp"
@@ -376,10 +375,7 @@ void OpTraceSink::finalize(sim::SimTime horizon) {
   if (finalized_) return;
   finalized_ = true;
   tracer_->closeOut(horizon);
-  if (!jsonPath_.empty()) {
-    std::ofstream out(jsonPath_);
-    if (out) out << tracer_->toJson();
-  }
+  if (!jsonPath_.empty()) writeArtifact(jsonPath_, tracer_->toJson());
 }
 
 }  // namespace bgckpt::obs

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "obs/optrace.hpp"
-#include "obs/runtimeprof.hpp"
 #include "obs/telemetry.hpp"
 
 namespace bgckpt::obs {
@@ -110,10 +109,6 @@ void canonicalInto(std::string& out, const json::Value& v) {
 
 }  // namespace
 
-bool manifestSchemaSupported(std::string_view version) {
-  return version == kManifestSchemaVersion || version == kManifestSchemaV1;
-}
-
 std::uint64_t fnv1a64(std::string_view data) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (char c : data) {
@@ -136,13 +131,11 @@ std::string canonicalJson(const json::Value& value) {
 }
 
 std::string artifactSchemasFingerprint() {
-  std::string fp = kManifestSchemaVersion;
-  fp += ',';
-  fp += Telemetry::kSchemaVersion;
+  std::string fp = Telemetry::kSchemaVersion;
   fp += ',';
   fp += OpTracer::kSchemaVersion;
   fp += ',';
-  fp += kRuntimeProfSchemaVersion;
+  fp += kPerfSchemaVersion;
   fp += ',';
   fp += kLedgerSchemaVersion;
   return fp;
@@ -295,38 +288,6 @@ std::vector<LedgerEntry> RunStore::loadAll(
     }
   }
   return entries;
-}
-
-bool writeArtifactManifest(const std::string& artifactPath,
-                           const ManifestInfo& info) {
-  const std::string path = artifactPath + ".manifest.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const auto str = [](const std::string& s) {
-    std::string out;
-    escapeInto(out, s);
-    return out;
-  };
-  std::fprintf(f, "{\n  \"schema_version\": \"%s\",\n",
-               kManifestSchemaVersion);
-  std::fprintf(f, "  \"artifact\": \"%s\",\n", str(info.artifact).c_str());
-  std::fprintf(f, "  \"bench\": \"%s\",\n", str(info.bench).c_str());
-  std::fprintf(f, "  \"git_rev\": \"%s\",\n", str(info.gitRev).c_str());
-  std::fprintf(f, "  \"config_hash\": \"%s\",\n",
-               str(info.configHash).c_str());
-  std::fprintf(f, "  \"np\": %d,\n", info.np);
-  std::fprintf(f, "  \"stack\": %d,\n", info.stack);
-  std::fprintf(f, "  \"bucket_dt\": %.6g,\n", info.bucketDt);
-  std::fprintf(f, "  \"flags\": [");
-  for (std::size_t i = 0; i < info.flags.size(); ++i)
-    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                 str(info.flags[i]).c_str());
-  std::fprintf(f, "],\n  \"args\": [");
-  for (std::size_t i = 0; i < info.args.size(); ++i)
-    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                 str(info.args[i]).c_str());
-  std::fprintf(f, "]\n}\n");
-  return std::fclose(f) == 0;
 }
 
 }  // namespace bgckpt::obs

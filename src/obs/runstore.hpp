@@ -1,7 +1,6 @@
 // Content-addressed run ledger: the cross-run observability substrate.
 //
-// Every other obs layer (attr, telemetry, optrace, runtimeprof) sees one
-// run. The ledger sees campaigns: tools/sweep executes a declarative config
+// Every other obs layer (attr, telemetry, optrace) sees one run. The ledger sees campaigns: tools/sweep executes a declarative config
 // sweep and files each run under a content-addressed key, and
 // `trace_report --campaign` rolls the stored perf records up into
 // strategy-comparison and regression views. The key is
@@ -15,13 +14,6 @@
 // a schema bump changes the key and naturally invalidates. `config_hash`
 // (the config-only fnv) is the cross-rev identity used by
 // `--campaign --diff` to line the same config up across two ledgers.
-//
-// This header also owns the `<artifact>.manifest.json` sidecar contract.
-// PR 10 bumps it to bgckpt-manifest-2, which adds `git_rev` and
-// `config_hash` so every artifact in the repo is ledger-addressable;
-// readers keep accepting v1 (manifestSchemaSupported). All manifest
-// writing goes through writeArtifactManifest — srclint's "manifest-stamp"
-// rule holds src/ and bench/ to that.
 #pragma once
 
 #include <cstdint>
@@ -33,15 +25,10 @@
 
 namespace bgckpt::obs {
 
-/// Schema tag written into every `<artifact>.manifest.json` sidecar.
-/// Version 2 adds "git_rev" and "config_hash" (the ledger address of the
-/// producing run); tools keep reading version 1 sidecars, which simply
-/// lack the provenance fields.
-inline constexpr const char* kManifestSchemaVersion = "bgckpt-manifest-2";
-inline constexpr const char* kManifestSchemaV1 = "bgckpt-manifest-1";
-
-/// True for every manifest schema version this build can read.
-bool manifestSchemaSupported(std::string_view version);
+/// Schema tag of a bench's `--perf-json` record: per-run wall and event
+/// counts, totals, and the wall time of each --threads prefetch region.
+/// The ledger stores these records verbatim.
+inline constexpr const char* kPerfSchemaVersion = "bgckpt-perf-1";
 
 /// Schema tag of one ledger entry file (RunStore::put output).
 inline constexpr const char* kLedgerSchemaVersion = "bgckpt-ledger-1";
@@ -63,8 +50,8 @@ std::string hex16(std::uint64_t value);
 std::string canonicalJson(const json::Value& value);
 
 /// Comma-joined schema versions of every artifact this build writes
-/// (manifest, telemetry, optrace, runtimeprof, ledger). Part of the ledger
-/// key: bumping any schema invalidates cached runs that embed it.
+/// (telemetry, optrace, perf, ledger). Part of the ledger key: bumping any
+/// schema invalidates cached runs that embed it.
 std::string artifactSchemasFingerprint();
 
 /// One stored run: the unit tools/sweep writes and --campaign reads.
@@ -117,28 +104,5 @@ class RunStore {
  private:
   std::string dir_;
 };
-
-/// Everything a manifest sidecar records about the run that produced an
-/// artifact. `gitRev`/`configHash` are the v2 provenance fields: benches
-/// inherit them from the sweep driver via BGCKPT_GIT_REV /
-/// BGCKPT_CONFIG_HASH, or self-derive (see bench/common).
-struct ManifestInfo {
-  std::string artifact;  // "trace", "telemetry", "optrace", ...
-  std::string bench;
-  int np = 0;
-  int stack = 0;
-  double bucketDt = 0;
-  std::vector<std::string> flags;
-  std::vector<std::string> args;
-  std::string gitRev;
-  std::string configHash;
-};
-
-/// Write `<artifactPath>.manifest.json` (schema bgckpt-manifest-2). The
-/// single sanctioned manifest-writing site: srclint's "manifest-stamp"
-/// rule flags any other src/ or bench/ code touching manifest sidecars.
-/// Returns false when the file cannot be written.
-bool writeArtifactManifest(const std::string& artifactPath,
-                           const ManifestInfo& info);
 
 }  // namespace bgckpt::obs

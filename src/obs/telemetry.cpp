@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <string_view>
 
-#include "obs/metrics.hpp"
 #include "simcore/simcheck.hpp"
 
 namespace bgckpt::obs {
@@ -202,9 +200,8 @@ ImbalanceStats computeImbalance(
 
 // -------------------------------------------------------- TelemetrySink --
 
-void TelemetrySink::exportTo(std::string jsonPath, std::string csvPath) {
+void TelemetrySink::exportTo(std::string jsonPath) {
   if (!jsonPath.empty()) jsonPath_ = std::move(jsonPath);
-  if (!csvPath.empty()) csvPath_ = std::move(csvPath);
 }
 
 void TelemetrySink::event(const TraceEvent& ev) {
@@ -243,14 +240,7 @@ void TelemetrySink::finalize(sim::SimTime horizon) {
     }
   }
   reg_->closeOut(horizon);
-  if (!jsonPath_.empty()) {
-    std::ofstream out(jsonPath_);
-    if (out) out << toJson();
-  }
-  if (!csvPath_.empty()) {
-    std::ofstream out(csvPath_);
-    if (out) out << toCsv();
-  }
+  if (!jsonPath_.empty()) writeArtifact(jsonPath_, toJson());
 }
 
 namespace {
@@ -409,29 +399,6 @@ std::string TelemetrySink::toJson() const {
     appendNum(out, busy_[r]);
   }
   out += "]}\n}\n";
-  return out;
-}
-
-std::string TelemetrySink::toCsv() const {
-  const double dt = reg_->bucketDt();
-  std::string out = "series,kind,instance,bucket,t0,v0,v1,v2,v3\n";
-  for (const auto& p : reg_->probes()) {
-    for (int i = 0; i < p->instances(); ++i) {
-      const SeriesExport ex = exportSeries(*p, p->seriesAt(i), dt);
-      for (std::size_t r = 0; r < ex.rows.size(); ++r) {
-        const auto gi = ex.first + static_cast<std::int64_t>(r);
-        appendf(out, "%s,%s,%d,%lld,", csvField(p->name()).c_str(),
-                probeKindName(p->kind()), i, static_cast<long long>(gi));
-        appendNum(out, static_cast<double>(gi) * dt);
-        for (double v : ex.rows[r]) {
-          out += ",";
-          appendNum(out, v);
-        }
-        if (ex.rows[r].size() == 2) out += ",,";  // counter/rate rows
-        out += "\n";
-      }
-    }
-  }
   return out;
 }
 

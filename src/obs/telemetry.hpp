@@ -19,8 +19,7 @@
 //   TelemetrySink  TraceSink adaptor: integrates exact per-rank busy time
 //               from the kApp checkpoint envelopes, closes all series at
 //               finalize, computes per-series imbalance analytics, and
-//               writes the JSON/CSV exports read by `trace_report
-//               --timeline`.
+//               writes the JSON export read by `trace_report --timeline`.
 //
 // Sampling model: every series is a piecewise-constant level (counters and
 // rates accumulate into a cumulative level). Updates integrate the level
@@ -49,9 +48,6 @@
 namespace bgckpt::obs {
 
 class Telemetry;
-
-// The `<artifact>.manifest.json` sidecar schema (kManifestSchemaVersion)
-// moved to obs/runstore.hpp, which owns cross-run provenance.
 
 enum class ProbeKind : int { kGauge = 0, kCounter = 1, kRate = 2 };
 const char* probeKindName(ProbeKind k);
@@ -184,8 +180,8 @@ class TelemetrySink final : public TraceSink {
  public:
   explicit TelemetrySink(Telemetry& reg) : reg_(&reg) {}
 
-  /// Request file export at finalize; empty path skips that format.
-  void exportTo(std::string jsonPath, std::string csvPath);
+  /// Request JSON export at finalize; an empty path keeps the current one.
+  void exportTo(std::string jsonPath);
 
   void event(const TraceEvent& ev) override;
   void finalize(sim::SimTime horizon) override;
@@ -202,7 +198,6 @@ class TelemetrySink final : public TraceSink {
   std::vector<std::vector<double>> loadMatrix(const Probe& p) const;
 
   std::string toJson() const;  // valid after finalize()
-  std::string toCsv() const;
 
   /// SIM_CHECK that every rank's sampled busy time matches the exclusive
   /// attribution partition within one bucket width.
@@ -211,7 +206,6 @@ class TelemetrySink final : public TraceSink {
  private:
   Telemetry* reg_;
   std::string jsonPath_;
-  std::string csvPath_;
   std::vector<double> busy_;
   std::vector<sim::SimTime> open_;  // open envelope start per rank, or -1
   Probe* activeRanks_ = nullptr;    // "app.active_ranks" gauge

@@ -3,9 +3,41 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 
 namespace bgckpt::obs {
+
+namespace {
+
+// failedWrites() storage. Guarded: the stacks of a --threads prefetch
+// export from their worker threads.
+std::mutex gFailedWritesMu;
+std::vector<std::string> gFailedWrites;
+
+void noteFailedWrite(const std::string& path) {
+  std::lock_guard<std::mutex> lock(gFailedWritesMu);
+  gFailedWrites.push_back(path);
+}
+
+}  // namespace
+
+bool writeArtifact(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    // fclose flushes the buffered tail, which is the write a full disk fails.
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) noteFailedWrite(path);
+  return ok;
+}
+
+std::vector<std::string> failedWrites() {
+  std::lock_guard<std::mutex> lock(gFailedWritesMu);
+  return gFailedWrites;
+}
 
 const char* layerName(Layer layer) {
   switch (layer) {
@@ -26,11 +58,14 @@ ChromeTraceSink::ChromeTraceSink(std::ostream& chrome, std::ostream* jsonl)
 }
 
 ChromeTraceSink::ChromeTraceSink(std::unique_ptr<std::ostream> chrome,
-                                 std::unique_ptr<std::ostream> jsonl)
+                                 std::unique_ptr<std::ostream> jsonl,
+                                 std::string chromePath, std::string jsonlPath)
     : ownedChrome_(std::move(chrome)),
       ownedJsonl_(std::move(jsonl)),
       chrome_(ownedChrome_.get()),
-      jsonl_(ownedJsonl_.get()) {
+      jsonl_(ownedJsonl_.get()),
+      chromePath_(std::move(chromePath)),
+      jsonlPath_(std::move(jsonlPath)) {
   *chrome_ << "[\n";
 }
 
@@ -45,8 +80,8 @@ std::unique_ptr<ChromeTraceSink> ChromeTraceSink::toFiles(
     if (!*jsonl)
       throw std::runtime_error("ChromeTraceSink: cannot open " + jsonlPath);
   }
-  return std::unique_ptr<ChromeTraceSink>(
-      new ChromeTraceSink(std::move(chrome), std::move(jsonl)));
+  return std::unique_ptr<ChromeTraceSink>(new ChromeTraceSink(
+      std::move(chrome), std::move(jsonl), chromePath, jsonlPath));
 }
 
 ChromeTraceSink::~ChromeTraceSink() { close(); }
@@ -55,13 +90,28 @@ void ChromeTraceSink::close() {
   if (closed_) return;
   closed_ = true;
   *chrome_ << "\n]\n";
-  chrome_->flush();
-  if (jsonl_) jsonl_->flush();
+  flush();
+  checkStreams();
 }
 
 void ChromeTraceSink::flush() {
   chrome_->flush();
   if (jsonl_) jsonl_->flush();
+}
+
+void ChromeTraceSink::finalize(sim::SimTime /*horizon*/) {
+  flush();
+  checkStreams();
+}
+
+void ChromeTraceSink::checkStreams() {
+  // Borrowed streams (no paths) are their owner's to check. A failed write
+  // or flush leaves the stream bad for good, so one report per sink.
+  if (failed_ || chromePath_.empty()) return;
+  const bool chromeBad = !*chrome_;
+  if (!chromeBad && (jsonl_ == nullptr || *jsonl_)) return;
+  failed_ = true;
+  noteFailedWrite(chromeBad ? chromePath_ : jsonlPath_);
 }
 
 void ChromeTraceSink::writeSeparator() {

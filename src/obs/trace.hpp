@@ -22,11 +22,26 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "simcore/units.hpp"
 
 namespace bgckpt::obs {
+
+/// Write `text` to `path`, replacing the file: the one writer of every obs
+/// export. Returns false when the file cannot be opened, written or closed
+/// (a full disk fails at the close that flushes the tail), and remembers
+/// the path for failedWrites().
+bool writeArtifact(const std::string& path, std::string_view text);
+
+/// Every path an obs export failed to write in this process, in order:
+/// writeArtifact failures plus ChromeTraceSink streams found bad. Exports
+/// run at finalize, often inside a stack's destructor, so this is how a
+/// harness learns of a lost export before it picks its exit code.
+/// Thread-safe (concurrent stacks export from worker threads).
+std::vector<std::string> failedWrites();
 
 /// One Chrome-trace "process" per simulated layer of the stack.
 enum class Layer : int {
@@ -103,14 +118,21 @@ class ChromeTraceSink final : public TraceSink {
 
   void event(const TraceEvent& ev) override;
   void flush() override;
-  /// Terminate the Chrome JSON array. Idempotent; called by the destructor.
+  /// Flush and check the streams, so a stack finalized before its harness
+  /// exits reports a failed trace through failedWrites() in time.
+  void finalize(sim::SimTime horizon) override;
+  /// Terminate the Chrome JSON array and check the streams. Idempotent;
+  /// called by the destructor.
   void close();
 
   std::uint64_t eventsWritten() const { return eventsWritten_; }
 
  private:
   ChromeTraceSink(std::unique_ptr<std::ostream> chrome,
-                  std::unique_ptr<std::ostream> jsonl);
+                  std::unique_ptr<std::ostream> jsonl, std::string chromePath,
+                  std::string jsonlPath);
+  /// Record the first bad file stream in failedWrites(), once per sink.
+  void checkStreams();
   void writeChrome(const TraceEvent& ev);
   void writeJsonl(const TraceEvent& ev);
   void ensureMetadata(Layer layer, int tid);
@@ -120,6 +142,10 @@ class ChromeTraceSink final : public TraceSink {
   std::unique_ptr<std::ostream> ownedJsonl_;
   std::ostream* chrome_ = nullptr;
   std::ostream* jsonl_ = nullptr;
+  // File paths when the sink owns its streams (toFiles); empty otherwise.
+  std::string chromePath_;
+  std::string jsonlPath_;
+  bool failed_ = false;
   bool anyWritten_ = false;
   bool closed_ = false;
   std::uint64_t eventsWritten_ = 0;

@@ -3,15 +3,14 @@
 // whether the simulation points run serially or prefetched on 8 threads.
 // This is the determinism contract of bench/common.cpp's prefetch cache
 // (FIFO consumption in program order, pre-assigned artifact ordinals,
-// replayed perf records) over sim::parallelFor.
-//
-// Manifest sidecars (*.manifest.json) are excluded from the comparison:
-// they record the exact argv of the run, which legitimately differs by the
-// --threads flag itself.
+// replayed perf records) over sim::parallelFor. The --perf-json records
+// hold wall times, so they are written outside the compared directories
+// and checked for their schema and parallel regions instead.
 //
 // The file also holds the bench command-line contracts that need a built
-// bench: a full disk fails --perf-json, a valued flag rejects a flag as its
-// value, and observability flags leave stdout unchanged.
+// bench: a full disk fails every export flag, a valued flag rejects a flag
+// as its value, observability flags leave stdout unchanged, and --obs-dir
+// writes one file per artifact and stack.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -24,7 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace {
+
+namespace json = bgckpt::obs::json;
 
 namespace fs = std::filesystem;
 
@@ -54,19 +57,22 @@ std::string readFile(const fs::path& p) {
   return s;
 }
 
-bool isManifest(const fs::path& p) {
-  return p.filename().string().find(".manifest.") != std::string::npos;
-}
-
-/// Comparable artifact filenames under dir, sorted.
-std::vector<std::string> artifactNames(const fs::path& dir) {
+/// Filenames under dir, sorted.
+std::vector<std::string> fileNames(const fs::path& dir) {
   std::vector<std::string> names;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.is_regular_file() && !isManifest(e.path()))
-      names.push_back(e.path().filename().string());
-  }
+  for (const auto& e : fs::directory_iterator(dir))
+    names.push_back(e.path().filename().string());
   std::sort(names.begin(), names.end());
   return names;
+}
+
+/// The labels of a perf record's "runs", or of one region's "jobs".
+std::vector<std::string> labels(const json::Value& array) {
+  std::vector<std::string> out;
+  if (array.isArray())
+    for (const json::Value& v : *array.array)
+      out.push_back(v.stringOr("label", "?"));
+  return out;
 }
 
 class TempDir {
@@ -85,15 +91,26 @@ class TempDir {
   fs::path root_;
 };
 
+/// Parses a --perf-json record, requiring the bgckpt-perf-1 schema.
+json::Value perfRecord(const fs::path& path) {
+  std::string err;
+  const auto doc = json::parse(readFile(path), &err);
+  EXPECT_TRUE(doc && doc->isObject()) << path << ": " << err;
+  if (!doc) return {};
+  EXPECT_EQ(doc->stringOr("schema", ""), "bgckpt-perf-1") << path;
+  return *doc;
+}
+
 /// Runs `bench` twice (serial, then 8 worker threads) with telemetry and
 /// attribution exports into separate directories, then requires stdout and
-/// every exported artifact to be byte-identical. BOTH runs carry
-/// --runtime-profile: the wall-clock profiler must not perturb stdout or
-/// any simulated-time artifact. Its own JSON is wall-clock by nature, so
-/// it is written OUTSIDE the compared directories (it is documented as
-/// excluded from identity comparisons) — but it must exist and be
-/// non-empty for both runs.
-void expectByteIdentical(const std::string& bench, const std::string& args) {
+/// every exported artifact to be byte-identical. Each directory must hold
+/// exactly one attr and one telemetry JSON per simulated stack, and
+/// nothing else. Both runs also write --perf-json outside the compared
+/// directories: the 8-thread record of a bench that prefetches (`regions`
+/// = 1) holds one parallel region whose jobs are exactly its runs; a serial
+/// record, or one of a bench that never prefetches, holds none.
+void expectByteIdentical(const std::string& bench, const std::string& args,
+                         int stacks, int regions) {
   const TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
   const fs::path serialDir = tmp.path() / "serial";
@@ -102,12 +119,14 @@ void expectByteIdentical(const std::string& bench, const std::string& args) {
   fs::create_directories(threadedDir);
 
   const std::string bin = std::string(BENCH_BIN_DIR) + "/" + bench;
+  const auto perfPath = [&](const char* threads) {
+    return tmp.path() / (std::string("perf.") + threads + ".json");
+  };
   const auto cmd = [&](const fs::path& dir, const char* threads) {
     return bin + " " + args + " --threads=" + threads + " --telemetry " +
            (dir / "telemetry.json").string() + " --attr " +
-           (dir / "attr.json").string() + " --runtime-profile=" +
-           (tmp.path() / (std::string("runtimeprof.") + threads + ".json"))
-               .string();
+           (dir / "attr.json").string() + " --perf-json " +
+           perfPath(threads).string();
   };
 
   const RunResult serial = run(cmd(serialDir, "1"));
@@ -118,45 +137,67 @@ void expectByteIdentical(const std::string& bench, const std::string& args) {
   EXPECT_EQ(serial.output, threaded.output)
       << bench << ": stdout differs between --threads=1 and --threads=8";
 
-  const auto serialNames = artifactNames(serialDir);
-  const auto threadedNames = artifactNames(threadedDir);
-  ASSERT_EQ(serialNames, threadedNames)
-      << bench << ": exported artifact sets differ";
-  EXPECT_FALSE(serialNames.empty()) << bench << ": no artifacts exported";
-  for (const auto& name : serialNames) {
+  std::vector<std::string> expected;
+  for (int n = 1; n <= stacks; ++n) {
+    const std::string tag = n == 1 ? "" : "." + std::to_string(n);
+    expected.push_back("attr" + tag + ".json");
+    expected.push_back("telemetry" + tag + ".json");
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fileNames(serialDir), expected) << bench;
+  ASSERT_EQ(fileNames(threadedDir), expected) << bench;
+  for (const auto& name : expected) {
     EXPECT_EQ(readFile(serialDir / name), readFile(threadedDir / name))
         << bench << ": artifact " << name << " differs between thread counts";
   }
 
-  // The runtime profiles themselves were written (with manifests), just
-  // not compared byte-for-byte: wall times differ run to run by design.
-  for (const char* threads : {"1", "8"}) {
-    const fs::path prof =
-        tmp.path() / (std::string("runtimeprof.") + threads + ".json");
-    EXPECT_FALSE(readFile(prof).empty())
-        << bench << ": missing runtime profile for --threads=" << threads;
-    EXPECT_FALSE(readFile(fs::path(prof.string() + ".manifest.json")).empty())
-        << bench << ": missing runtime profile manifest";
+  const json::Value serialPerf = perfRecord(perfPath("1"));
+  EXPECT_EQ(serialPerf.find("parallel_regions"), nullptr)
+      << bench << ": a serial run records no parallel region";
+  const json::Value threadedPerf = perfRecord(perfPath("8"));
+  const json::Value* runs = threadedPerf.find("runs");
+  const json::Value* serialRuns = serialPerf.find("runs");
+  ASSERT_TRUE(runs != nullptr && serialRuns != nullptr) << bench;
+  EXPECT_EQ(labels(*runs), labels(*serialRuns)) << bench;
+  const json::Value* found = threadedPerf.find("parallel_regions");
+  if (regions == 0) {
+    EXPECT_EQ(found, nullptr) << bench << ": no prefetch, no region";
+    return;
   }
+  ASSERT_TRUE(found != nullptr && found->isArray()) << bench;
+  ASSERT_EQ(found->array->size(), static_cast<std::size_t>(regions)) << bench;
+  const json::Value& region = found->array->front();
+  const json::Value* jobs = region.find("jobs");
+  ASSERT_NE(jobs, nullptr) << bench;
+  EXPECT_EQ(labels(*jobs), labels(*runs))
+      << bench << ": the region's jobs are the prefetched points";
+  EXPECT_GT(region.numberOr("wall_seconds", 0), 0.0) << bench;
 }
 
 }  // namespace
 
 TEST(ShardedIdentity, Fig5StdoutAndExportsMatchSerial) {
-  expectByteIdentical("fig5_write_bandwidth", "--max-np 16384");
+  // Five approaches at 16K ranks: five stacks, all prefetched at once.
+  expectByteIdentical("fig5_write_bandwidth", "--max-np 16384", 5, 1);
 }
 
 TEST(ShardedIdentity, Fig9StdoutAndExportsMatchSerial) {
-  expectByteIdentical("fig9_dist_1pfpp", "");
+  // One point on a stack fig9 builds itself: nothing to prefetch.
+  expectByteIdentical("fig9_dist_1pfpp", "", 1, 0);
 }
 
-// perfFlush's writers must report a full disk: the buffered report only
-// reaches the device when fclose flushes it, so that is where it fails.
+// Every export writer must report a full disk: /dev/full accepts the open,
+// and the buffered file only fails when its close flushes the tail. fig9
+// holds its stack past reportChecks, so its exports must be written before
+// the exit code is chosen.
 TEST(ShardedIdentity, PerfJsonOnFullDiskExitsNonzero) {
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  const RunResult r = run(std::string(BENCH_BIN_DIR) +
-                          "/fig9_dist_1pfpp --perf-json /dev/full");
-  EXPECT_NE(r.exitCode, 0) << r.output;
+  for (const char* flag : {"--perf-json", "--metrics", "--attr", "--critpath",
+                           "--telemetry", "--optrace"}) {
+    const RunResult r = run(std::string(BENCH_BIN_DIR) + "/fig9_dist_1pfpp " +
+                            flag + " /dev/full");
+    EXPECT_EQ(r.exitCode, 1) << flag << "\n" << r.output;
+  }
 }
 
 // A flag that takes a value must not swallow the next flag as its file
@@ -191,4 +232,23 @@ TEST(ShardedIdentity, TraceAndMetricsLeaveStdoutUnchanged) {
   // m.json is the first stack's export: coIO np:nf=64:1 at 256 ranks.
   EXPECT_NE(readFile(metrics).find("\"mpiPairsTotal\": 260,"),
             std::string::npos);
+}
+
+// --obs-dir writes each observation once: one JSON per artifact per stack,
+// plus the trace's JSONL event log. eq7 at 256 ranks runs two stacks.
+TEST(ShardedIdentity, ObsDirWritesOneFilePerArtifactAndStack) {
+  const TempDir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  const fs::path dir = tmp.path() / "obs";
+  const RunResult r = run(std::string(BENCH_BIN_DIR) +
+                          "/eq7_measured_vs_model --np 256 --obs-dir " +
+                          dir.string());
+  ASSERT_EQ(r.exitCode, 0) << r.output;
+  const std::vector<std::string> expected = {
+      "attr.2.json",     "attr.json",      "critpath.2.json",
+      "critpath.json",   "metrics.2.json", "metrics.json",
+      "optrace.2.json",  "optrace.json",   "telemetry.2.json",
+      "telemetry.json",  "trace.2.json",   "trace.2.jsonl",
+      "trace.json",      "trace.jsonl"};
+  EXPECT_EQ(fileNames(dir), expected);
 }

@@ -109,16 +109,13 @@ TEST(Attribution, SinkFinalizesOnceThroughObservability) {
   EXPECT_DOUBLE_EQ(sink->report().horizon, 4.0);
 }
 
-TEST(Attribution, ReportExportsJsonAndCsv) {
+TEST(Attribution, ReportExportsJson) {
   AttributionEngine eng;
   eng.addEvent(mk(Layer::kIo, 'X', 1, "send", 0.5, 0.25));
   const auto r = eng.compute(1.0);
   const std::string json = r.toJson();
   EXPECT_NE(json.find("\"horizon_seconds\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"handoff_send\": 0.25"), std::string::npos);
-  const std::string csv = r.toCsv();
-  EXPECT_NE(csv.find("rank,phase,seconds"), std::string::npos);
-  EXPECT_NE(csv.find("1,handoff_send,0.25"), std::string::npos);
 }
 
 TEST(CritPath, WalksPredecessorChainAndBuckets) {

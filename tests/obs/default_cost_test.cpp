@@ -82,7 +82,7 @@ TEST(DefaultCost, ReadersPayForWhatTheyAsk) {
     EXPECT_GT(allocsDuring([&] { completeWrites(stack.obs); }), 0u);
     EXPECT_EQ(profile.records().size(), static_cast<std::size_t>(kOps));
 
-    stack.obs.exportOnDestroy(metrics, "");
+    stack.obs.exportOnDestroy(metrics);
     EXPECT_GT(allocsDuring([&] { deliverMessages(stack.obs); }), 0u);
     EXPECT_EQ(stack.obs.metrics().pairs().size(),
               static_cast<std::size_t>(kOps));

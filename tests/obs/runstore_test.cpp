@@ -108,15 +108,9 @@ TEST(RunStoreHash, LedgerKeyChangesWithRevAndSchemas) {
 
 TEST(RunStoreHash, FingerprintEmbedsEveryArtifactSchema) {
   const std::string fp = obs::artifactSchemasFingerprint();
-  EXPECT_NE(fp.find("bgckpt-manifest-2"), std::string::npos) << fp;
-  EXPECT_NE(fp.find("bgckpt-ledger-1"), std::string::npos) << fp;
-}
-
-TEST(RunStoreHash, ManifestSchemaCompatReadsV1AndV2Only) {
-  EXPECT_TRUE(obs::manifestSchemaSupported("bgckpt-manifest-2"));
-  EXPECT_TRUE(obs::manifestSchemaSupported("bgckpt-manifest-1"));
-  EXPECT_FALSE(obs::manifestSchemaSupported("bgckpt-manifest-99"));
-  EXPECT_FALSE(obs::manifestSchemaSupported(""));
+  EXPECT_EQ(fp,
+            "bgckpt-telemetry-1,bgckpt-optrace-1,bgckpt-perf-1,"
+            "bgckpt-ledger-1");
 }
 
 // ---------------------------------------------------------------------------
@@ -232,32 +226,6 @@ TEST(RunStoreIntegrity, MissingKeyLoadFails) {
   std::string err;
   EXPECT_FALSE(store.load("0123456789abcdef", &back, &err));
   EXPECT_FALSE(err.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Manifest sidecars: the v2 stamping helper.
-// ---------------------------------------------------------------------------
-
-TEST(RunStoreManifest, WriteStampsProvenanceFields) {
-  TempDir tmp;
-  const std::string artifact = (tmp.path / "trace.jsonl").string();
-  obs::ManifestInfo info;
-  info.artifact = "trace";
-  info.bench = "fig5_write_bandwidth";
-  info.np = 256;
-  info.stack = 1;
-  info.flags = {"--trace"};
-  info.args = {"--np", "256"};
-  info.gitRev = "rev-a";
-  info.configHash = "00000000deadbeef";
-  ASSERT_TRUE(obs::writeArtifactManifest(artifact, info));
-  const auto doc = parse(readFile(artifact + ".manifest.json"));
-  EXPECT_EQ(doc.stringOr("schema_version", ""), "bgckpt-manifest-2");
-  EXPECT_TRUE(obs::manifestSchemaSupported(doc.stringOr("schema_version", "")));
-  EXPECT_EQ(doc.stringOr("artifact", ""), "trace");
-  EXPECT_EQ(doc.stringOr("git_rev", ""), "rev-a");
-  EXPECT_EQ(doc.stringOr("config_hash", ""), "00000000deadbeef");
-  EXPECT_EQ(static_cast<int>(doc.numberOr("np", 0)), 256);
 }
 
 }  // namespace

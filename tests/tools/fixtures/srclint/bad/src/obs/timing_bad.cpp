@@ -1,6 +1,6 @@
 // Fixture: the wall-clock carve-out must not leak past its allowlisted
-// paths. This file sits in src/obs *next to* runtimeprof.cpp but is not on
-// the allowlist, so both host-clock identifiers are findings.
+// path. This file sits in src/obs, which measures simulated time only, so
+// both host-clock identifiers are findings.
 #include <chrono>
 
 double tick() {

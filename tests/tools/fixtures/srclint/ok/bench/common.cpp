@@ -1,6 +1,6 @@
-// Fixture: the second wall-clock allowlist entry, "bench/common." — the
-// shared harness plumbing owns the one sanctioned stopwatch (WallTimer),
-// so its host-clock use is clean without srclint:allow markers.
+// Fixture: the wall-clock allowlist entry, "bench/common." — the shared
+// harness plumbing owns the one sanctioned stopwatch (WallTimer), so its
+// host-clock use is clean without srclint:allow markers.
 #include <chrono>
 
 class WallTimer {

@@ -95,19 +95,17 @@ TEST(SrclintRules, SinkAndClockNegatives) {
   EXPECT_EQ(r.exitCode, 0) << r.output;
 }
 
-// The wall-clock rule's scoped allowlist (src/obs/runtimeprof.*,
-// bench/common.*): sanctioned paths are clean with host clocks and no
-// srclint:allow markers, and the carve-out does not leak to sibling files
-// in the same directories or the rest of bench/.
+// The wall-clock rule's scoped allowlist (bench/common.*): the sanctioned
+// path is clean with host clocks and no srclint:allow markers, and the
+// carve-out does not leak to src/ or the rest of bench/.
 TEST(SrclintRules, WallClockAllowlistedPathsAreClean) {
-  const auto r = run(srclint() + " " + fx("ok/src/obs/runtimeprof.cpp") +
-                     " " + fx("ok/bench/common.cpp"));
+  const auto r = run(srclint() + " " + fx("ok/bench/common.cpp"));
   EXPECT_EQ(r.exitCode, 0) << r.output;
   EXPECT_EQ(countOf(r.output, "[wall-clock]"), 0) << r.output;
 }
 
 TEST(SrclintRules, WallClockCarveOutDoesNotLeak) {
-  // A src/obs neighbor of runtimeprof.cpp: both clock identifiers flagged.
+  // src/obs measures simulated time only: both clock identifiers flagged.
   const auto obs = run(srclint() + " " + fx("bad/src/obs/timing_bad.cpp"));
   EXPECT_EQ(obs.exitCode, 1) << obs.output;
   EXPECT_EQ(countOf(obs.output, "[wall-clock]"), 2) << obs.output;
@@ -117,34 +115,11 @@ TEST(SrclintRules, WallClockCarveOutDoesNotLeak) {
   EXPECT_EQ(countOf(bench.output, "[wall-clock]"), 1) << bench.output;
   // Running the allowlisted and non-allowlisted files together changes
   // nothing: the carve-out is per-path, not per-invocation.
-  const auto both = run(srclint() + " " + fx("ok/src/obs/runtimeprof.cpp") +
-                        " " + fx("bad/src/obs/timing_bad.cpp"));
+  const auto both = run(srclint() + " " + fx("ok/bench/common.cpp") + " " +
+                        fx("bad/src/obs/timing_bad.cpp"));
   EXPECT_EQ(both.exitCode, 1) << both.output;
   EXPECT_EQ(countOf(both.output, "[wall-clock]"), 2) << both.output;
-  EXPECT_FALSE(has(both.output, "runtimeprof.cpp")) << both.output;
-}
-
-// manifest-stamp: the ".manifest.json" sidecar suffix is reserved for the
-// shared stamping helper (src/obs/runstore.*); hand-rolled sidecar paths
-// anywhere else in src/ or bench/ are findings.
-TEST(SrclintRules, ManifestStampAllowlistedWriterIsClean) {
-  const auto r = run(srclint() + " " + fx("ok/src/obs/runstore.cpp"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_EQ(countOf(r.output, "[manifest-stamp]"), 0) << r.output;
-}
-
-TEST(SrclintRules, ManifestStampCarveOutDoesNotLeak) {
-  // A src/obs neighbor of runstore.cpp: both literal sidecar paths flagged.
-  const auto obs = run(srclint() + " " + fx("bad/src/obs/manifest_bad.cpp"));
-  EXPECT_EQ(obs.exitCode, 1) << obs.output;
-  EXPECT_EQ(countOf(obs.output, "[manifest-stamp]"), 2) << obs.output;
-  // Running the allowlisted writer alongside changes nothing: the
-  // carve-out is per-path, not per-invocation.
-  const auto both = run(srclint() + " " + fx("ok/src/obs/runstore.cpp") +
-                        " " + fx("bad/src/obs/manifest_bad.cpp"));
-  EXPECT_EQ(both.exitCode, 1) << both.output;
-  EXPECT_EQ(countOf(both.output, "[manifest-stamp]"), 2) << both.output;
-  EXPECT_FALSE(has(both.output, "runstore.cpp")) << both.output;
+  EXPECT_FALSE(has(both.output, "common.cpp")) << both.output;
 }
 
 TEST(SrclintRules, Pr3TernaryCoAwaitReproIsFlagged) {
@@ -250,7 +225,7 @@ TEST(SrclintCli, ListRulesNamesEveryFamily) {
   for (const char* rule :
        {"ternary-co-await", "coro-lambda-capture", "coro-spawn-dangling",
         "det-unordered-iteration", "shard-global-read", "static-mutable",
-        "wall-clock", "manifest-stamp", "allow-unknown-rule",
+        "wall-clock", "allow-unknown-rule",
         "baseline-stale"})
     EXPECT_TRUE(has(r.output, rule)) << rule << "\n" << r.output;
 }

@@ -17,6 +17,9 @@
 #ifndef BENCH_BIN_DIR
 #error "BENCH_BIN_DIR must be defined by the build"
 #endif
+#ifndef BENCH_BASELINE_DIR
+#error "BENCH_BASELINE_DIR must be defined by the build"
+#endif
 
 namespace {
 
@@ -113,6 +116,19 @@ TEST(TraceReportCli, CritPathDiffComparesTwoRuns) {
   EXPECT_NE(r.output.find("resource_grant"), std::string::npos) << r.output;
 }
 
+// critpath is gated on its schema like every other JSON artifact: another
+// artifact handed to --critpath (here a telemetry export) is refused
+// instead of rendering as an all-zero report.
+TEST(TraceReportCli, CritPathRejectsWrongSchemaVersion) {
+  const auto r =
+      run(traceReport() + " --critpath " + fixture("telemetry_1pfpp.json"));
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  EXPECT_NE(r.output.find("critpath schema \"bgckpt-telemetry-1\" not "
+                          "supported"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(TraceReportCli, ErrorsAreUsageExitCode) {
   EXPECT_EQ(run(traceReport()).exitCode, 2);
   EXPECT_EQ(run(traceReport() + " --attr /nonexistent.jsonl").exitCode, 2);
@@ -159,13 +175,6 @@ TEST(TraceReportCli, TimelineRejectsWrongSchemaVersion) {
       run(traceReport() + " --timeline " + fixture("telemetry_badschema.json"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
   EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
-}
-
-TEST(TraceReportCli, TimelineRejectsWrongManifestVersion) {
-  const auto r = run(traceReport() + " --timeline " +
-                     fixture("telemetry_badmanifest.json"));
-  EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("manifest schema"), std::string::npos) << r.output;
 }
 
 TEST(TraceReportCli, WaterfallModeRendersHopTableAndLineage) {
@@ -251,13 +260,6 @@ TEST(TraceReportCli, WaterfallRejectsWrongSchemaVersion) {
   EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
 }
 
-TEST(TraceReportCli, WaterfallRejectsWrongManifestVersion) {
-  const auto r = run(traceReport() + " --waterfall " +
-                     fixture("optrace_badmanifest.json"));
-  EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("manifest schema"), std::string::npos) << r.output;
-}
-
 TEST(TraceReportCli, WaterfallReqUsageErrors) {
   // --req only makes sense with --waterfall, and not alongside --diff.
   EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.jsonl") + " --req 3")
@@ -269,11 +271,11 @@ TEST(TraceReportCli, WaterfallReqUsageErrors) {
             2);
 }
 
-// runtimeprof_ring.json still carries the shard_runs block older profilers
-// wrote: a schema-1 profile with it must keep loading, the block ignored.
+// perf_regions.json is a --threads=8 perf record: five fig5 points
+// prefetched in one parallel region.
 TEST(TraceReportCli, RuntimeModeDecomposesParallelRegion) {
   const auto r =
-      run(traceReport() + " --runtime " + fixture("runtimeprof_ring.json"));
+      run(traceReport() + " --runtime " + fixture("perf_regions.json"));
   ASSERT_EQ(r.exitCode, 0) << r.output;
   // The slowest point is named as the cap on the region.
   EXPECT_NE(r.output.find("critical point: np=65536 coIO nf=1 (3.500 s"),
@@ -285,12 +287,18 @@ TEST(TraceReportCli, RuntimeModeDecomposesParallelRegion) {
                           "2.86x"),
             std::string::npos)
       << r.output;
+  // Jobs list slowest first (2.5 s before the 2.0 s job 0); the per-point
+  // table follows the runs.
+  EXPECT_LT(r.output.find("np=65536 coIO nf=256\n"),
+            r.output.find("np=65536 1PFPP (nf=np)\n"))
+      << r.output;
+  EXPECT_NE(r.output.find("10406468"), std::string::npos) << r.output;
 }
 
 TEST(TraceReportCli, RuntimeDiffComparesPoints) {
   const auto r =
-      run(traceReport() + " --runtime " + fixture("runtimeprof_ring.json") +
-          " --diff " + fixture("runtimeprof_ring.json"));
+      run(traceReport() + " --runtime " + fixture("perf_regions.json") +
+          " --diff " + fixture("perf_regions.json"));
   EXPECT_EQ(r.exitCode, 0) << r.output;
   EXPECT_NE(r.output.find("diff against"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("np=65536 coIO nf=1"), std::string::npos)
@@ -299,17 +307,10 @@ TEST(TraceReportCli, RuntimeDiffComparesPoints) {
 }
 
 TEST(TraceReportCli, RuntimeRejectsWrongSchemaVersion) {
-  const auto r = run(traceReport() + " --runtime " +
-                     fixture("runtimeprof_badschema.json"));
+  const auto r =
+      run(traceReport() + " --runtime " + fixture("perf_badschema.json"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
   EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
-}
-
-TEST(TraceReportCli, RuntimeRejectsWrongManifestVersion) {
-  const auto r = run(traceReport() + " --runtime " +
-                     fixture("runtimeprof_badmanifest.json"));
-  EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("manifest schema"), std::string::npos) << r.output;
 }
 
 // ---------------------------------------------------------------------------
@@ -429,17 +430,6 @@ TEST(CampaignCli, MissingLedgerAndUsageErrorsExitTwo) {
             2);
 }
 
-TEST(CampaignCli, AcceptsManifestV2Sidecar) {
-  // The v2 sidecar (git_rev + config_hash provenance) gates clean; the
-  // existing telemetry fixtures cover v1-read compat and the rejection of
-  // unknown manifest versions.
-  const auto r = run(traceReport() + " --timeline " +
-                     fixture("telemetry_v2manifest.json"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("telemetry timeline"), std::string::npos)
-      << r.output;
-}
-
 TEST(PerfCompareCli, PassesWhenEventsMatch) {
   const auto r = run(perfCompare() + " " + fixture("perf_base.json") + " " +
                      fixture("perf_same.json") + " --no-wall");
@@ -493,6 +483,12 @@ TEST(PerfCompareCli, UsageAndMissingFilesExitTwo) {
   EXPECT_EQ(run(perfCompare()).exitCode, 2);
   EXPECT_EQ(run(perfCompare() + " " + fixture("perf_base.json") +
                 " /nonexistent.json")
+                .exitCode,
+            2);
+  // The first 400 bytes of the fig5 baseline: 3 of its 10 runs, cut
+  // mid-record. A report that does not parse is an error, not a pass.
+  EXPECT_EQ(run(perfCompare() + " " + BENCH_BASELINE_DIR +
+                "/FIG5_perf.json " + fixture("perf_cut.json") + " --no-wall")
                 .exitCode,
             2);
 }

@@ -30,7 +30,9 @@
 // file's total wall time must be at least X times smaller than the first's.
 // Both runs come from the same machine/job, so wall is meaningful here.
 //
-// Exit code: 0 pass, 1 regression, 2 usage/parse error.
+// Exit code: 0 pass, 1 regression, 2 usage/parse error. A report that is
+// not valid JSON (a truncated file, say) or has no "runs" array is a parse
+// error.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +42,11 @@
 #include <sstream>
 #include <string>
 
+#include "obs/json.hpp"
+
 namespace {
+
+using bgckpt::obs::json::Value;
 
 struct GroupTotals {
   double wallSeconds = 0.0;
@@ -62,51 +68,28 @@ struct PerfReport {
   }
 };
 
-double fieldAfter(const std::string& text, std::size_t from, std::size_t end,
-                  const char* name) {
-  const auto pos = text.find(name, from);
-  if (pos == std::string::npos || pos >= end) return -1.0;
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
-/// Minimal extraction: one record per "label" occurrence, fields read up to
-/// the record's closing brace. The reports are machine-written by
-/// bench/common.cpp, so a full JSON parser is not warranted. Reports with
-/// no parseable run records fall back to the "total" object (hand-written
-/// fixtures, truncated files).
+/// Totals of one --perf-json record's "runs" array, per thread count. Run
+/// records without wall_seconds or events are skipped.
 PerfReport readReport(const std::string& path) {
   PerfReport r;
   std::ifstream in(path);
   if (!in) return r;
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
-  for (auto pos = text.find("\"label\""); pos != std::string::npos;
-       pos = text.find("\"label\"", pos + 1)) {
-    const auto end = text.find('}', pos);
-    if (end == std::string::npos) break;
-    const double wall = fieldAfter(text, pos, end, "\"wall_seconds\"");
-    const double events = fieldAfter(text, pos, end, "\"events\"");
+  const auto doc = bgckpt::obs::json::parse(ss.str());
+  const Value* runs = doc ? doc->find("runs") : nullptr;
+  if (runs == nullptr || !runs->isArray()) return r;
+  for (const Value& run : *runs->array) {
+    const double wall = run.numberOr("wall_seconds", -1.0);
+    const double events = run.numberOr("events", -1.0);
     if (wall < 0.0 || events < 0.0) continue;
-    const double threads = fieldAfter(text, pos, end, "\"threads\"");
+    const double threads = run.numberOr("threads", 1.0);
     GroupTotals& g =
         r.groups[threads >= 1.0 ? static_cast<unsigned>(threads) : 1u];
     g.wallSeconds += wall;
     g.events += events;
-    r.ok = true;
   }
-  if (!r.ok) {
-    const auto totalPos = text.find("\"total\"");
-    if (totalPos == std::string::npos) return r;
-    const double wall =
-        fieldAfter(text, totalPos, text.size(), "\"wall_seconds\"");
-    const double events = fieldAfter(text, totalPos, text.size(), "\"events\"");
-    if (wall < 0.0 || events < 0.0) return r;
-    r.groups[1] = GroupTotals{wall, events};
-    r.ok = true;
-  }
+  r.ok = true;
   return r;
 }
 

@@ -37,16 +37,14 @@ const std::vector<RuleInfo> kRules = {
      "armed in Release and dump the flight recorder on failure."},
     {"wall-clock", "determinism",
      "host clocks / libc randomness in src/ or bench/ (allowlist: "
-     "src/obs/runtimeprof.*, bench/common.*)",
+     "bench/common.*)",
      "Simulated time comes from the Scheduler and randomness from the\n"
      "seeded SplitMix/xoshiro RNG streams; rand(), random_device, or any\n"
      "host clock makes runs irreproducible and breaks the byte-identity\n"
-     "gates every figure bench is held to. Two files are allowlisted by\n"
-     "path (a scoped rule option, not srclint:allow markers): the runtime\n"
-     "execution profiler (src/obs/runtimeprof.*), which measures real\n"
-     "worker wall time by definition and never feeds it back into\n"
-     "simulated time, and bench/common.*, which owns the one sanctioned\n"
-     "harness stopwatch (bench::WallTimer) that every harness times with."},
+     "gates every figure bench is held to. One path is allowlisted (a\n"
+     "scoped rule option, not srclint:allow markers): bench/common.*,\n"
+     "which owns the one sanctioned harness stopwatch (bench::WallTimer)\n"
+     "that every harness, and the --threads prefetch profile, times with."},
     {"ternary-co-await", "coroutine-lifetime",
      "co_await in a temporary-lifetime operand position (?: branch, "
      "range-for range)",
@@ -136,17 +134,6 @@ const std::vector<RuleInfo> kRules = {
      "a determinism leak once concurrent SimStacks share it. Keep the state\n"
      "per stack (in the Scheduler or the layer object), or behind an\n"
      "explicitly synchronized registry."},
-    {"manifest-stamp", "provenance",
-     "\".manifest.json\" spelled outside the shared stamping helper "
-     "(allowlist: src/obs/runstore.*)",
-     "Every obs artifact's `<file>.manifest.json` sidecar is written by\n"
-     "obs::writeArtifactManifest (src/obs/runstore.cpp), which stamps the\n"
-     "schema version, git revision, and config hash that make artifacts\n"
-     "addressable from the campaign ledger. A layer that assembles the\n"
-     "sidecar path itself will drift from the manifest schema the readers\n"
-     "gate on (trace_report rejects unknown manifest versions with exit\n"
-     "2) and will miss the provenance fields, so the literal suffix in\n"
-     "src/ or bench/ is a finding outside the helper's own files."},
     {"allow-needs-justification", "meta",
      "srclint:allow without a justification",
      "Every suppression documents why it is safe:\n"
@@ -187,22 +174,10 @@ const std::set<std::string> kWallClockIdents = {
     "timespec_get",
 };
 
-/// The wall-clock rule's scoped carve-out: paths whose *purpose* is
-/// real-time measurement. The runtime profiler times worker threads with
-/// the host clock by definition, and bench/common owns the one sanctioned
-/// harness stopwatch (WallTimer). Matched as path substrings so the
-/// fixture trees under tests/tools/fixtures exercise the same logic.
-constexpr const char* kWallClockAllowedPaths[] = {
-    "src/obs/runtimeprof.",
-    "bench/common.",
-};
-
-/// The manifest-stamp rule's carve-out: the shared stamping helper itself
-/// (obs::writeArtifactManifest and its header docs) is the one sanctioned
-/// place in src/ or bench/ that spells the sidecar suffix.
-constexpr const char* kManifestStampAllowedPaths[] = {
-    "src/obs/runstore.",
-};
+/// The wall-clock rule's scoped carve-out: bench/common owns the one
+/// sanctioned harness stopwatch (WallTimer). Matched as a path substring so
+/// the fixture trees under tests/tools/fixtures exercise the same logic.
+constexpr const char* kWallClockAllowedPath = "bench/common.";
 
 /// Per-file rule context: effective allow map and a findings sink that
 /// consults it.
@@ -303,13 +278,6 @@ void tokenRules(FileCtx& ctx) {
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
-    if (t.kind == Tok::kString && (f.inSrc || f.inBench) &&
-        !f.manifestStampAllowed &&
-        t.text.find("manifest.json") != std::string::npos)
-      ctx.report(t.line, "manifest-stamp",
-                 "\".manifest.json\" sidecars are written only by "
-                 "obs::writeArtifactManifest (src/obs/runstore.hpp), which "
-                 "stamps the schema version, git revision, and config hash");
     if (t.kind != Tok::kIdent) continue;
     const Token* prev = i > 0 ? &toks[i - 1] : nullptr;
     const Token* next = i + 1 < toks.size() ? &toks[i + 1] : nullptr;
@@ -612,8 +580,8 @@ void coroSpawnDanglingRule(FileCtx& ctx) {
 
 const std::set<std::string> kOrderedSinkIdents = {
     "printf", "fprintf", "sprintf",  "snprintf",      "puts",
-    "fputs",  "fwrite",  "appendf",  "appendNum",     "csvField",
-    "emit",   "counterSample",
+    "fputs",  "fwrite",  "appendf",  "appendNum",     "emit",
+    "counterSample",
 };
 const std::set<std::string> kStreamIdents = {"cout", "cerr", "clog", "os",
                                              "out"};
@@ -930,10 +898,7 @@ AnalyzedFile analyze(LexedFile lexed) {
   const std::string& name = f.lex.path;
   f.inSrc = name.find("src/") != std::string::npos;
   f.inBench = name.find("bench/") != std::string::npos;
-  for (const char* allowed : kWallClockAllowedPaths)
-    if (name.find(allowed) != std::string::npos) f.wallClockAllowed = true;
-  for (const char* allowed : kManifestStampAllowedPaths)
-    if (name.find(allowed) != std::string::npos) f.manifestStampAllowed = true;
+  f.wallClockAllowed = name.find(kWallClockAllowedPath) != std::string::npos;
   f.inSimcore = name.find("src/simcore/") != std::string::npos;
   f.inNetsim = name.find("src/netsim/") != std::string::npos;
   f.inObs = name.find("src/obs/") != std::string::npos;

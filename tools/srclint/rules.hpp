@@ -43,15 +43,11 @@ struct AnalyzedFile {
   ScopeModel scopes;
   bool inSrc = false;
   bool inBench = false;
-  /// Path is on the wall-clock rule's built-in allowlist (the two sanctioned
-  /// real-time sites: src/obs/runtimeprof.* and bench/common.*). A scoped
-  /// rule option instead of scattering srclint:allow markers through files
-  /// whose whole purpose is wall-clock measurement.
+  /// Path is on the wall-clock rule's built-in allowlist (bench/common.*,
+  /// the one sanctioned real-time site). A scoped rule option instead of
+  /// scattering srclint:allow markers through a file whose purpose is
+  /// wall-clock measurement.
   bool wallClockAllowed = false;
-  /// Path is the manifest-stamp rule's sanctioned writer
-  /// (src/obs/runstore.*): the one place allowed to spell the
-  /// ".manifest.json" sidecar suffix in src/ or bench/.
-  bool manifestStampAllowed = false;
   bool inSimcore = false;
   bool inNetsim = false;
   bool inObs = false;

@@ -24,9 +24,8 @@
 // {bench, args, rep} object; its ledger key adds the git revision and the
 // artifact schema fingerprint, so re-running an unchanged sweep is all
 // cache hits and a new revision (or a schema bump) re-runs everything.
-// Children inherit BGCKPT_GIT_REV / BGCKPT_CONFIG_HASH so the manifest
-// sidecars they write next to obs artifacts carry the same address as the
-// ledger entry. Child stdout/stderr and the raw perf file land in
+// The revision is --git-rev, else `git rev-parse --short HEAD`, else
+// "unknown". Child stdout/stderr and the raw perf file land in
 // <ledger>/work/<key>.* for debugging; failed runs are NOT stored (the
 // next sweep retries them) and make the driver exit 1.
 //
@@ -218,12 +217,7 @@ void executeConfig(const RunConfig& rc, const bgckpt::obs::RunStore& store,
   const std::string perfPath = work + "/" + rc.key + ".perf.json";
   const std::string outPath = work + "/" + rc.key + ".stdout.txt";
   const std::string errPath = work + "/" + rc.key + ".stderr.txt";
-  std::string cmd = "BGCKPT_GIT_REV=";
-  cmd += shellQuote(gitRev);
-  cmd += " BGCKPT_CONFIG_HASH=";
-  cmd += shellQuote(rc.configHash);
-  cmd += " ";
-  cmd += shellQuote(rc.benchPath);
+  std::string cmd = shellQuote(rc.benchPath);
   for (const std::string& a : rc.args) {
     cmd += " ";
     cmd += shellQuote(a);
@@ -291,9 +285,6 @@ void executeConfig(const RunConfig& rc, const bgckpt::obs::RunStore& store,
 
 std::string resolveGitRev(const char* flagValue) {
   if (flagValue != nullptr && *flagValue != '\0') return flagValue;
-  if (const char* env = std::getenv("BGCKPT_GIT_REV");
-      env != nullptr && *env != '\0')
-    return env;
   std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
   if (p != nullptr) {
     char buf[128];

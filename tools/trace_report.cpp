@@ -5,7 +5,7 @@
 //         trace_report --critpath <run.json> [--diff <other.json>]
 //         trace_report --timeline <telemetry.json> [--diff <other.json>]
 //         trace_report --waterfall <optrace.json> [--req ID | --diff <other>]
-//         trace_report --runtime <runtimeprof.json> [--diff <other.json>]
+//         trace_report --runtime <perf.json> [--diff <other.json>]
 //
 // Default mode reads the event log written alongside a Chrome trace by
 // `<bench> --trace <file>` (the `<file>.jsonl` twin), rebuilds the I/O
@@ -29,10 +29,11 @@
 // the fan-in lineage summary, a p99-localization line, and ASCII hop
 // waterfalls for the retained tail (the N slowest requests) or, with
 // --req ID, for one chosen request; --diff compares the hop-percentile
-// tables of two runs (e.g. rbIO vs coIO). --runtime renders the real-time
-// execution profile written by `<bench> --runtime-profile`:
-// per-parallelFor-point wall times with the serial-fraction /
-// Amdahl-ceiling analysis; --diff compares two profiles point by point.
+// tables of two runs (e.g. rbIO vs coIO). --runtime renders the wall-clock
+// side of the perf record written by `<bench> --perf-json`: each --threads
+// prefetch region's jobs slowest first, with the serial-fraction /
+// Amdahl-ceiling analysis, then the per-point wall table; --diff compares
+// two records point by point.
 //
 // --campaign renders the cross-run ledger a `tools/sweep` run wrote: the
 // per-strategy bandwidth-vs-np table (the fig5 surface re-derived from
@@ -43,9 +44,8 @@
 // against a committed ledger (drift beyond --tolerance fails, exit 1 —
 // the perf_compare contract applied across runs).
 //
-// Both the artifact's "schema" field and its "<file>.manifest.json"
-// sidecar (when present) must match this build's schema versions
-// (manifest v1 and v2 both read), else exit 2.
+// Every JSON artifact a mode reads must carry this build's version in its
+// "schema" field, else exit 2.
 //
 // The JSONL form keeps timestamps in simulated seconds, so nothing here
 // needs to undo the microsecond scaling of the Chrome stream.
@@ -63,10 +63,10 @@
 
 #include "analysis/ascii.hpp"
 #include "obs/attr.hpp"
+#include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/optrace.hpp"
 #include "obs/runstore.hpp"
-#include "obs/runtimeprof.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "profiling/profile.hpp"
@@ -91,7 +91,7 @@ int usage(const char* argv0) {
                " [--width N]\n"
                "       %s --waterfall <optrace.json> [--req ID |"
                " --diff <other.json>]\n"
-               "       %s --runtime <runtimeprof.json> [--diff <other.json>]\n"
+               "       %s --runtime <perf.json> [--diff <other.json>]\n"
                "       %s --campaign <ledger-dir> [--diff <other-dir> |"
                " --baseline <dir> [--tolerance F]]\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0);
@@ -217,12 +217,9 @@ bool loadJsonFile(const char* path, Value* out) {
 }
 
 /// Load one artifact JSON behind the shared schema gate: the document's
-/// "schema" field must be exactly `expectedSchema`, and any
-/// "<path>.manifest.json" sidecar must carry a manifest version this build
-/// reads (v2, and v1 for pre-ledger artifacts). Every gated mode
-/// (--timeline, --waterfall, --runtime, --campaign) funnels through here,
-/// and every failure funnels to the same caller exit-2 path. A missing
-/// manifest is tolerated (hand-built fixtures, moved files).
+/// "schema" field must be exactly `expectedSchema`. Every JSON-artifact
+/// mode (--critpath, --timeline, --waterfall, --runtime) funnels through
+/// here, and every failure funnels to the same caller exit-2 path.
 bool loadGatedArtifact(const char* path, const char* kind,
                        const char* expectedSchema, Value* out) {
   if (!loadJsonFile(path, out)) return false;
@@ -234,22 +231,12 @@ bool loadGatedArtifact(const char* path, const char* kind,
                  path, kind, schema.c_str(), expectedSchema);
     return false;
   }
-  const std::string manifestPath = std::string(path) + ".manifest.json";
-  if (std::ifstream probe(manifestPath); probe) {
-    Value manifest;
-    if (!loadJsonFile(manifestPath.c_str(), &manifest)) return false;
-    const std::string mv = manifest.stringOr("schema_version", "(none)");
-    if (!bgckpt::obs::manifestSchemaSupported(mv)) {
-      std::fprintf(stderr,
-                   "trace_report: %s: manifest schema \"%s\" not supported "
-                   "(this build reads \"%s\" and \"%s\")\n",
-                   manifestPath.c_str(), mv.c_str(),
-                   bgckpt::obs::kManifestSchemaVersion,
-                   bgckpt::obs::kManifestSchemaV1);
-      return false;
-    }
-  }
   return true;
+}
+
+bool loadCritPath(const char* path, Value* out) {
+  return loadGatedArtifact(path, "critpath",
+                           bgckpt::obs::CritPathRecorder::kSchemaVersion, out);
 }
 
 /// Pull "seconds" per bucket name out of a critpath "by_kind"/"by_label"
@@ -270,7 +257,7 @@ std::vector<std::pair<std::string, double>> critBuckets(const Value& doc,
 
 int runCritPathMode(const char* pathA, const char* pathB) {
   Value a;
-  if (!loadJsonFile(pathA, &a)) return 2;
+  if (!loadCritPath(pathA, &a)) return 2;
   std::printf("critical path: %s\n", pathA);
   std::printf("horizon %.3f s, %.0f events recorded, %.0f path steps, "
               "path %.3f s\n",
@@ -289,7 +276,7 @@ int runCritPathMode(const char* pathA, const char* pathB) {
     return 0;
   }
   Value b;
-  if (!loadJsonFile(pathB, &b)) return 2;
+  if (!loadCritPath(pathB, &b)) return 2;
   std::printf("diff against: %s (path %.3f s)\n", pathB,
               b.numberOr("path_seconds", 0));
   for (const char* key : {"by_kind", "by_label"}) {
@@ -337,7 +324,7 @@ struct TimelineDoc {
   std::vector<TimelineSeries> series;
 };
 
-/// Load and validate one `--telemetry` export (schema + manifest gate via
+/// Load and validate one `--telemetry` export (schema gate via
 /// loadGatedArtifact; mismatches are a hard error, exit 2 upstream, so a
 /// stale file never misparses silently).
 bool loadTimeline(const char* path, TimelineDoc* out) {
@@ -739,57 +726,49 @@ int runWaterfallMode(const char* pathA, const char* pathB, long long reqId,
 /// ceiling is sum / max(maxJob, sum/T) — which tends to 1/s as T grows.
 /// Printing the measured speedup next to the ceiling says whether the cap
 /// is the workload (one dominant job) or the scheduler.
-void renderRegion(const Value& rv) {
-  const auto jobs = static_cast<std::size_t>(rv.numberOr("jobs", 0));
+void renderRegion(std::size_t index, const Value& rv) {
   const auto threads = static_cast<unsigned>(rv.numberOr("threads", 1));
-  const double wall = rv.numberOr("wall_ns", 0);
-  const double sum = rv.numberOr("sum_job_ns", 0);
-  const double maxJob = rv.numberOr("max_job_ns", 0);
-  std::printf("\nparallel region %lld: %zu jobs on %u threads, wall %.3f s\n",
-              static_cast<long long>(rv.numberOr("id", 0)), jobs, threads,
-              wall / 1e9);
+  const double wall = rv.numberOr("wall_seconds", 0);
   struct JobRow {
     std::size_t job = 0;
-    unsigned worker = 0;
-    double ns = 0;
+    double seconds = 0;
     std::string label;
   };
   std::vector<JobRow> rows;
-  if (const Value* jd = rv.find("jobs_detail"); jd && jd->isArray()) {
-    for (const Value& jv : *jd->array) {
-      if (!jv.isObject()) continue;
+  double sum = 0, maxJob = 0;
+  if (const Value* jobs = rv.find("jobs"); jobs && jobs->isArray()) {
+    for (const Value& jv : *jobs->array) {
       JobRow r;
-      r.job = static_cast<std::size_t>(jv.numberOr("job", 0));
-      r.worker = static_cast<unsigned>(jv.numberOr("worker", 0));
-      r.ns = jv.numberOr("ns", 0);
-      r.label = jv.stringOr("label", "");
+      r.job = rows.size();
+      r.seconds = jv.numberOr("wall_seconds", 0);
+      r.label = jv.stringOr("label", "?");
+      sum += r.seconds;
+      maxJob = std::max(maxJob, r.seconds);
       rows.push_back(std::move(r));
     }
   }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const JobRow& a, const JobRow& b) { return a.ns > b.ns; });
-  std::printf("%6s %7s %12s %8s  %s\n", "job", "worker", "wall-s", "share",
-              "label");
+  std::printf("\nparallel region %zu: %zu jobs on %u threads, wall %.3f s\n",
+              index, rows.size(), threads, wall);
+  std::stable_sort(rows.begin(), rows.end(), [](const JobRow& a,
+                                                const JobRow& b) {
+    return a.seconds > b.seconds;
+  });
+  std::printf("%6s %12s %8s  %s\n", "job", "wall-s", "share", "label");
   constexpr std::size_t kMaxJobRows = 20;
   for (std::size_t i = 0; i < rows.size() && i < kMaxJobRows; ++i) {
     const JobRow& r = rows[i];
-    std::printf("%6zu %7u %12.3f %7.1f%%  %s\n", r.job, r.worker, r.ns / 1e9,
-                sum > 0 ? r.ns / sum * 100.0 : 0.0,
-                r.label.empty() ? "(unlabelled)" : r.label.c_str());
+    std::printf("%6zu %12.3f %7.1f%%  %s\n", r.job, r.seconds,
+                sum > 0 ? r.seconds / sum * 100.0 : 0.0, r.label.c_str());
   }
   if (rows.size() > kMaxJobRows)
     std::printf("  ... %zu more job(s)\n", rows.size() - kMaxJobRows);
   if (sum > 0 && wall > 0 && threads > 0) {
     const double s = maxJob / sum;
-    const double floorNs =
-        std::max(maxJob, sum / static_cast<double>(threads));
-    const double ceiling = floorNs > 0 ? sum / floorNs : 0.0;
+    const double floor = std::max(maxJob, sum / static_cast<double>(threads));
+    const double ceiling = floor > 0 ? sum / floor : 0.0;
     const double speedup = sum / wall;
-    const char* critLabel = rows.empty() || rows.front().label.empty()
-                                ? "(unlabelled)"
-                                : rows.front().label.c_str();
     std::printf("critical point: %s (%.3f s, %.0f%% of region wall)\n",
-                critLabel, maxJob / 1e9, wall > 0 ? maxJob / wall * 100.0 : 0.0);
+                rows.front().label.c_str(), maxJob, maxJob / wall * 100.0);
     std::printf("parallel efficiency: speedup %.2fx of %u threads (%.1f%%); "
                 "serial fraction %.2f -> Amdahl ceiling %.2fx\n",
                 speedup, threads,
@@ -797,43 +776,41 @@ void renderRegion(const Value& rv) {
   }
 }
 
+/// The "runs" array of a perf record, or nullptr.
+const Value* perfRuns(const Value& doc) {
+  const Value* runs = doc.find("runs");
+  return runs != nullptr && runs->isArray() ? runs : nullptr;
+}
+
 int runRuntimeMode(const char* pathA, const char* pathB) {
-  using bgckpt::obs::kRuntimeProfSchemaVersion;
+  using bgckpt::obs::kPerfSchemaVersion;
   Value a;
-  if (!loadGatedArtifact(pathA, "runtimeprof", kRuntimeProfSchemaVersion, &a))
-    return 2;
+  if (!loadGatedArtifact(pathA, "perf", kPerfSchemaVersion, &a)) return 2;
   std::printf("runtime profile: %s\n", pathA);
   const Value* regionsA = a.find("parallel_regions");
-  const Value* pointsA = a.find("points");
+  const Value* runsA = perfRuns(a);
   const std::size_t nRegions =
       regionsA != nullptr && regionsA->isArray() ? regionsA->array->size() : 0;
-  const std::size_t nPoints =
-      pointsA != nullptr && pointsA->isArray() ? pointsA->array->size() : 0;
-  std::printf("%zu parallel region(s), %zu point record(s)\n", nRegions,
-              nPoints);
+  const std::size_t nRuns = runsA != nullptr ? runsA->array->size() : 0;
+  std::printf("%zu parallel region(s), %zu run record(s)\n", nRegions, nRuns);
 
   if (pathB != nullptr) {
     Value b;
-    if (!loadGatedArtifact(pathB, "runtimeprof", kRuntimeProfSchemaVersion,
-                           &b))
-      return 2;
+    if (!loadGatedArtifact(pathB, "perf", kPerfSchemaVersion, &b)) return 2;
     std::printf("diff against: %s\n", pathB);
     // Point-by-point wall comparison (labels are deterministic, so they
     // line up across runs whatever the thread counts were).
     std::map<std::string, std::pair<double, double>> points;
-    const auto collect = [](const Value& doc, bool first,
-                            std::map<std::string, std::pair<double, double>>&
-                                out) {
-      const Value* arr = doc.find("points");
-      if (arr == nullptr || !arr->isArray()) return;
-      for (const Value& pv : *arr->array) {
-        if (!pv.isObject()) continue;
-        auto& slot = out[pv.stringOr("label", "?")];
-        (first ? slot.first : slot.second) += pv.numberOr("wall_s", 0);
+    const auto collect = [&points](const Value& doc, bool first) {
+      const Value* runs = perfRuns(doc);
+      if (runs == nullptr) return;
+      for (const Value& rv : *runs->array) {
+        auto& slot = points[rv.stringOr("label", "?")];
+        (first ? slot.first : slot.second) += rv.numberOr("wall_seconds", 0);
       }
     };
-    collect(a, true, points);
-    collect(b, false, points);
+    collect(a, true);
+    collect(b, false);
     if (!points.empty()) {
       std::printf("\n%-40s %12s %12s %8s\n", "point", "A wall-s", "B wall-s",
                   "B/A");
@@ -845,18 +822,16 @@ int runRuntimeMode(const char* pathA, const char* pathB) {
     return 0;
   }
 
-  if (nRegions > 0)
-    for (const Value& rv : *regionsA->array)
-      if (rv.isObject()) renderRegion(rv);
-  if (nPoints > 0) {
+  for (std::size_t r = 0; r < nRegions; ++r)
+    renderRegion(r, (*regionsA->array)[r]);
+  if (nRuns > 0) {
     std::printf("\n%-40s %12s %14s %10s\n", "point", "wall-s", "events",
                 "Mev/s");
-    for (const Value& pv : *pointsA->array) {
-      if (!pv.isObject()) continue;
-      const double wall = pv.numberOr("wall_s", 0);
-      const double events = pv.numberOr("events", 0);
+    for (const Value& rv : *runsA->array) {
+      const double wall = rv.numberOr("wall_seconds", 0);
+      const double events = rv.numberOr("events", 0);
       std::printf("%-40s %12.3f %14.0f %10.2f\n",
-                  pv.stringOr("label", "?").c_str(), wall, events,
+                  rv.stringOr("label", "?").c_str(), wall, events,
                   wall > 0 ? events / wall / 1e6 : 0.0);
     }
   }
