@@ -12,6 +12,7 @@
 
 #include "hostio/host_checkpoint.hpp"
 #include "iofmt/file_io.hpp"
+#include "iolib/plan.hpp"
 #include "obs/attr.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -46,7 +47,8 @@ void BM_VerifyCheckpoint(benchmark::State& state) {
   fs.fieldBytesPerRank = 1 << 20;
   fs.fieldNames = {"Ex", "Ey", "Ez", "Hx", "Hy", "Hz"};
   {
-    iofmt::CheckpointWriter writer(hostio::hostCheckpointPath(spec, 0), fs);
+    iofmt::CheckpointWriter writer(
+        iolib::partPath(spec.directory, spec.step, 0), fs);
     std::vector<std::byte> block(fs.fieldBytesPerRank);
     for (std::size_t i = 0; i < block.size(); ++i)
       block[i] = static_cast<std::byte>(i * 31);

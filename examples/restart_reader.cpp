@@ -21,6 +21,7 @@ std::string makeDemoFile() {
   iofmt::FileSpec spec;
   spec.step = 12;
   spec.part = 3;
+  spec.partsInStep = 4;
   spec.ranksInFile = 4;
   spec.firstGlobalRank = 12;
   spec.fieldBytesPerRank = 64 * 1024;

@@ -5,13 +5,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "iofmt/file_io.hpp"
+#include "iolib/plan.hpp"
 
 namespace bgckpt::hostio {
 
@@ -23,45 +27,77 @@ double seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// One rbIO/two-phase handoff: the worker's block plus its trace context,
-/// so the writer can link the block into its aggregate's lineage.
+/// One aggregated handoff: the worker's rank (its blocks are
+/// data[rank]) plus its trace context, so the writer can link the block
+/// into its aggregate's lineage.
 struct Package {
   int rank = 0;
-  const HostRankData* data = nullptr;
   obs::OpTraceContext trace;
 };
 
-/// Simple MPSC handoff queue for rbIO worker -> writer packages.
-class PackageQueue {
+/// One aggregated part: the queue carrying its workers' packages to its
+/// writer (the MPI_Isend analogue), and the latch two-phase workers wait on
+/// until the writer has committed. finish() opens the latch and ends the
+/// queue, after the commit or when a rank of the part failed.
+class PartChannel {
  public:
   void push(Package pkg) {
     {
       std::lock_guard lock(mu_);
       items_.push_back(pkg);
     }
-    cv_.notify_one();
+    ready_.notify_one();
   }
-  Package pop() {
+  /// The next package; nothing once the part is finished and drained.
+  std::optional<Package> pop() {
     std::unique_lock lock(mu_);
-    cv_.wait(lock, [this] { return !items_.empty(); });
+    ready_.wait(lock, [this] { return !items_.empty() || finished_; });
+    if (items_.empty()) return std::nullopt;
     auto item = items_.front();
     items_.pop_front();
     return item;
   }
+  void finish() {
+    {
+      std::lock_guard lock(mu_);
+      finished_ = true;
+    }
+    ready_.notify_all();
+    done_.notify_all();
+  }
+  void awaitFinished() {
+    std::unique_lock lock(mu_);
+    done_.wait(lock, [this] { return finished_; });
+  }
 
  private:
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable ready_;
+  std::condition_variable done_;
   std::deque<Package> items_;
+  bool finished_ = false;
 };
 
-iofmt::FileSpec makeFileSpec(const HostSpec& spec, int part, int ranksInFile,
-                             int firstGlobalRank) {
+/// The plan of a host strategy: two-phase is coIO done the rbIO way, one
+/// aggregator per file.
+iolib::CheckpointPlan makePlan(HostStrategy strategy, int np, int nf) {
+  switch (strategy) {
+    case HostStrategy::k1Pfpp: return {np, iolib::StrategyKind::k1Pfpp, 0, 1};
+    case HostStrategy::kCoIo: return {np, iolib::StrategyKind::kCoIo, nf, 1};
+    case HostStrategy::kCoIoTwoPhase:
+    case HostStrategy::kRbIo: break;
+  }
+  return iolib::CheckpointPlan::writerPerPart(np, nf);
+}
+
+iofmt::FileSpec makeFileSpec(const HostSpec& spec,
+                             const iolib::CheckpointPlan& plan, int part) {
   iofmt::FileSpec fs;
   fs.step = static_cast<std::uint32_t>(spec.step);
   fs.part = static_cast<std::uint32_t>(part);
-  fs.ranksInFile = static_cast<std::uint32_t>(ranksInFile);
-  fs.firstGlobalRank = static_cast<std::uint32_t>(firstGlobalRank);
+  fs.partsInStep = static_cast<std::uint32_t>(plan.numParts());
+  fs.ranksInFile = static_cast<std::uint32_t>(plan.ranksPerPart());
+  fs.firstGlobalRank = static_cast<std::uint32_t>(plan.firstRank(part));
   fs.fieldBytesPerRank = spec.fieldBytesPerRank;
   fs.simTime = spec.simTime;
   fs.iteration = spec.iteration;
@@ -70,14 +106,8 @@ iofmt::FileSpec makeFileSpec(const HostSpec& spec, int part, int ranksInFile,
   return fs;
 }
 
-void validate(const HostSpec& spec, const HostConfig& config,
-              const std::vector<HostRankData>& data) {
-  const int np = static_cast<int>(data.size());
-  if (np == 0) throw std::invalid_argument("no ranks");
+void validate(const HostSpec& spec, const std::vector<HostRankData>& data) {
   if (spec.fieldNames.empty()) throw std::invalid_argument("no fields");
-  if (config.strategy != HostStrategy::k1Pfpp &&
-      (config.nf < 1 || np % config.nf != 0))
-    throw std::invalid_argument("nf must divide np");
   for (const auto& rank : data) {
     if (rank.fields.size() != spec.fieldNames.size())
       throw std::invalid_argument("rank data field count mismatch");
@@ -89,50 +119,35 @@ void validate(const HostSpec& spec, const HostConfig& config,
 
 }  // namespace
 
-std::string hostCheckpointPath(const HostSpec& spec, int part) {
-  return spec.directory + "/s" + std::to_string(spec.step) + ".part" +
-         std::to_string(part);
-}
-
 HostRunResult writeCheckpoint(const HostSpec& spec, const HostConfig& config,
                               const std::vector<HostRankData>& data) {
-  validate(spec, config, data);
+  validate(spec, data);
   const int np = static_cast<int>(data.size());
+  const iolib::CheckpointPlan plan = makePlan(config.strategy, np, config.nf);
   const int numFields = static_cast<int>(spec.fieldNames.size());
-  const int nf = config.strategy == HostStrategy::k1Pfpp ? np : config.nf;
-  const int groupSize = np / nf;
+  const bool aggregated = plan.kind() == iolib::StrategyKind::kRbIo;
 
   HostRunResult result;
   result.perRankSeconds.assign(static_cast<std::size_t>(np), 0.0);
-  for (int part = 0; part < nf; ++part)
-    result.files.push_back(hostCheckpointPath(spec, part));
+  for (int part = 0; part < plan.numParts(); ++part)
+    result.files.push_back(iolib::partPath(spec.directory, spec.step, part));
   std::filesystem::create_directories(spec.directory);
-
-  // Shared writers (one per output file) for the coIO strategy.
-  std::vector<std::unique_ptr<iofmt::CheckpointWriter>> sharedWriters;
-  if (config.strategy == HostStrategy::kCoIo) {
-    for (int part = 0; part < nf; ++part)
-      sharedWriters.push_back(std::make_unique<iofmt::CheckpointWriter>(
-          result.files[static_cast<std::size_t>(part)],
-          makeFileSpec(spec, part, groupSize, part * groupSize)));
-  }
-  // Handoff queues, one per writer/aggregator (= per file).
-  const bool usesQueues = config.strategy == HostStrategy::kRbIo ||
-                          config.strategy == HostStrategy::kCoIoTwoPhase;
-  std::vector<PackageQueue> queues(
-      usesQueues ? static_cast<std::size_t>(nf) : 0);
-  // Per-group completion latches for the two-phase collective semantics.
-  struct GroupDone {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
+  auto openPart = [&](int part) {
+    return std::make_unique<iofmt::CheckpointWriter>(
+        result.files[static_cast<std::size_t>(part)],
+        makeFileSpec(spec, plan, part));
   };
-  std::vector<GroupDone> groupDone(
-      config.strategy == HostStrategy::kCoIoTwoPhase
-          ? static_cast<std::size_t>(nf)
-          : 0);
+
+  // coIO's shared files: opened before the start, closed after the join.
+  std::vector<std::unique_ptr<iofmt::CheckpointWriter>> sharedWriters;
+  if (config.strategy == HostStrategy::kCoIo)
+    for (int part = 0; part < plan.numParts(); ++part)
+      sharedWriters.push_back(openPart(part));
+  std::vector<PartChannel> channels(
+      aggregated ? static_cast<std::size_t>(plan.numParts()) : 0);
 
   std::vector<double> handoff(static_cast<std::size_t>(np), 0.0);
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(np));
   std::barrier gate(np);
   const auto t0 = Clock::now();
 
@@ -144,149 +159,91 @@ HostRunResult writeCheckpoint(const HostSpec& spec, const HostConfig& config,
   const std::uint64_t payloadPerRank =
       static_cast<std::uint64_t>(numFields) * spec.fieldBytesPerRank;
 
+  auto writeBlocks = [&](iofmt::CheckpointWriter& writer, int rank) {
+    for (int f = 0; f < numFields; ++f)
+      writer.writeBlock(f, plan.slotOf(rank),
+                        data[static_cast<std::size_t>(rank)]
+                            .fields[static_cast<std::size_t>(f)]);
+  };
+
+  // 1PFPP and coIO: every rank writes its own blocks, a 1PFPP rank into a
+  // file it creates and closes itself. Returns the bytes committed.
+  auto direct = [&](int rank) -> std::uint64_t {
+    const int part = plan.partOf(rank);
+    if (!sharedWriters.empty()) {
+      writeBlocks(*sharedWriters[static_cast<std::size_t>(part)], rank);
+    } else {
+      const auto writer = openPart(part);
+      writeBlocks(*writer, rank);
+      writer->close();
+    }
+    return payloadPerRank;
+  };
+
+  // rbIO and coIO two-phase: workers hand their blocks to the part's
+  // writer, which alone touches the file. A two-phase worker then blocks
+  // until the part is committed (collective semantics); an rbIO worker is
+  // done. Returns the bytes committed (0 for a worker: the writer's commit
+  // completes its trace).
+  auto aggregate = [&](int rank, const obs::OpTraceContext& otc,
+                       Clock::time_point start) -> std::uint64_t {
+    const int part = plan.partOf(rank);
+    auto& channel = channels[static_cast<std::size_t>(part)];
+    if (!plan.isWriter(rank)) {
+      channel.push(Package{rank, otc});
+      handoff[static_cast<std::size_t>(rank)] = seconds(start, Clock::now());
+      if (otc.live()) {
+        std::lock_guard lock(traceMu);
+        otc.hop(obs::Hop::kHandoffSend, seconds(t0, start),
+                seconds(t0, Clock::now()), payloadPerRank);
+      }
+      if (config.strategy == HostStrategy::kCoIoTwoPhase)
+        channel.awaitFinished();
+      return 0;
+    }
+    const auto writer = openPart(part);
+    writeBlocks(*writer, rank);  // own blocks first, then the group's
+    for (int received = 1; received < plan.groupSize(); ++received) {
+      const auto pkg = channel.pop();
+      if (!pkg) return 0;  // a worker failed and reports it
+      writeBlocks(*writer, pkg->rank);
+      if (otc.live()) {
+        std::lock_guard lock(traceMu);
+        otc.link(pkg->trace);
+      }
+    }
+    writer->close();
+    channel.finish();
+    return payloadPerRank * static_cast<std::uint64_t>(plan.groupSize());
+  };
+
   auto rankBody = [&](int rank) {
     gate.arrive_and_wait();  // coordinated checkpoint start
     const auto start = Clock::now();
-    const int group = rank / groupSize;
-    obs::OpTraceContext otc;
-    if (config.tracer != nullptr) {
-      std::lock_guard lock(traceMu);
-      // srclint:allow(optrace-mint): hostio is a strategy-level backend; its rank writes originate here
-      otc = obs::mintOpTrace(config.tracer, rank, "host",
-                             static_cast<std::uint64_t>(rank) * payloadPerRank,
-                             payloadPerRank, seconds(t0, start));
-    }
-    switch (config.strategy) {
-      case HostStrategy::k1Pfpp: {
-        iofmt::CheckpointWriter writer(
-            result.files[static_cast<std::size_t>(rank)],
-            makeFileSpec(spec, rank, 1, rank));
-        for (int f = 0; f < numFields; ++f)
-          writer.writeBlock(f, 0,
-                            data[static_cast<std::size_t>(rank)]
-                                .fields[static_cast<std::size_t>(f)]);
-        writer.close();
-        if (otc.live()) {
-          std::lock_guard lock(traceMu);
-          const double end = seconds(t0, Clock::now());
-          otc.hop(obs::Hop::kHostWrite, seconds(t0, start), end,
-                  payloadPerRank);
-          otc.complete(end);
-        }
-        break;
+    try {
+      obs::OpTraceContext otc;
+      if (config.tracer != nullptr) {
+        std::lock_guard lock(traceMu);
+        // srclint:allow(optrace-mint): hostio is a strategy-level backend; its rank writes originate here
+        otc = obs::mintOpTrace(
+            config.tracer, rank, "host",
+            static_cast<std::uint64_t>(rank) * payloadPerRank,
+            payloadPerRank, seconds(t0, start));
       }
-      case HostStrategy::kCoIo: {
-        auto& writer = *sharedWriters[static_cast<std::size_t>(group)];
-        const int local = rank % groupSize;
-        for (int f = 0; f < numFields; ++f)
-          writer.writeBlock(f, local,
-                            data[static_cast<std::size_t>(rank)]
-                                .fields[static_cast<std::size_t>(f)]);
-        if (otc.live()) {
-          std::lock_guard lock(traceMu);
-          const double end = seconds(t0, Clock::now());
-          otc.hop(obs::Hop::kHostWrite, seconds(t0, start), end,
-                  payloadPerRank);
-          otc.complete(end);
-        }
-        break;
+      const std::uint64_t committed =
+          aggregated ? aggregate(rank, otc, start) : direct(rank);
+      if (committed > 0 && otc.live()) {
+        std::lock_guard lock(traceMu);
+        const double end = seconds(t0, Clock::now());
+        otc.hop(obs::Hop::kHostWrite, seconds(t0, start), end, committed);
+        otc.complete(end);
       }
-      case HostStrategy::kCoIoTwoPhase: {
-        const bool isAggregator = rank % groupSize == 0;
-        if (!isAggregator) {
-          queues[static_cast<std::size_t>(group)].push(
-              Package{rank, &data[static_cast<std::size_t>(rank)], otc});
-          if (otc.live()) {
-            std::lock_guard lock(traceMu);
-            otc.hop(obs::Hop::kHandoffSend, seconds(t0, start),
-                    seconds(t0, Clock::now()), payloadPerRank);
-          }
-          // Collective: block until the group's file is on disk. The
-          // aggregator cascade-completes this rank's trace at commit.
-          auto& gd = groupDone[static_cast<std::size_t>(group)];
-          std::unique_lock lock(gd.mu);
-          gd.cv.wait(lock, [&gd] { return gd.done; });
-          break;
-        }
-        iofmt::CheckpointWriter writer(
-            result.files[static_cast<std::size_t>(group)],
-            makeFileSpec(spec, group, groupSize, group * groupSize));
-        for (int f = 0; f < numFields; ++f)
-          writer.writeBlock(f, 0,
-                            data[static_cast<std::size_t>(rank)]
-                                .fields[static_cast<std::size_t>(f)]);
-        for (int received = 1; received < groupSize; ++received) {
-          auto pkg = queues[static_cast<std::size_t>(group)].pop();
-          const int local = pkg.rank % groupSize;
-          for (int f = 0; f < numFields; ++f)
-            writer.writeBlock(f, local,
-                              pkg.data->fields[static_cast<std::size_t>(f)]);
-          if (otc.live()) {
-            std::lock_guard lock(traceMu);
-            otc.link(pkg.trace);
-          }
-        }
-        writer.close();
-        if (otc.live()) {
-          std::lock_guard lock(traceMu);
-          const double end = seconds(t0, Clock::now());
-          otc.hop(obs::Hop::kHostWrite, seconds(t0, start), end,
-                  payloadPerRank * static_cast<std::uint64_t>(groupSize));
-          otc.complete(end);
-        }
-        {
-          auto& gd = groupDone[static_cast<std::size_t>(group)];
-          std::lock_guard lock(gd.mu);
-          gd.done = true;
-        }
-        groupDone[static_cast<std::size_t>(group)].cv.notify_all();
-        break;
-      }
-      case HostStrategy::kRbIo: {
-        const bool isWriter = rank % groupSize == 0;
-        if (!isWriter) {
-          queues[static_cast<std::size_t>(group)].push(
-              Package{rank, &data[static_cast<std::size_t>(rank)], otc});
-          handoff[static_cast<std::size_t>(rank)] =
-              seconds(start, Clock::now());
-          if (otc.live()) {
-            std::lock_guard lock(traceMu);
-            // Perceived cost only; the block's journey ends when the
-            // writer's aggregate commit cascade-completes it.
-            otc.hop(obs::Hop::kHandoffSend, seconds(t0, start),
-                    seconds(t0, Clock::now()), payloadPerRank);
-          }
-          break;  // the worker is done: reduced blocking
-        }
-        iofmt::CheckpointWriter writer(
-            result.files[static_cast<std::size_t>(group)],
-            makeFileSpec(spec, group, groupSize, group * groupSize));
-        // Own blocks first, then drain the group's packages.
-        for (int f = 0; f < numFields; ++f)
-          writer.writeBlock(f, 0,
-                            data[static_cast<std::size_t>(rank)]
-                                .fields[static_cast<std::size_t>(f)]);
-        for (int received = 1; received < groupSize; ++received) {
-          auto pkg = queues[static_cast<std::size_t>(group)].pop();
-          const int local = pkg.rank % groupSize;
-          for (int f = 0; f < numFields; ++f)
-            writer.writeBlock(f, local,
-                              pkg.data->fields[static_cast<std::size_t>(f)]);
-          if (otc.live()) {
-            std::lock_guard lock(traceMu);
-            otc.link(pkg.trace);
-          }
-        }
-        writer.close();
-        if (otc.live()) {
-          std::lock_guard lock(traceMu);
-          const double end = seconds(t0, Clock::now());
-          otc.hop(obs::Hop::kHostWrite, seconds(t0, start), end,
-                  payloadPerRank * static_cast<std::uint64_t>(groupSize));
-          otc.complete(end);
-        }
-        break;
-      }
+    } catch (...) {
+      errors[static_cast<std::size_t>(rank)] = std::current_exception();
+      // Release whoever waits behind this rank: its part's writer or
+      // two-phase workers.
+      if (aggregated)
+        channels[static_cast<std::size_t>(plan.partOf(rank))].finish();
     }
     result.perRankSeconds[static_cast<std::size_t>(rank)] =
         seconds(start, Clock::now());
@@ -294,28 +251,39 @@ HostRunResult writeCheckpoint(const HostSpec& spec, const HostConfig& config,
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(np));
-  for (int r = 0; r < np; ++r) threads.emplace_back(rankBody, r);
+  for (int r = 0; r < np; ++r) {
+    try {
+      threads.emplace_back(rankBody, r);
+    } catch (const std::system_error&) {
+      // The host refused a thread: that rank fails, and nobody waits on it.
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      gate.arrive_and_drop();
+      if (aggregated)
+        channels[static_cast<std::size_t>(plan.partOf(r))].finish();
+    }
+  }
   for (auto& t : threads) t.join();
+  // Every thread has joined; the lowest failing rank's error wins, as in
+  // sim::parallelFor.
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
 
   // coIO shared files close after all ranks contributed.
   for (auto& writer : sharedWriters) writer->close();
 
   result.wallSeconds = seconds(t0, Clock::now());
-  const double payload = static_cast<double>(np) * numFields *
-                         static_cast<double>(spec.fieldBytesPerRank);
-  result.bandwidth = payload / result.wallSeconds;
+  result.bandwidth =
+      static_cast<double>(np) * static_cast<double>(payloadPerRank) /
+      result.wallSeconds;
   if (config.strategy == HostStrategy::kRbIo) {
-    double maxHandoff = 0, workerBytes = 0;
-    for (int r = 0; r < np; ++r)
-      if (r % groupSize != 0) {
-        maxHandoff = std::max(maxHandoff,
-                              handoff[static_cast<std::size_t>(r)]);
-        workerBytes += static_cast<double>(numFields) *
-                       static_cast<double>(spec.fieldBytesPerRank);
-      }
-    result.maxHandoffSeconds = maxHandoff;
-    result.perceivedBandwidth =
-        maxHandoff > 0 ? workerBytes / maxHandoff : 0;
+    // Writers hand nothing off: their entries stay 0.
+    result.maxHandoffSeconds =
+        *std::max_element(handoff.begin(), handoff.end());
+    const double workerBytes = static_cast<double>(np - plan.numWriters()) *
+                               static_cast<double>(payloadPerRank);
+    result.perceivedBandwidth = result.maxHandoffSeconds > 0
+                                    ? workerBytes / result.maxHandoffSeconds
+                                    : 0;
   }
   return result;
 }
@@ -324,7 +292,7 @@ std::vector<HostRankData> readCheckpoint(HostSpec& spec, int np) {
   std::vector<HostRankData> data(static_cast<std::size_t>(np));
   int ranksSeen = 0;
   for (int part = 0; ranksSeen < np; ++part) {
-    const std::string path = hostCheckpointPath(spec, part);
+    const auto path = iolib::partPath(spec.directory, spec.step, part);
     if (!std::filesystem::exists(path))
       throw std::runtime_error("missing checkpoint part: " + path);
     iofmt::CheckpointReader reader(path);
@@ -351,13 +319,23 @@ std::vector<HostRankData> readCheckpoint(HostSpec& spec, int np) {
 }
 
 bool verifyCheckpoint(const HostSpec& spec) {
-  std::vector<std::string> parts;
-  for (int part = 0;; ++part) {
-    auto path = hostCheckpointPath(spec, part);
-    if (!std::filesystem::exists(path)) break;
-    parts.push_back(std::move(path));
+  // Part 0's master header names the step's part count: exactly that many
+  // parts must exist, and each must verify.
+  std::uint32_t parts = 0;
+  try {
+    parts = iofmt::CheckpointReader(
+                iolib::partPath(spec.directory, spec.step, 0))
+                .spec()
+                .partsInStep;
+  } catch (const std::runtime_error&) {
+    return false;  // missing, truncated or corrupt
   }
-  return !parts.empty() && iofmt::verifyFiles(parts);
+  std::vector<std::string> paths;
+  for (int part = 0; part < static_cast<int>(parts); ++part)
+    paths.push_back(iolib::partPath(spec.directory, spec.step, part));
+  return !std::filesystem::exists(iolib::partPath(
+             spec.directory, spec.step, static_cast<int>(parts))) &&
+         iofmt::verifyFiles(paths);
 }
 
 }  // namespace bgckpt::hostio

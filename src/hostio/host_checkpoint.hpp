@@ -1,22 +1,23 @@
-// Host-scale checkpointing: the paper's three strategies on real threads
-// and real files.
+// Host-scale checkpointing: the paper's strategies on real threads and real
+// files.
 //
 // This backend keeps the algorithms honest at laptop scale: N ranks are N
 // threads, files are real files in the iofmt container format, and the
-// strategies move real bytes:
+// strategies move real bytes. It executes the same iolib::CheckpointPlan as
+// the simulated backend, with two bodies:
 //
-//   1PFPP  every thread creates and writes its own single-rank file;
-//   coIO   threads in a group write their blocks concurrently into one
-//          shared file at collective-layout offsets;
-//   coIO two-phase: the group's blocks funnel through one aggregator
-//          thread that commits them, and — unlike rbIO — every rank blocks
-//          until its group's file is complete (collective semantics);
-//   rbIO   workers hand their data to the group's writer thread through a
-//          queue (the MPI_Isend analogue — measured as "perceived" time)
-//          and the writer alone touches the filesystem.
+//   direct     1PFPP (every thread creates and writes its own file) and
+//              coIO (a group's threads write their blocks concurrently into
+//              one shared file at collective-layout offsets);
+//   aggregated rbIO (workers hand their data to the part's writer thread
+//              through a queue, the MPI_Isend analogue measured as
+//              "perceived" time) and coIO two-phase (the same funnel,
+//              standing in for ROMIO aggregation: every rank also blocks
+//              until its group's file is complete).
 //
-// readCheckpoint() reassembles per-rank state from any strategy's files,
-// so a run checkpointed with one strategy restarts under any other.
+// Host rbIO always has one writer per file. readCheckpoint() reassembles
+// per-rank state from any strategy's files, so a run checkpointed with one
+// strategy restarts under any other.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,8 @@ enum class HostStrategy { k1Pfpp, kCoIo, kCoIoTwoPhase, kRbIo };
 
 struct HostConfig {
   HostStrategy strategy = HostStrategy::kRbIo;
-  /// Output files (1PFPP ignores this; rbIO uses one writer per file).
+  /// Output files: must divide np. 1PFPP ignores this; rbIO and two-phase
+  /// use one writer per file.
   int nf = 1;
   /// Optional per-request causal tracing (obs/optrace.hpp): each rank's
   /// host write mints a context and records kHostWrite / handoff hops,
@@ -65,10 +67,10 @@ struct HostRunResult {
   std::vector<std::string> files;
 };
 
-/// Path of part `part` of step `spec.step` (same scheme as the simulator).
-std::string hostCheckpointPath(const HostSpec& spec, int part);
-
-/// Write one coordinated checkpoint of `data` (size = np ranks).
+/// Write one coordinated checkpoint of `data` (size = np ranks). Throws
+/// std::invalid_argument for a bad configuration, and rethrows the lowest
+/// failing rank's error (e.g. a part file that cannot be created) after
+/// every thread has finished.
 HostRunResult writeCheckpoint(const HostSpec& spec, const HostConfig& config,
                               const std::vector<HostRankData>& data);
 
@@ -77,8 +79,9 @@ HostRunResult writeCheckpoint(const HostSpec& spec, const HostConfig& config,
 std::vector<HostRankData> readCheckpoint(HostSpec& spec, int np);
 
 /// Verify every part file's checksums, all parts' sections concurrently
-/// (iofmt::verifyFiles). False when no part exists or any part is
-/// truncated or corrupt; never throws for damaged files.
+/// (iofmt::verifyFiles). False unless exactly the part count recorded in
+/// part 0's master header exists and every part verifies; never throws for
+/// missing, truncated or corrupt files.
 bool verifyCheckpoint(const HostSpec& spec);
 
 }  // namespace bgckpt::hostio

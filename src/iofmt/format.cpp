@@ -17,6 +17,7 @@ constexpr std::size_t kOffPart = 20;
 constexpr std::size_t kOffRanks = 24;
 constexpr std::size_t kOffFirstRank = 28;
 constexpr std::size_t kOffNumFields = 32;
+constexpr std::size_t kOffPartsInStep = 36;
 constexpr std::size_t kOffFieldBytes = 40;
 constexpr std::size_t kOffSimTime = 48;
 constexpr std::size_t kOffIteration = 56;
@@ -150,6 +151,7 @@ std::vector<std::byte> encodeMasterHeader(const FileSpec& spec) {
   putU32(out, kOffRanks, spec.ranksInFile);
   putU32(out, kOffFirstRank, spec.firstGlobalRank);
   putU32(out, kOffNumFields, spec.numFields());
+  putU32(out, kOffPartsInStep, spec.partsInStep);
   putU64(out, kOffFieldBytes, spec.fieldBytesPerRank);
   putF64(out, kOffSimTime, spec.simTime);
   putU64(out, kOffIteration, spec.iteration);
@@ -192,6 +194,7 @@ FileSpec decodeMasterHeader(std::span<const std::byte> bytes) {
   spec.part = getU32(bytes, kOffPart);
   spec.ranksInFile = getU32(bytes, kOffRanks);
   spec.firstGlobalRank = getU32(bytes, kOffFirstRank);
+  spec.partsInStep = getU32(bytes, kOffPartsInStep);
   const std::uint32_t numFields = getU32(bytes, kOffNumFields);
   if (numFields == 0 || numFields > kMaxFields)
     throw std::runtime_error("corrupt field count");

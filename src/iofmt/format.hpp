@@ -2,7 +2,8 @@
 //
 // A vtk-legacy-inspired, self-describing container matching Section III-B:
 // every file has a fixed-size master header (magic, version, application
-// name, step/part identity, field list, offset table) followed by
+// name, step/part identity and the step's part count, field list, offset
+// table) followed by
 // field-major data sections, each with its own section header (field name,
 // size, checksum). Files written on any platform read back on any other:
 // all integers are little-endian on disk.
@@ -28,7 +29,8 @@
 namespace bgckpt::iofmt {
 
 inline constexpr std::uint64_t kMagic = 0x4e434b50434b5054ull;  // "NCKPCKPT"
-inline constexpr std::uint32_t kVersion = 1;
+/// 2: the master header records the step's part count (partsInStep).
+inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::uint64_t kMasterHeaderBytes = 4096;
 inline constexpr std::uint64_t kSectionHeaderBytes = 64;
 inline constexpr std::size_t kMaxFields = 64;
@@ -38,6 +40,7 @@ inline constexpr std::size_t kFieldNameBytes = 24;
 struct FileSpec {
   std::uint32_t step = 0;            ///< checkpoint step index
   std::uint32_t part = 0;            ///< file index within the step
+  std::uint32_t partsInStep = 1;     ///< files the step was written as
   std::uint32_t ranksInFile = 1;     ///< ranks whose state this file holds
   std::uint32_t firstGlobalRank = 0; ///< global rank of local rank 0
   std::uint64_t fieldBytesPerRank = 0;

@@ -2,11 +2,6 @@
 
 namespace bgckpt::iolib {
 
-std::string checkpointPath(const CheckpointSpec& spec, int part) {
-  return spec.directory + "/s" + std::to_string(spec.step) + ".part" +
-         std::to_string(part);
-}
-
 std::vector<std::byte> makeRankPayload(const CheckpointSpec& spec,
                                        int globalRank) {
   std::vector<std::byte> out;

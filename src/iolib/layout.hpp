@@ -21,10 +21,6 @@ class GroupFileLayout {
   GroupFileLayout(CheckpointSpec spec, int groupSize)
       : spec_(std::move(spec)), groupSize_(groupSize) {}
 
-  int groupSize() const { return groupSize_; }
-  sim::Bytes headerBytes() const { return spec_.headerBytes; }
-  sim::Bytes fieldBytes() const { return spec_.fieldBytesPerRank; }
-
   /// Offset of `rankInGroup`'s block of `field` within the file.
   std::uint64_t fieldOffset(int field, int rankInGroup) const {
     return spec_.headerBytes +
@@ -51,9 +47,6 @@ class GroupFileLayout {
   CheckpointSpec spec_;
   int groupSize_;
 };
-
-/// Output file path for part `part` of step `spec.step`.
-std::string checkpointPath(const CheckpointSpec& spec, int part);
 
 /// Deterministic content byte for (rank, field, index) — lets every
 /// strategy generate identical logical data so file images can be compared

@@ -1,6 +1,5 @@
 #include "iolib/multilevel.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -91,16 +90,11 @@ MultilevelResult runMultilevelCheckpoint(SimStack& stack,
   for (int n = 0; n < stack.mach.numNodes(); ++n)
     ls.ramDisk.push_back(std::make_unique<sim::Resource>(stack.sched, 1, "ram-disk"));
 
-  stack.rt.spawnAll([&ls](Comm world) -> Task<> {
-    co_await localCheckpointRank(world, ls);
-  });
-  stack.sched.run();
-  if (stack.sched.liveRoots() != 0)
-    throw std::runtime_error("multilevel local pass deadlocked");
-
   MultilevelResult result;
-  result.localMakespan =
-      *std::max_element(ls.perRank.begin(), ls.perRank.end());
+  result.localMakespan = runRanks(
+      stack, "multilevel local pass",
+      [&ls](Comm world) { return localCheckpointRank(world, ls); },
+      ls.perRank);
 
   // Level 2: the periodic PFS drain with the configured paper strategy.
   CheckpointSpec pfsSpec = spec;

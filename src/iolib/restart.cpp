@@ -1,6 +1,5 @@
 #include "iolib/restart.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "iolib/layout.hpp"
@@ -17,6 +16,7 @@ constexpr int kScatterTag = 88;
 struct RestartState {
   CheckpointSpec spec;
   RestartConfig cfg;
+  CheckpointPlan plan;
   SimStack* stack = nullptr;
   std::vector<double> perRank;
 };
@@ -25,41 +25,43 @@ Task<> directRead(Comm world, RestartState& st) {
   auto& fsys = st.stack->fsys;
   const int rank = world.rank();
   const int client = world.globalRank(rank);
-  const int part = rank / st.cfg.groupSize;
-  const int local = rank % st.cfg.groupSize;
-  GroupFileLayout layout(st.spec, st.cfg.groupSize);
+  const int slot = st.plan.slotOf(rank);
+  GroupFileLayout layout(st.spec, st.plan.ranksPerPart());
 
-  auto fh = co_await fsys.open(client, checkpointPath(st.spec, part));
+  auto fh = co_await fsys.open(
+      client, partPath(st.spec.directory, st.spec.step, st.plan.partOf(rank)));
   // Header (every reader needs the offset table), then its field blocks.
   co_await fsys.read(client, fh, 0, st.spec.headerBytes);
   for (int f = 0; f < st.spec.numFields; ++f)
-    co_await fsys.read(client, fh, layout.fieldOffset(f, local),
+    co_await fsys.read(client, fh, layout.fieldOffset(f, slot),
                        st.spec.fieldBytesPerRank);
   co_await fsys.close(client, fh);
 }
 
+// A part's leader is the plan's writer of its one group.
 Task<> leaderScatter(Comm world, RestartState& st) {
   auto& fsys = st.stack->fsys;
   const int rank = world.rank();
-  const int g = st.cfg.groupSize;
-  const int part = rank / g;
-  const bool isLeader = rank % g == 0;
-  GroupFileLayout layout(st.spec, g);
 
-  if (isLeader) {
+  if (st.plan.isWriter(rank)) {
     const int client = world.globalRank(rank);
-    auto fh = co_await fsys.open(client, checkpointPath(st.spec, part));
-    co_await fsys.read(client, fh, 0, layout.fileBytes());  // sequential
+    const sim::Bytes fileBytes =
+        GroupFileLayout(st.spec, st.plan.ranksPerPart()).fileBytes();
+    auto fh = co_await fsys.open(
+        client,
+        partPath(st.spec.directory, st.spec.step, st.plan.partOf(rank)));
+    co_await fsys.read(client, fh, 0, fileBytes);  // sequential
     co_await fsys.close(client, fh);
-    // Scatter each member's package over the torus.
-    for (int member = 1; member < g; ++member) {
-      mpi::Request req = co_await world.isend(
-          part * g + member, kScatterTag,
-          mpi::Message::ofSize(st.spec.bytesPerRank()));
+    // Scatter each other member's package over the torus.
+    for (int member : st.plan.groupOf(rank)) {
+      if (member == rank) continue;
+      mpi::Request req =
+          co_await world.isend(member, kScatterTag,
+                               mpi::Message::ofSize(st.spec.bytesPerRank()));
       (void)req;  // receivers bound completion
     }
   } else {
-    co_await world.recv(part * g, kScatterTag);
+    co_await world.recv(st.plan.writerOf(rank), kScatterTag);
   }
 }
 
@@ -79,32 +81,24 @@ Task<> rankProgram(Comm world, RestartState& st) {
 RestartResult runRestart(SimStack& stack, const CheckpointSpec& spec,
                          const RestartConfig& cfg) {
   const int np = stack.rt.numRanks();
-  if (cfg.groupSize < 1 || np % cfg.groupSize != 0)
-    throw std::invalid_argument("restart: groupSize must divide np");
-  const int parts = np / cfg.groupSize;
-  for (int part = 0; part < parts; ++part)
-    if (!stack.fsys.image().exists(checkpointPath(spec, part)))
-      throw std::runtime_error("restart: missing checkpoint part " +
-                               checkpointPath(spec, part));
-
-  RestartState st;
-  st.spec = spec;
-  st.cfg = cfg;
-  st.stack = &stack;
-  st.perRank.assign(static_cast<std::size_t>(np), 0.0);
-
-  stack.rt.spawnAll(
-      [&st](Comm world) -> Task<> { co_await rankProgram(world, st); });
-  stack.sched.run();
-  if (stack.sched.liveRoots() != 0)
-    throw std::runtime_error("restart run deadlocked");
+  // Parts of cfg.groupSize ranks, each with one leader: rbIO's nf=ng shape.
+  RestartState st{spec, cfg,
+                  CheckpointPlan(np, StrategyKind::kRbIo, 0, cfg.groupSize),
+                  &stack, std::vector<double>(static_cast<std::size_t>(np))};
+  for (int part = 0; part < st.plan.numParts(); ++part) {
+    const auto path = partPath(spec.directory, spec.step, part);
+    if (!stack.fsys.image().exists(path))
+      throw std::runtime_error("restart: missing checkpoint part " + path);
+  }
 
   RestartResult result;
+  result.makespan = runRanks(
+      stack, "restart run",
+      [&st](Comm world) { return rankProgram(world, st); }, st.perRank);
   result.perRankTime = st.perRank;
-  result.makespan = *std::max_element(st.perRank.begin(), st.perRank.end());
   result.logicalBytes =
       static_cast<sim::Bytes>(np) * spec.bytesPerRank() +
-      static_cast<sim::Bytes>(parts) * spec.headerBytes;
+      static_cast<sim::Bytes>(st.plan.numParts()) * spec.headerBytes;
   result.bandwidth =
       static_cast<double>(result.logicalBytes) / result.makespan;
   return result;

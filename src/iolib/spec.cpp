@@ -12,15 +12,6 @@ CheckpointSpec CheckpointSpec::nekcemWeakScaling(int np) {
   return spec;
 }
 
-const char* strategyName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::k1Pfpp: return "1PFPP";
-    case StrategyKind::kCoIo: return "coIO";
-    case StrategyKind::kRbIo: return "rbIO";
-  }
-  return "?";
-}
-
 std::string StrategyConfig::describe() const {
   std::string s = strategyName(kind);
   switch (kind) {

@@ -3,20 +3,15 @@
 // A checkpoint step writes every rank's local solver state — `numFields`
 // equally-sized data blocks per rank (NekCEM: Ex,Ey,Ez,Hx,Hy,Hz plus grid
 // coordinates and cell data) — into `nf` output files with a vtk-legacy
-// style master header per file. The three strategies of the paper differ in
-// *who* moves the bytes:
-//
-//   1PFPP  every rank creates and writes its own POSIX file (nf == np);
-//   coIO   all ranks call MPI-IO collective writes, split into nf groups;
-//   rbIO   each group's dedicated writer aggregates its workers' data via
-//          nonblocking sends and commits it (independently when nf == ng,
-//          collectively when nf == 1).
+// style master header per file. iolib/plan.hpp describes the paper's three
+// strategies and maps their ranks to files.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "iolib/plan.hpp"
 #include "mpiio/file.hpp"
 #include "simcore/units.hpp"
 
@@ -45,15 +40,12 @@ struct CheckpointSpec {
   static CheckpointSpec nekcemWeakScaling(int np);
 };
 
-enum class StrategyKind { k1Pfpp, kCoIo, kRbIo };
-
-const char* strategyName(StrategyKind kind);
-
 struct StrategyConfig {
   StrategyKind kind = StrategyKind::kRbIo;
   /// Number of output files. 1PFPP ignores this (nf == np).
   /// coIO: ranks are split into nf groups of np/nf (np:nf in paper terms).
-  /// rbIO: either nf == ng (independent writers) or nf == 1 (collective).
+  /// rbIO: either nf == ng (independent writers; 0 is short for ng) or
+  /// nf == 1 (collective). CheckpointPlan rejects anything else.
   int nf = 1;
   /// rbIO only: ranks per group (one writer each); np:ng = groupSize:1.
   int groupSize = 64;

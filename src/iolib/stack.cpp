@@ -1,6 +1,8 @@
 #include "iolib/stack.hpp"
 
+#include <algorithm>
 #include <iostream>
+#include <stdexcept>
 
 namespace bgckpt::iolib {
 
@@ -78,6 +80,16 @@ SimStack::~SimStack() {
     checker->finalize();
     checker->setReportFn({});
   }
+}
+
+double runRanks(SimStack& stack, const char* what,
+                std::function<sim::Task<>(mpi::Comm)> program,
+                const std::vector<double>& perRank) {
+  stack.rt.spawnAll(std::move(program));
+  stack.sched.run();
+  if (stack.sched.liveRoots() != 0)
+    throw std::runtime_error(std::string(what) + " deadlocked");
+  return *std::max_element(perRank.begin(), perRank.end());
 }
 
 }  // namespace bgckpt::iolib

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "fssim/parallel_fs.hpp"
 #include "machine/bgp.hpp"
@@ -78,5 +80,12 @@ class SimStack {
   std::shared_ptr<obs::FlightRecorder> flightRecorder;
   std::uint64_t seed;
 };
+
+/// Run `program` on every rank of `stack` until no event is left and return
+/// the largest entry of `perRank`, which the program fills. Throws
+/// std::runtime_error("<what> deadlocked") if a rank is still blocked.
+double runRanks(SimStack& stack, const char* what,
+                std::function<sim::Task<>(mpi::Comm)> program,
+                const std::vector<double>& perRank);
 
 }  // namespace bgckpt::iolib

@@ -1,6 +1,7 @@
 #include "iolib/strategies.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -24,147 +25,154 @@ std::span<const std::byte> slice(const std::vector<std::byte>& v,
   return std::span<const std::byte>(v.data() + off, len);
 }
 
+/// Field `f` of a rank's package (its fields concatenated).
+std::span<const std::byte> fieldOf(const std::vector<std::byte>& package,
+                                   const CheckpointSpec& spec, int f) {
+  return slice(package,
+               static_cast<std::uint64_t>(f) * spec.fieldBytesPerRank,
+               spec.fieldBytesPerRank);
+}
+
+/// One traced I/O op of a rank: a kIo span for the obs sinks and an
+/// optrace request, both opened at construction and closed when the handle
+/// leaves scope, which is the op's completion instant.
+class TracedOp {
+ public:
+  TracedOp(SimStack& stack, int rank, const char* name, std::uint64_t offset,
+           sim::Bytes bytes)
+      : stack_(stack), rank_(rank), name_(name), bytes_(bytes),
+        start_(stack.sched.now()),
+        trace_(obs::mintOpTrace(stack.obs.opTracer(), rank, name, offset,
+                                bytes, start_)) {}
+  TracedOp(const TracedOp&) = delete;
+  TracedOp& operator=(const TracedOp&) = delete;
+  ~TracedOp() {
+    const sim::SimTime end = stack_.sched.now();
+    trace_.complete(end);
+    stack_.obs.completeBytes(obs::Layer::kIo, rank_, name_, start_, end,
+                             bytes_);
+  }
+
+  const obs::OpTraceContext& trace() const { return trace_; }
+
+ private:
+  SimStack& stack_;
+  int rank_;
+  const char* name_;
+  sim::Bytes bytes_;
+  sim::SimTime start_;
+  obs::OpTraceContext trace_;
+};
+
+/// One run of the rank program: every rank computes `run.steps` steps and
+/// checkpoints after every `run.checkpointEvery`-th. A lone checkpoint is
+/// the one-step, no-compute run.
 struct RunState {
-  CheckpointSpec spec;
-  StrategyConfig cfg;
-  SimStack* stack = nullptr;
-  int nf = 0;          // resolved file count
-  int groupSize = 0;   // ranks per file group
-  int packageTag = kPackageTag;  // per-generation tag in campaigns
-  double t0 = 0;
-  std::vector<double> perRank;
-  std::vector<double> isendTime;  // workers (rbIO); -1 elsewhere
-  std::vector<char> isWriter;
+  RunState(SimStack& s, const CheckpointSpec& spec, const CampaignConfig& cfg)
+      : stack(&s),
+        run(cfg),
+        plan(s.rt.numRanks(), cfg.strategy.kind, cfg.strategy.nf,
+             cfg.strategy.groupSize),
+        perRank(static_cast<std::size_t>(s.rt.numRanks()), 0.0) {
+    if (cfg.steps < 1 || cfg.checkpointEvery < 1)
+      throw std::invalid_argument("campaign needs positive steps and cadence");
+    for (int k = 0; k < cfg.steps / cfg.checkpointEvery; ++k) {
+      gens.push_back(spec);
+      gens.back().step = spec.step + k;
+    }
+    if (cfg.strategy.kind == StrategyKind::kRbIo) {
+      tHandoff = &s.obs.telemetry().probe("io.rbio.handoff_inflight",
+                                          obs::ProbeKind::kGauge);
+      tAggBuffer = &s.obs.telemetry().probe("io.rbio.agg_buffer_bytes",
+                                            obs::ProbeKind::kGauge);
+    }
+  }
+
+  SimStack* stack;
+  CampaignConfig run;
+  CheckpointPlan plan;
+  /// Checkpoint generation k writes step spec.step + k.
+  std::vector<CheckpointSpec> gens;
+  std::vector<double> perRank;  // coordinated start to the rank's last op
+  double maxIsend = 0;          // slowest rbIO worker handoff
   // Sampled-telemetry probes (aggregate across the run's writers): dormant
   // handles unless --telemetry enabled the registry.
   obs::Probe* tHandoff = nullptr;    // worker packages sent, not yet received
   obs::Probe* tAggBuffer = nullptr;  // bytes parked in writer agg buffers
 };
 
-RunState makeRunState(SimStack& stack, const CheckpointSpec& spec,
-                      const StrategyConfig& cfg) {
-  const int np = stack.rt.numRanks();
-  RunState st;
-  st.spec = spec;
-  st.cfg = cfg;
-  st.stack = &stack;
-  switch (cfg.kind) {
-    case StrategyKind::k1Pfpp:
-      st.nf = np;
-      st.groupSize = 1;
-      break;
-    case StrategyKind::kCoIo:
-      if (cfg.nf < 1 || np % cfg.nf != 0)
-        throw std::invalid_argument("coIO: nf must divide np");
-      st.nf = cfg.nf;
-      st.groupSize = np / cfg.nf;
-      break;
-    case StrategyKind::kRbIo:
-      if (cfg.groupSize < 2 || np % cfg.groupSize != 0)
-        throw std::invalid_argument("rbIO: groupSize must divide np");
-      st.groupSize = cfg.groupSize;
-      st.nf = cfg.nf == 1 ? 1 : np / cfg.groupSize;
-      break;
-  }
-  st.perRank.assign(static_cast<std::size_t>(np), 0.0);
-  st.isendTime.assign(static_cast<std::size_t>(np), -1.0);
-  st.isWriter.assign(static_cast<std::size_t>(np), 0);
-  if (cfg.kind == StrategyKind::kRbIo) {
-    st.tHandoff = &stack.obs.telemetry().probe("io.rbio.handoff_inflight",
-                                               obs::ProbeKind::kGauge);
-    st.tAggBuffer = &stack.obs.telemetry().probe("io.rbio.agg_buffer_bytes",
-                                                 obs::ProbeKind::kGauge);
-  }
-  return st;
-}
+/// Generations never mix at an rbIO writer: each has its own message tag.
+int packageTag(int gen) { return kPackageTag + 1000 * gen; }
 
 // ---------------------------------------------------------------- 1PFPP --
 
-Task<> run1Pfpp(Comm world, RunState& st) {
-  auto& fsys = st.stack->fsys;
-  auto& sched = st.stack->sched;
-  auto* obs = &st.stack->obs;
+Task<> run1Pfpp(Comm world, RunState& st, int gen) {
+  SimStack& stack = *st.stack;
+  const auto& spec = st.gens[static_cast<std::size_t>(gen)];
   const int rank = world.rank();
   const int client = world.globalRank(rank);
-  const auto& spec = st.spec;
-  GroupFileLayout layout(spec, 1);
+  const int part = st.plan.partOf(rank);
+  GroupFileLayout layout(spec, st.plan.ranksPerPart());
 
   // OS and network skew randomises the order in which ranks reach the
   // metadata service — this is what turns the create queue into the
   // scattered per-rank times of Fig. 9.
   {
-    sim::RngStream arrival(st.stack->seed, "1pfpp-arrival",
+    sim::RngStream arrival(stack.seed, "1pfpp-arrival",
                            static_cast<std::uint64_t>(rank));
-    co_await sched.delay(arrival.uniform(0.0, 0.05));
+    co_await stack.sched.delay(arrival.uniform(0.0, 0.05));
   }
 
   std::vector<std::byte> header, payload;
   if (spec.carryPayload) {
-    header = makeHeaderPayload(spec, rank);
+    header = makeHeaderPayload(spec, part);
     payload = makeRankPayload(spec, rank);
   }
 
   // Optional single-file-per-directory variant: each rank creates in its
   // own directory, so creates no longer serialise on one directory.
   const std::string path =
-      st.cfg.onePfppPrivateDirs
-          ? spec.directory + "/r" + std::to_string(rank) + "/s" +
-                std::to_string(spec.step)
-          : checkpointPath(spec, rank);
-  auto* tracer = obs->opTracer();
-  obs::IoOpSpan createOp(obs, sched, rank, "create");
-  auto createOtc = obs::mintOpTrace(tracer, rank, "create", 0, 0, sched.now());
-  auto fh = co_await fsys.create(client, path, createOtc);
-  createOtc.complete(sched.now());
-  createOp.stop();
-
+      st.run.strategy.onePfppPrivateDirs
+          ? privateDirPath(spec.directory, spec.step, rank)
+          : partPath(spec.directory, spec.step, part);
+  fs::FileHandle fh;
   {
-    obs::IoOpSpan hdrOp(obs, sched, rank, "write");
-    auto otc = obs::mintOpTrace(tracer, rank, "write", 0, spec.headerBytes,
-                                sched.now());
-    co_await fsys.write(client, fh, 0, spec.headerBytes,
-                        spec.carryPayload ? std::span<const std::byte>(header)
-                                          : std::span<const std::byte>(),
-                        otc);
-    otc.complete(sched.now());
-    hdrOp.stop(spec.headerBytes);
+    TracedOp op(stack, rank, "create", 0, 0);
+    fh = co_await stack.fsys.create(client, path, op.trace());
   }
-
+  {
+    TracedOp op(stack, rank, "write", 0, spec.headerBytes);
+    co_await stack.fsys.write(
+        client, fh, 0, spec.headerBytes,
+        spec.carryPayload ? std::span<const std::byte>(header)
+                          : std::span<const std::byte>(),
+        op.trace());
+  }
   for (int f = 0; f < spec.numFields; ++f) {
-    obs::IoOpSpan writeOp(obs, sched, rank, "write");
-    auto otc = obs::mintOpTrace(tracer, rank, "write", layout.fieldOffset(f, 0),
-                                spec.fieldBytesPerRank, sched.now());
-    co_await fsys.write(
-        client, fh, layout.fieldOffset(f, 0), spec.fieldBytesPerRank,
-        spec.carryPayload
-            ? slice(payload,
-                    static_cast<std::uint64_t>(f) * spec.fieldBytesPerRank,
-                    spec.fieldBytesPerRank)
-            : std::span<const std::byte>(),
-        otc);
-    otc.complete(sched.now());
-    writeOp.stop(spec.fieldBytesPerRank);
+    TracedOp op(stack, rank, "write",
+                layout.fieldOffset(f, st.plan.slotOf(rank)),
+                spec.fieldBytesPerRank);
+    co_await stack.fsys.write(
+        client, fh, layout.fieldOffset(f, st.plan.slotOf(rank)),
+        spec.fieldBytesPerRank,
+        spec.carryPayload ? fieldOf(payload, spec, f)
+                          : std::span<const std::byte>(),
+        op.trace());
   }
-
-  obs::IoOpSpan closeOp(obs, sched, rank, "close");
-  auto closeOtc = obs::mintOpTrace(tracer, rank, "close", 0, 0, sched.now());
-  co_await fsys.close(client, fh, closeOtc);
-  closeOtc.complete(sched.now());
-  closeOp.stop();
+  TracedOp op(stack, rank, "close", 0, 0);
+  co_await stack.fsys.close(client, fh, op.trace());
 }
 
 // ----------------------------------------------------------------- coIO --
 
-Task<> runCoIo(Comm world, RunState& st) {
-  auto& fsys = st.stack->fsys;
-  auto& sched = st.stack->sched;
-  auto* obs = &st.stack->obs;
-  const auto& spec = st.spec;
+Task<> runCoIo(Comm world, RunState& st, int gen) {
+  SimStack& stack = *st.stack;
+  const auto& spec = st.gens[static_cast<std::size_t>(gen)];
   const int rank = world.rank();
-  const int part = rank / st.groupSize;
+  const int part = st.plan.partOf(rank);
 
   Comm sub = co_await world.split(part, rank);
-  GroupFileLayout layout(spec, st.groupSize);
+  GroupFileLayout layout(spec, st.plan.ranksPerPart());
 
   std::vector<std::byte> header, payload;
   if (spec.carryPayload) {
@@ -173,56 +181,42 @@ Task<> runCoIo(Comm world, RunState& st) {
   }
 
   io::MpiFile file = co_await io::MpiFile::open(
-      sub, fsys, checkpointPath(spec, part), st.cfg.hints);
-
-  auto* tracer = obs->opTracer();
+      sub, stack.fsys, partPath(spec.directory, spec.step, part),
+      st.run.strategy.hints);
 
   // Header round: group-local rank 0 contributes the master header.
   {
-    obs::IoOpSpan op(obs, sched, rank, "write");
     const bool isRoot = sub.rank() == 0;
-    auto otc = obs::mintOpTrace(tracer, rank, "write", 0,
-                                isRoot ? spec.headerBytes : 0, sched.now());
+    TracedOp op(stack, rank, "write", 0, isRoot ? spec.headerBytes : 0);
     co_await file.writeAtAll(0, isRoot ? spec.headerBytes : 0,
                              (isRoot && spec.carryPayload)
                                  ? std::span<const std::byte>(header)
                                  : std::span<const std::byte>(),
-                             otc);
-    otc.complete(sched.now());
-    op.stop(sub.rank() == 0 ? spec.headerBytes : 0);
+                             op.trace());
   }
 
   // One collective round per field, committed in file order.
   for (int f = 0; f < spec.numFields; ++f) {
-    obs::IoOpSpan op(obs, sched, rank, "write");
-    auto otc = obs::mintOpTrace(tracer, rank, "write",
-                                layout.fieldOffset(f, sub.rank()),
-                                spec.fieldBytesPerRank, sched.now());
+    TracedOp op(stack, rank, "write",
+                layout.fieldOffset(f, st.plan.slotOf(rank)),
+                spec.fieldBytesPerRank);
     co_await file.writeAtAll(
-        layout.fieldOffset(f, sub.rank()), spec.fieldBytesPerRank,
-        spec.carryPayload
-            ? slice(payload,
-                    static_cast<std::uint64_t>(f) * spec.fieldBytesPerRank,
-                    spec.fieldBytesPerRank)
-            : std::span<const std::byte>(),
-        otc);
-    otc.complete(sched.now());
-    op.stop(spec.fieldBytesPerRank);
+        layout.fieldOffset(f, st.plan.slotOf(rank)), spec.fieldBytesPerRank,
+        spec.carryPayload ? fieldOf(payload, spec, f)
+                          : std::span<const std::byte>(),
+        op.trace());
   }
 
-  obs::IoOpSpan closeOp(obs, sched, rank, "close");
-  auto closeOtc = obs::mintOpTrace(tracer, rank, "close", 0, 0, sched.now());
-  co_await file.close(closeOtc);
-  closeOtc.complete(sched.now());
-  closeOp.stop();
+  TracedOp op(stack, rank, "close", 0, 0);
+  co_await file.close(op.trace());
 }
 
 // ----------------------------------------------------------------- rbIO --
 
-Task<> rbIoWorker(Comm world, RunState& st, int writerRank) {
+Task<> rbIoWorker(Comm world, RunState& st, int gen) {
   auto& sched = st.stack->sched;
   auto* obs = &st.stack->obs;
-  const auto& spec = st.spec;
+  const auto& spec = st.gens[static_cast<std::size_t>(gen)];
   const int rank = world.rank();
 
   Message package;
@@ -244,34 +238,34 @@ Task<> rbIoWorker(Comm world, RunState& st, int writerRank) {
   const double t0 = sched.now();
   st.tHandoff->add(1.0);
   obs::IoOpSpan sendOp(obs, sched, rank, "send");
-  mpi::Request req =
-      co_await world.isend(writerRank, st.packageTag, std::move(package));
+  mpi::Request req = co_await world.isend(st.plan.writerOf(rank),
+                                          packageTag(gen), std::move(package));
   (void)req;  // fire and forget: the writer's receive loop bounds delivery
   sendOp.stop(spec.bytesPerRank());
-  const double dt = sched.now() - t0;
-  st.isendTime[static_cast<std::size_t>(rank)] = dt;
+  st.maxIsend = std::max(st.maxIsend, sched.now() - t0);
   obs->end(obs::Layer::kIo, rank, "handoff", sched.now());
 }
 
-Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st) {
+Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st, int gen) {
   auto& fsys = st.stack->fsys;
   auto& sched = st.stack->sched;
   auto* obs = &st.stack->obs;
-  const auto& spec = st.spec;
+  const auto& spec = st.gens[static_cast<std::size_t>(gen)];
   const int rank = world.rank();
   const int client = world.globalRank(rank);
-  const int group = rank / st.cfg.groupSize;
-  const int g = st.cfg.groupSize;
-  const bool independent = st.cfg.nf != 1;
+  const int part = st.plan.partOf(rank);
+  const int g = st.plan.groupSize();
 
   // The writer's aggregate request: covers recv + reorder + commit, with
   // the group's handoff requests linked as lineage children (64:1 fan-in).
+  // The group's bytes start at its writer's.
   auto* tracer = obs->opTracer();
   const sim::Bytes groupBytes =
       static_cast<sim::Bytes>(g) * spec.bytesPerRank();
   auto commitOtc = obs::mintOpTrace(
       tracer, rank, "commit",
-      static_cast<std::uint64_t>(group) * groupBytes, groupBytes, sched.now());
+      static_cast<std::uint64_t>(rank) * spec.bytesPerRank(), groupBytes,
+      sched.now());
   // The writer's own block never crosses the network but is still one of
   // the 64 merged inputs; minting it keeps the fan-in count honest.
   commitOtc.link(obs::mintOpTrace(
@@ -290,7 +284,7 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st) {
   {
     obs::IoOpSpan op(obs, sched, rank, "recv");
     for (int i = 1; i < g; ++i) {
-      Message msg = co_await world.recv(mpi::kAnySource, st.packageTag);
+      Message msg = co_await world.recv(mpi::kAnySource, packageTag(gen));
       commitOtc.link(msg.trace);
       st.tHandoff->add(-1.0);
       st.tAggBuffer->add(static_cast<double>(spec.bytesPerRank()));
@@ -306,43 +300,39 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st) {
   commitOtc.hop(obs::Hop::kHandoffRecv, recvStart, sched.now(), groupBytes);
 
   // Assemble real file content when carrying payloads.
-  GroupFileLayout groupLayout(spec, g);
+  const bool collective = st.plan.writersCommitCollectively();
+  GroupFileLayout partLayout(spec, st.plan.ranksPerPart());
   std::vector<std::byte> fileBytes;
-  if (spec.carryPayload && independent) {
-    fileBytes.resize(groupLayout.fileBytes());
-    auto header = makeHeaderPayload(spec, group);
+  if (spec.carryPayload && !collective) {
+    fileBytes.resize(partLayout.fileBytes());
+    auto header = makeHeaderPayload(spec, part);
     std::copy(header.begin(), header.end(), fileBytes.begin());
     for (int f = 0; f < spec.numFields; ++f)
-      for (int r = 0; r < g; ++r) {
-        const auto& pkg = *packages.at(group * g + r);
-        std::copy_n(pkg.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            static_cast<std::uint64_t>(f) *
-                            spec.fieldBytesPerRank),
-                    spec.fieldBytesPerRank,
-                    fileBytes.begin() +
-                        static_cast<std::ptrdiff_t>(
-                            groupLayout.fieldOffset(f, r)));
-      }
+      for (int member : st.plan.groupOf(rank))
+        std::ranges::copy(fieldOf(*packages.at(member), spec, f),
+                          fileBytes.begin() +
+                              static_cast<std::ptrdiff_t>(
+                                  partLayout.fieldOffset(
+                                      f, st.plan.slotOf(member))));
   }
   obs->end(obs::Layer::kIo, rank, "aggregate", sched.now());
 
   obs->begin(obs::Layer::kIo, rank, "commit", sched.now());
-  if (independent) {
+  if (!collective) {
     // nf == ng: each writer owns one file; MPI_File_write_at semantics on
     // MPI_COMM_SELF, realised directly on the filesystem. The writer's
     // buffer lets it batch multiple fields per flush.
-    const std::string path = checkpointPath(spec, group);
+    const std::string path = partPath(spec.directory, spec.step, part);
     obs::IoOpSpan createOp(obs, sched, rank, "create");
     auto fh = co_await fsys.create(client, path, commitOtc);
     createOp.stop();
 
-    const sim::Bytes total = groupLayout.fileBytes();
+    const sim::Bytes total = partLayout.fileBytes();
     std::uint64_t cursor = 0;
     double buffered = static_cast<double>(groupBytes);
     while (cursor < total) {
       const sim::Bytes chunk =
-          std::min<sim::Bytes>(st.cfg.writerBuffer, total - cursor);
+          std::min<sim::Bytes>(st.run.strategy.writerBuffer, total - cursor);
       obs::IoOpSpan op(obs, sched, rank, "write");
       co_await fsys.write(client, fh, cursor, chunk,
                           spec.carryPayload
@@ -363,11 +353,11 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st) {
   } else {
     // nf == 1: writers jointly commit one shared file with collective
     // nonblocking writes; each field must land before the next starts.
-    GroupFileLayout globalLayout(spec, world.size());
     io::MpiFile file = co_await io::MpiFile::open(
-        writerComm, fsys, checkpointPath(spec, 0), st.cfg.hints, commitOtc);
+        writerComm, fsys, partPath(spec.directory, spec.step, part),
+        st.run.strategy.hints, commitOtc);
     std::vector<std::byte> header;
-    if (spec.carryPayload) header = makeHeaderPayload(spec, 0);
+    if (spec.carryPayload) header = makeHeaderPayload(spec, part);
     {
       const bool isRoot = writerComm.rank() == 0;
       obs::IoOpSpan op(obs, sched, rank, "write");
@@ -384,22 +374,14 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st) {
       const sim::Bytes sectionBytes =
           static_cast<sim::Bytes>(g) * spec.fieldBytesPerRank;
       if (spec.carryPayload) {
-        section.resize(sectionBytes);
-        for (int r = 0; r < g; ++r) {
-          const auto& pkg = *packages.at(group * g + r);
-          std::copy_n(
-              pkg.begin() + static_cast<std::ptrdiff_t>(
-                                static_cast<std::uint64_t>(f) *
-                                spec.fieldBytesPerRank),
-              spec.fieldBytesPerRank,
-              section.begin() + static_cast<std::ptrdiff_t>(
-                                    static_cast<std::uint64_t>(r) *
-                                    spec.fieldBytesPerRank));
-        }
+        section.clear();
+        for (int member : st.plan.groupOf(rank))
+          std::ranges::copy(fieldOf(*packages.at(member), spec, f),
+                            std::back_inserter(section));
       }
       obs::IoOpSpan op(obs, sched, rank, "write");
       co_await file.writeAtAll(
-          globalLayout.fieldOffset(f, group * g), sectionBytes,
+          partLayout.fieldOffset(f, st.plan.slotOf(rank)), sectionBytes,
           spec.carryPayload ? std::span<const std::byte>(section)
                             : std::span<const std::byte>(),
           commitOtc);
@@ -420,192 +402,103 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st) {
   commitOtc.complete(sched.now());
 }
 
-// --------------------------------------------------------------- driver --
+// --------------------------------------------------------- rank program --
 
 Task<> rankProgram(Comm world, RunState& st) {
+  auto& sched = world.scheduler();
   const int rank = world.rank();
-  const bool isWriter = st.cfg.kind == StrategyKind::kRbIo
-                            ? rank % st.cfg.groupSize == 0
-                            : false;
-  st.isWriter[static_cast<std::size_t>(rank)] = isWriter ? 1 : 0;
+  const bool rbIo = st.run.strategy.kind == StrategyKind::kRbIo;
+  const bool writer = rbIo && st.plan.isWriter(rank);
 
   // rbIO nf=1 needs a writers-only communicator; form it outside the timed
   // region (it is a one-time setup cost in the application).
   Comm writerComm;
-  if (st.cfg.kind == StrategyKind::kRbIo)
-    writerComm = co_await world.split(isWriter ? 0 : 1, rank);
+  if (rbIo) writerComm = co_await world.split(writer ? 0 : 1, rank);
 
-  // Coordinated checkpoint: everyone starts together.
+  // Coordinated start.
   co_await world.barrier();
-  if (rank == 0) st.t0 = world.scheduler().now();
-  const double start = world.scheduler().now();
-  auto* obs = &st.stack->obs;
-  obs->begin(obs::Layer::kApp, rank, "checkpoint", start);
-
-  switch (st.cfg.kind) {
-    case StrategyKind::k1Pfpp:
-      co_await run1Pfpp(world, st);
-      break;
-    case StrategyKind::kCoIo:
-      co_await runCoIo(world, st);
-      break;
-    case StrategyKind::kRbIo:
-      if (isWriter)
-        co_await rbIoWriter(world, writerComm, st);
-      else
-        co_await rbIoWorker(world, st, (rank / st.cfg.groupSize) *
-                                           st.cfg.groupSize);
-      break;
+  const double start = sched.now();
+  int gen = 0;
+  for (int step = 1; step <= st.run.steps; ++step) {
+    // rbIO writers are dedicated I/O ranks: they drain one generation
+    // after another, concurrent with the workers' computation.
+    if (!writer && st.run.computeStepSeconds > 0)
+      co_await sched.delay(st.run.computeStepSeconds);
+    if (step % st.run.checkpointEvery != 0) continue;
+    st.stack->obs.begin(obs::Layer::kApp, rank, "checkpoint", sched.now());
+    switch (st.run.strategy.kind) {
+      case StrategyKind::k1Pfpp:
+        co_await run1Pfpp(world, st, gen);
+        break;
+      case StrategyKind::kCoIo:
+        co_await runCoIo(world, st, gen);
+        break;
+      case StrategyKind::kRbIo:
+        if (writer)
+          co_await rbIoWriter(world, writerComm, st, gen);
+        else
+          co_await rbIoWorker(world, st, gen);
+        break;
+    }
+    st.stack->obs.end(obs::Layer::kApp, rank, "checkpoint", sched.now());
+    ++gen;
   }
-  obs->end(obs::Layer::kApp, rank, "checkpoint", world.scheduler().now());
-  st.perRank[static_cast<std::size_t>(rank)] =
-      world.scheduler().now() - start;
+  st.perRank[static_cast<std::size_t>(rank)] = sched.now() - start;
+}
+
+/// Run the rank program on every rank; returns the slowest rank's time.
+double runProgram(RunState& st, const char* what) {
+  return runRanks(*st.stack, what,
+                  [&st](Comm world) { return rankProgram(world, st); },
+                  st.perRank);
 }
 
 }  // namespace
 
 CheckpointResult runCheckpoint(SimStack& stack, const CheckpointSpec& spec,
                                const StrategyConfig& cfg) {
-  const int np = stack.rt.numRanks();
-  RunState st = makeRunState(stack, spec, cfg);
-
-  stack.rt.spawnAll(
-      [&st](Comm world) -> Task<> { co_await rankProgram(world, st); });
-  stack.sched.run();
-  if (stack.sched.liveRoots() != 0)
-    throw std::runtime_error("checkpoint run deadlocked");
+  RunState st(stack, spec, CampaignConfig{1, 1, 0.0, cfg});
+  const CheckpointPlan& plan = st.plan;
+  const int np = plan.numRanks();
 
   CheckpointResult result;
+  result.makespan = runProgram(st, "checkpoint run");
   result.perRankTime = st.perRank;
-  result.makespan =
-      *std::max_element(st.perRank.begin(), st.perRank.end());
-  const int ng = cfg.kind == StrategyKind::kRbIo ? np / cfg.groupSize : 0;
-  result.numWriters = ng;
   result.logicalBytes =
       static_cast<sim::Bytes>(np) * spec.bytesPerRank() +
-      static_cast<sim::Bytes>(st.nf) * spec.headerBytes;
+      static_cast<sim::Bytes>(plan.numParts()) * spec.headerBytes;
   result.bandwidth =
       static_cast<double>(result.logicalBytes) / result.makespan;
   if (cfg.kind == StrategyKind::kRbIo) {
-    double workerMax = 0, writerMax = 0, isendMax = 0;
+    double workerMax = 0, writerMax = 0;
     for (int r = 0; r < np; ++r) {
-      const auto i = static_cast<std::size_t>(r);
-      if (st.isWriter[i]) {
-        writerMax = std::max(writerMax, st.perRank[i]);
-      } else {
-        workerMax = std::max(workerMax, st.perRank[i]);
-        isendMax = std::max(isendMax, st.isendTime[i]);
-      }
+      double& slowest = plan.isWriter(r) ? writerMax : workerMax;
+      slowest = std::max(slowest, st.perRank[static_cast<std::size_t>(r)]);
     }
+    result.numWriters = plan.numWriters();
     result.workerMakespan = workerMax;
     result.writerMakespan = writerMax;
-    result.maxIsendSeconds = isendMax;
+    result.maxIsendSeconds = st.maxIsend;
     const auto workerBytes =
-        static_cast<double>(np - ng) *
+        static_cast<double>(np - plan.numWriters()) *
         static_cast<double>(spec.bytesPerRank());
-    result.perceivedBandwidth = isendMax > 0 ? workerBytes / isendMax : 0;
+    result.perceivedBandwidth =
+        st.maxIsend > 0 ? workerBytes / st.maxIsend : 0;
   }
   return result;
 }
 
-// -------------------------------------------------------------- campaign --
-
-namespace {
-
-struct CampaignState {
-  CampaignConfig cfg;
-  SimStack* stack = nullptr;
-  // One RunState per checkpoint generation (distinct step id and, for
-  // rbIO, a distinct package tag so generations never mix at the writer).
-  std::vector<std::unique_ptr<RunState>> generations;
-  std::vector<double> rankEnd;
-};
-
-Task<> campaignBlockingRank(Comm world, CampaignState& cs) {
-  auto& sched = world.scheduler();
-  co_await world.barrier();
-  const double t0 = sched.now();
-  int gen = 0;
-  for (int step = 1; step <= cs.cfg.steps; ++step) {
-    co_await sched.delay(cs.cfg.computeStepSeconds);
-    if (step % cs.cfg.checkpointEvery == 0) {
-      RunState& st = *cs.generations[static_cast<std::size_t>(gen++)];
-      if (cs.cfg.strategy.kind == StrategyKind::k1Pfpp)
-        co_await run1Pfpp(world, st);
-      else
-        co_await runCoIo(world, st);
-    }
-  }
-  cs.rankEnd[static_cast<std::size_t>(world.rank())] = sched.now() - t0;
-}
-
-Task<> campaignRbIoRank(Comm world, CampaignState& cs) {
-  auto& sched = world.scheduler();
-  const int rank = world.rank();
-  const int g = cs.cfg.strategy.groupSize;
-  const bool isWriter = rank % g == 0;
-  Comm writerComm = co_await world.split(isWriter ? 0 : 1, rank);
-  co_await world.barrier();
-  const double t0 = sched.now();
-
-  const int numCkpts = cs.cfg.steps / cs.cfg.checkpointEvery;
-  if (isWriter) {
-    // Dedicated I/O rank: drain one generation after another, concurrent
-    // with the workers' computation.
-    for (int k = 0; k < numCkpts; ++k)
-      co_await rbIoWriter(world, writerComm,
-                          *cs.generations[static_cast<std::size_t>(k)]);
-  } else {
-    int gen = 0;
-    for (int step = 1; step <= cs.cfg.steps; ++step) {
-      co_await sched.delay(cs.cfg.computeStepSeconds);
-      if (step % cs.cfg.checkpointEvery == 0) {
-        RunState& st = *cs.generations[static_cast<std::size_t>(gen++)];
-        co_await rbIoWorker(world, st, (rank / g) * g);
-      }
-    }
-  }
-  cs.rankEnd[static_cast<std::size_t>(rank)] = sched.now() - t0;
-}
-
-}  // namespace
-
 CampaignResult runCampaign(SimStack& stack, const CheckpointSpec& spec,
                            const CampaignConfig& cfg) {
-  if (cfg.steps < 1 || cfg.checkpointEvery < 1)
-    throw std::invalid_argument("campaign needs positive steps and cadence");
-  const int np = stack.rt.numRanks();
-  const int numCkpts = cfg.steps / cfg.checkpointEvery;
-
-  CampaignState cs;
-  cs.cfg = cfg;
-  cs.stack = &stack;
-  cs.rankEnd.assign(static_cast<std::size_t>(np), 0.0);
-  for (int k = 0; k < numCkpts; ++k) {
-    CheckpointSpec genSpec = spec;
-    genSpec.step = k;
-    auto st = std::make_unique<RunState>(
-        makeRunState(stack, genSpec, cfg.strategy));
-    st->packageTag = kPackageTag + 1000 * (k + 1);
-    cs.generations.push_back(std::move(st));
-  }
-
-  stack.rt.spawnAll([&cs](Comm world) -> Task<> {
-    if (cs.cfg.strategy.kind == StrategyKind::kRbIo)
-      co_await campaignRbIoRank(world, cs);
-    else
-      co_await campaignBlockingRank(world, cs);
-  });
-  stack.sched.run();
-  if (stack.sched.liveRoots() != 0)
-    throw std::runtime_error("campaign deadlocked");
+  CheckpointSpec first = spec;
+  first.step = 0;  // a campaign's checkpoints are steps s0, s1, ...
+  RunState st(stack, first, cfg);
 
   CampaignResult result;
-  result.totalSeconds =
-      *std::max_element(cs.rankEnd.begin(), cs.rankEnd.end());
+  result.totalSeconds = runProgram(st, "campaign");
   result.computeSeconds = cfg.steps * cfg.computeStepSeconds;
   result.ioOverheadSeconds = result.totalSeconds - result.computeSeconds;
-  result.checkpointsTaken = numCkpts;
+  result.checkpointsTaken = static_cast<int>(st.gens.size());
   return result;
 }
 

@@ -6,6 +6,8 @@
 
 #include <filesystem>
 
+#include "iolib/plan.hpp"
+
 namespace bgckpt::hostio {
 namespace {
 
@@ -91,6 +93,27 @@ TEST_P(HostCheckpointTest, FileCountMatchesStrategy) {
        std::filesystem::directory_iterator(spec.directory))
     ++files;
   EXPECT_EQ(files, GetParam() == HostStrategy::k1Pfpp ? np : 2);
+}
+
+TEST_P(HostCheckpointTest, FailedPartWriteThrowsInsteadOfAborting) {
+  // A directory sits where part 1 goes, so creating that file fails. For
+  // every strategy the failure must reach the caller as an exception, not
+  // end the process inside a rank thread, and waiting ranks must be
+  // released.
+  constexpr int np = 4;
+  const HostSpec spec = makeSpec(dir_);
+  const auto victim = iolib::partPath(spec.directory, spec.step, 1);
+  std::filesystem::create_directories(victim);
+  HostConfig config;
+  config.strategy = GetParam();
+  config.nf = 2;
+  try {
+    writeCheckpoint(spec, config, makeData(np, spec));
+    ADD_FAILURE() << "writeCheckpoint did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(victim), std::string::npos)
+        << e.what();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, HostCheckpointTest,

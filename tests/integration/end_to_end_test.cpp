@@ -32,23 +32,13 @@ iolib::CheckpointSpec tinySpec() {
 }
 
 TEST(EndToEnd, SimulatedAndHostBackendsAgreeOnLogicalContent) {
-  // The same logical state (the shared deterministic pattern) written by
-  // the simulated rbIO strategy and by the host rbIO strategy must contain
-  // identical field blocks, fetched through completely different code
-  // paths (FsImage extents vs. real pread through the container format).
+  // The same logical state (the shared deterministic pattern) written by a
+  // simulated strategy and by the host strategy of the same name, at equal
+  // nf, must contain identical field blocks, fetched through completely
+  // different code paths (FsImage extents vs. real pread through the
+  // container format).
   constexpr int kNp = 256;
-  constexpr int kGroup = 64;
   const auto spec = tinySpec();
-
-  iolib::SimStack stack(kNp, quiet());
-  runCheckpoint(stack, spec, iolib::StrategyConfig::rbIo(kGroup, true));
-
-  hostio::HostSpec hostSpec;
-  hostSpec.directory = (std::filesystem::temp_directory_path() /
-                        ("bgckpt_e2e_" + std::to_string(::getpid())))
-                           .string();
-  hostSpec.fieldNames = {"f0", "f1", "f2", "f3", "f4", "f5"};
-  hostSpec.fieldBytesPerRank = spec.fieldBytesPerRank;
   std::vector<hostio::HostRankData> data(kNp);
   for (int r = 0; r < kNp; ++r) {
     auto payload = iolib::makeRankPayload(spec, r);
@@ -60,25 +50,53 @@ TEST(EndToEnd, SimulatedAndHostBackendsAgreeOnLogicalContent) {
           payload.begin() +
               (f + 1) * static_cast<long>(spec.fieldBytesPerRank));
   }
-  hostio::writeCheckpoint(
-      hostSpec, {hostio::HostStrategy::kRbIo, kNp / kGroup}, data);
+  const auto base = std::filesystem::temp_directory_path() /
+                    ("bgckpt_e2e_" + std::to_string(::getpid()));
 
-  iolib::GroupFileLayout layout(spec, kGroup);
-  for (int part = 0; part < kNp / kGroup; ++part) {
-    const auto* img =
-        stack.fsys.image().find(iolib::checkpointPath(spec, part));
-    ASSERT_NE(img, nullptr);
-    iofmt::CheckpointReader reader(hostio::hostCheckpointPath(hostSpec, part));
-    for (int f = 0; f < 6; ++f)
-      for (int local = 0; local < kGroup; ++local) {
-        const auto simBytes = img->readBytes(
-            {layout.fieldOffset(f, local), spec.fieldBytesPerRank});
-        const auto hostBytes = reader.readBlock(f, local);
-        ASSERT_EQ(simBytes, hostBytes)
-            << "part " << part << " field " << f << " rank " << local;
-      }
+  struct Case {
+    iolib::StrategyConfig sim;
+    hostio::HostConfig host;
+  };
+  const Case cases[] = {
+      {iolib::StrategyConfig::onePfpp(), {hostio::HostStrategy::k1Pfpp, kNp}},
+      {iolib::StrategyConfig::coIo(4), {hostio::HostStrategy::kCoIo, 4}},
+      {iolib::StrategyConfig::rbIo(64, true),
+       {hostio::HostStrategy::kRbIo, 4}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.sim.describe());
+    iolib::SimStack stack(kNp, quiet());
+    runCheckpoint(stack, spec, c.sim);
+
+    hostio::HostSpec hostSpec;
+    hostSpec.directory = (base / iolib::strategyName(c.sim.kind)).string();
+    hostSpec.fieldNames = {"f0", "f1", "f2", "f3", "f4", "f5"};
+    hostSpec.fieldBytesPerRank = spec.fieldBytesPerRank;
+    const auto written = hostio::writeCheckpoint(hostSpec, c.host, data);
+
+    const iolib::CheckpointPlan plan(kNp, c.sim.kind, c.sim.nf,
+                                     c.sim.groupSize);
+    ASSERT_EQ(written.files.size(),
+              static_cast<std::size_t>(plan.numParts()));
+    ASSERT_EQ(stack.fsys.image().fileCount(), written.files.size());
+    iolib::GroupFileLayout layout(spec, plan.ranksPerPart());
+    for (int part = 0; part < plan.numParts(); ++part) {
+      const auto* img = stack.fsys.image().find(
+          iolib::partPath(spec.directory, spec.step, part));
+      ASSERT_NE(img, nullptr);
+      iofmt::CheckpointReader reader(
+          written.files[static_cast<std::size_t>(part)]);
+      for (int f = 0; f < 6; ++f)
+        for (int local = 0; local < plan.ranksPerPart(); ++local) {
+          const auto simBytes = img->readBytes(
+              {layout.fieldOffset(f, local), spec.fieldBytesPerRank});
+          const auto hostBytes = reader.readBlock(f, local);
+          ASSERT_EQ(simBytes, hostBytes)
+              << "part " << part << " field " << f << " rank " << local;
+        }
+    }
   }
-  std::filesystem::remove_all(hostSpec.directory);
+  std::filesystem::remove_all(base);
 }
 
 TEST(EndToEnd, AllStrategiesCoverAllFilesAtMultipleGroupSizes) {
@@ -91,7 +109,8 @@ TEST(EndToEnd, AllStrategiesCoverAllFilesAtMultipleGroupSizes) {
       iolib::GroupFileLayout layout(spec, groupSize);
       for (int part = 0; part < np / groupSize; ++part) {
         const auto* img =
-            stack.fsys.image().find(iolib::checkpointPath(spec, part));
+            stack.fsys.image().find(
+                iolib::partPath(spec.directory, spec.step, part));
         ASSERT_NE(img, nullptr) << np << "/" << groupSize << "/" << part;
         EXPECT_TRUE(img->coversExactly(layout.fileBytes()))
             << np << "/" << groupSize << "/" << part;

@@ -35,8 +35,10 @@ TEST(FailureInjection, ExtremeNoiseSlowsButNeverCorrupts) {
   EXPECT_GT(slow.makespan, 2.0 * fast.makespan);  // the storm hurt
   // ... but content is byte-identical.
   for (int part = 0; part < 4; ++part) {
-    const auto* a = noisy.fsys.image().find(iolib::checkpointPath(spec, part));
-    const auto* b = calm.fsys.image().find(iolib::checkpointPath(spec, part));
+    const auto* a = noisy.fsys.image().find(
+        iolib::partPath(spec.directory, spec.step, part));
+    const auto* b = calm.fsys.image().find(
+        iolib::partPath(spec.directory, spec.step, part));
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->contentHash(), b->contentHash());
@@ -106,7 +108,7 @@ TEST_F(CrashRestartTest, TruncatedCheckpointDetectedAndOlderGenerationUsed) {
 
   // Crash mid-write of generation 20: corrupt a byte in part 1's data.
   {
-    const auto victim = hostio::hostCheckpointPath(spec20, 1);
+    const auto victim = iolib::partPath(spec20.directory, spec20.step, 1);
     int fd = ::open(victim.c_str(), O_WRONLY);
     ASSERT_GE(fd, 0);
     char junk = 0x7F;
@@ -162,7 +164,7 @@ hostio::HostSpec probe(const std::string& dir, int step) {
 
 TEST_F(CrashRestartTest, TruncatedPartFailsVerifyWithoutThrowing) {
   writeTwoGenerations(dir_);
-  const auto victim = hostio::hostCheckpointPath(probe(dir_, 20), 1);
+  const auto victim = iolib::partPath(dir_, 20, 1);
   std::filesystem::resize_file(victim,
                                std::filesystem::file_size(victim) / 2);
   bool verified = true;
@@ -174,7 +176,7 @@ TEST_F(CrashRestartTest, TruncatedPartFailsVerifyWithoutThrowing) {
 TEST_F(CrashRestartTest, CorruptMasterHeaderFailsVerifyWithoutThrowing) {
   writeTwoGenerations(dir_);
   {
-    const auto victim = hostio::hostCheckpointPath(probe(dir_, 20), 0);
+    const auto victim = iolib::partPath(dir_, 20, 0);
     int fd = ::open(victim.c_str(), O_RDWR);
     ASSERT_GE(fd, 0);
     char b = 0;
@@ -197,10 +199,38 @@ TEST_F(CrashRestartTest, MissingPartFileDetected) {
   std::vector<hostio::HostRankData> data(4);
   for (auto& r : data) r.fields.assign(1, std::vector<std::byte>(64));
   hostio::writeCheckpoint(spec, {hostio::HostStrategy::kCoIo, 2}, data);
-  std::filesystem::remove(hostio::hostCheckpointPath(spec, 1));
+  std::filesystem::remove(iolib::partPath(spec.directory, spec.step, 1));
   hostio::HostSpec probe;
   probe.directory = dir_;
   EXPECT_THROW(hostio::readCheckpoint(probe, 4), std::runtime_error);
+}
+
+// One rbIO checkpoint of 8 ranks in 4 parts (step 0) in `dir`, with part
+// `missing` deleted afterwards.
+void writeFourPartsWithoutOne(const std::string& dir, int missing) {
+  hostio::HostSpec spec;
+  spec.directory = dir;
+  spec.fieldNames = {"Ex"};
+  spec.fieldBytesPerRank = 256;
+  std::vector<hostio::HostRankData> data(8);
+  for (auto& r : data) r.fields.assign(1, std::vector<std::byte>(256));
+  hostio::writeCheckpoint(spec, {hostio::HostStrategy::kRbIo, 4}, data);
+  ASSERT_TRUE(hostio::verifyCheckpoint(probe(dir, 0)));
+  std::filesystem::remove(iolib::partPath(dir, 0, missing));
+}
+
+TEST_F(CrashRestartTest, MissingMiddlePartFailsVerifyWithoutThrowing) {
+  writeFourPartsWithoutOne(dir_, 1);
+  bool verified = true;
+  EXPECT_NO_THROW(verified = hostio::verifyCheckpoint(probe(dir_, 0)));
+  EXPECT_FALSE(verified);
+}
+
+TEST_F(CrashRestartTest, MissingLastPartFailsVerifyWithoutThrowing) {
+  writeFourPartsWithoutOne(dir_, 3);
+  bool verified = true;
+  EXPECT_NO_THROW(verified = hostio::verifyCheckpoint(probe(dir_, 0)));
+  EXPECT_FALSE(verified);
 }
 
 TEST(FailureInjection, WriterBufferSmallerThanGroupStillCompletes) {
@@ -218,7 +248,8 @@ TEST(FailureInjection, WriterBufferSmallerThanGroupStillCompletes) {
     auto cfg = iolib::StrategyConfig::rbIo(64, true);
     cfg.writerBuffer = buffer;
     runCheckpoint(stack, spec, cfg);
-    return stack.fsys.image().find(iolib::checkpointPath(spec, 0))
+    return stack.fsys.image().find(
+        iolib::partPath(spec.directory, spec.step, 0))
         ->contentHash();
   };
   EXPECT_EQ(run(16 * 1024), run(64 * sim::MiB));

@@ -47,7 +47,8 @@ TEST(Campaign, BlockingStrategyPaysFullCheckpointTime) {
     CheckpointSpec s = smallSpec();
     s.step = k;
     for (int part = 0; part < 4; ++part) {
-      const auto* img = stack.fsys.image().find(checkpointPath(s, part));
+      const auto* img = stack.fsys.image().find(
+          partPath(s.directory, s.step, part));
       ASSERT_NE(img, nullptr) << "gen " << k << " part " << part;
       EXPECT_TRUE(img->coversExactly(layout.fileBytes()));
     }

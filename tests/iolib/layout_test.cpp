@@ -52,13 +52,6 @@ TEST(GroupFileLayout, FileBytesFormula) {
   EXPECT_EQ(layout.fieldSectionBytes(), 10u * 1000u);
 }
 
-TEST(CheckpointPath, EncodesStepAndPart) {
-  auto sp = spec();
-  sp.directory = "out";
-  sp.step = 12;
-  EXPECT_EQ(checkpointPath(sp, 3), "out/s12.part3");
-}
-
 TEST(PatternByte, DeterministicAndDiscriminating) {
   EXPECT_EQ(patternByte(1, 2, 3), patternByte(1, 2, 3));
   int distinct = 0;

@@ -29,7 +29,8 @@ TEST(Strategies, OnePfppWritesOneFilePerRankWithFullCoverage) {
   EXPECT_EQ(stack.fsys.image().fileCount(), 256u);
   GroupFileLayout layout(spec, 1);
   for (int r = 0; r < 256; ++r) {
-    const auto* img = stack.fsys.image().find(checkpointPath(spec, r));
+    const auto* img = stack.fsys.image().find(
+        partPath(spec.directory, spec.step, r));
     ASSERT_NE(img, nullptr) << "missing file for rank " << r;
     EXPECT_TRUE(img->coversExactly(layout.fileBytes()));
   }
@@ -43,7 +44,8 @@ TEST(Strategies, OnePfppContentMatchesPattern) {
   auto spec = smallSpec(true);
   runCheckpoint(stack, spec, StrategyConfig::onePfpp());
   GroupFileLayout layout(spec, 1);
-  const auto* img = stack.fsys.image().find(checkpointPath(spec, 37));
+  const auto* img = stack.fsys.image().find(
+      partPath(spec.directory, spec.step, 37));
   ASSERT_NE(img, nullptr);
   for (int f = 0; f < spec.numFields; ++f) {
     auto bytes = img->readBytes({layout.fieldOffset(f, 0),
@@ -60,7 +62,8 @@ TEST(Strategies, CoIoCoversGroupFiles) {
   EXPECT_EQ(stack.fsys.image().fileCount(), 4u);
   GroupFileLayout layout(spec, 64);
   for (int part = 0; part < 4; ++part) {
-    const auto* img = stack.fsys.image().find(checkpointPath(spec, part));
+    const auto* img = stack.fsys.image().find(
+        partPath(spec.directory, spec.step, part));
     ASSERT_NE(img, nullptr);
     EXPECT_TRUE(img->coversExactly(layout.fileBytes()))
         << "part " << part << " has gaps";
@@ -75,7 +78,8 @@ TEST(Strategies, RbIoIndependentCoversGroupFiles) {
   EXPECT_EQ(stack.fsys.image().fileCount(), 4u);
   GroupFileLayout layout(spec, 64);
   for (int part = 0; part < 4; ++part) {
-    const auto* img = stack.fsys.image().find(checkpointPath(spec, part));
+    const auto* img = stack.fsys.image().find(
+        partPath(spec.directory, spec.step, part));
     ASSERT_NE(img, nullptr);
     EXPECT_TRUE(img->coversExactly(layout.fileBytes()));
   }
@@ -89,7 +93,8 @@ TEST(Strategies, RbIoSharedFileCoversEverything) {
   auto result = runCheckpoint(stack, spec, StrategyConfig::rbIo(64, false));
   EXPECT_EQ(stack.fsys.image().fileCount(), 1u);
   GroupFileLayout layout(spec, 256);
-  const auto* img = stack.fsys.image().find(checkpointPath(spec, 0));
+  const auto* img = stack.fsys.image().find(
+      partPath(spec.directory, spec.step, 0));
   ASSERT_NE(img, nullptr);
   EXPECT_TRUE(img->coversExactly(layout.fileBytes()));
   EXPECT_GT(result.makespan, 0);
@@ -105,8 +110,10 @@ TEST(Strategies, RbIoAndCoIoProduceIdenticalFiles) {
   SimStack rbStack(256, quietOptions());
   runCheckpoint(rbStack, spec, StrategyConfig::rbIo(64, true));
   for (int part = 0; part < 4; ++part) {
-    const auto* a = coStack.fsys.image().find(checkpointPath(spec, part));
-    const auto* b = rbStack.fsys.image().find(checkpointPath(spec, part));
+    const auto* a = coStack.fsys.image().find(
+        partPath(spec.directory, spec.step, part));
+    const auto* b = rbStack.fsys.image().find(
+        partPath(spec.directory, spec.step, part));
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->contentHash(), b->contentHash()) << "part " << part;
@@ -120,8 +127,10 @@ TEST(Strategies, SharedFileVariantsProduceIdenticalContent) {
   runCheckpoint(coStack, spec, StrategyConfig::coIo(1));
   SimStack rbStack(256, quietOptions());
   runCheckpoint(rbStack, spec, StrategyConfig::rbIo(64, false));
-  const auto* a = coStack.fsys.image().find(checkpointPath(spec, 0));
-  const auto* b = rbStack.fsys.image().find(checkpointPath(spec, 0));
+  const auto* a = coStack.fsys.image().find(
+      partPath(spec.directory, spec.step, 0));
+  const auto* b = rbStack.fsys.image().find(
+      partPath(spec.directory, spec.step, 0));
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->contentHash(), b->contentHash());
@@ -167,6 +176,11 @@ TEST(Strategies, InvalidConfigsThrow) {
                std::invalid_argument);  // 3 does not divide 256
   StrategyConfig bad = StrategyConfig::rbIo(7, true);
   EXPECT_THROW(runCheckpoint(stack, spec, bad), std::invalid_argument);
+  EXPECT_THROW(runCheckpoint(stack, spec, StrategyConfig::rbIo(0, false)),
+               std::invalid_argument);  // a group needs ranks
+  StrategyConfig badNf = StrategyConfig::rbIo(64, true);
+  badNf.nf = 2;  // rbIO writes either 1 file or ng = 4 files
+  EXPECT_THROW(runCheckpoint(stack, spec, badNf), std::invalid_argument);
 }
 
 TEST(Strategies, ProfileRecordsAllOpKinds) {
