@@ -48,9 +48,11 @@ std::string secs(double seconds);
 ///                      bgckpt-perf-1): one entry per simulated run (wall
 ///                      seconds, events processed, events/sec), totals, and
 ///                      with --threads the wall time of each prefetch region
-///                      and of its jobs. Feed two of these to
-///                      tools/perf_compare to gate regressions, or one to
-///                      `trace_report --runtime` for the parallel profile.
+///                      and of its jobs. bench/golden/golden.py gates its
+///                      event counts; `trace_report --runtime` renders one
+///                      record, and `--runtime A --diff B` compares two
+///                      point by point (with --min-speedup or --tolerance,
+///                      as a gate on same-machine wall time).
 ///   --simcheck[=MODE]  enable the runtime invariant checker on every
 ///                      fresh-stack runSim (MODE: on [default], warn, off;
 ///                      see simcore/simcheck.hpp). Harnesses that build

@@ -26,7 +26,12 @@ int main(int argc, char** argv) {
     bgckpt::bench::attachObs(stack);
     const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
     iolib::MultilevelConfig cfg;  // defaults: partner copy, pfsEvery = 4
+    const WallTimer wall;
+    const std::uint64_t events0 = stack.sched.eventsProcessed();
     const auto r = runMultilevelCheckpoint(stack, spec, cfg);
+    perfRecord("np=" + std::to_string(np) + " multilevel (local + partner, " +
+                   cfg.pfsStrategy.describe() + " drain)",
+               wall.seconds(), stack.sched.eventsProcessed() - events0);
     std::printf("  %8d | %10.4f s | %10.2f s | %12.2f s | %9.0fx\n", np,
                 r.localMakespan, r.pfsMakespan, r.amortizedSeconds,
                 r.level1Speedup);

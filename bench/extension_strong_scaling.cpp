@@ -44,7 +44,12 @@ int main(int argc, char** argv) {
          }) {
       iolib::SimStack stack(np);
       bgckpt::bench::attachObs(stack);
+      const WallTimer wall;
+      const std::uint64_t events0 = stack.sched.eventsProcessed();
       const auto r = iolib::runCheckpoint(stack, spec, v.cfg);
+      perfRecord("np=" + std::to_string(np) + " " + v.cfg.describe() +
+                     " (strong scaling)",
+                 wall.seconds(), stack.sched.eventsProcessed() - events0);
       grid[v.name][np] = {r.bandwidth};
       std::printf("  %-16s %8s (makespan %s)\n", v.name,
                   gbs(r.bandwidth).c_str(), secs(r.makespan).c_str());

@@ -4,9 +4,10 @@
     python3 bench/golden/golden.py --record --threads=4 --build build
     python3 bench/golden/golden.py --check --threads=4 --build build
 
-Runs every paper bench whose stdout is deterministic (all but nekcem_scaling,
-which prints host milliseconds per step) with --threads=N and --perf-json,
-plus the four simulated examples. For each it keeps, next to this script:
+Runs every paper bench with --threads=N and --perf-json, plus the examples
+(the four simulated ones and the two that write real files). Every host
+timing goes to stderr, so each program's stdout is deterministic. For each
+it keeps, next to this script:
 
   <name>.stdout  the program's stdout, byte for byte
   <name>.events  one "<events>\\t<label>" line per simulated run of the
@@ -36,10 +37,10 @@ BENCHES = (
     "eq7_measured_vs_model", "mesh_read_time", "ablation_pvfs",
     "ablation_romio_knobs", "ablation_1pfpp_dirs", "production_campaign",
     "extension_multilevel", "extension_131k_forecast",
-    "extension_optimal_cadence", "extension_strong_scaling",
+    "extension_optimal_cadence", "extension_strong_scaling", "nekcem_scaling",
 )
 EXAMPLES = ("intrepid_campaign", "tuning_advisor", "darshan_report",
-            "restart_reader")
+            "restart_reader", "quickstart", "waveguide_checkpoint")
 
 
 def run(build, name, threads, workdir):
@@ -51,8 +52,8 @@ def run(build, name, threads, workdir):
         perf = os.path.join(workdir, name + ".perf.json")
         cmd = [os.path.join(build, "bench", name), "--threads=%d" % threads,
                "--perf-json", perf]
-    # restart_reader prints the path of its demo file, which lives in the
-    # temporary directory: pin it so the output does not depend on $TMPDIR.
+    # restart_reader and quickstart print paths in the temporary directory:
+    # pin it so the output does not depend on $TMPDIR.
     env = dict(os.environ, TMPDIR="/tmp")
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, cwd=workdir, env=env)
@@ -92,6 +93,9 @@ def main():
                     help="build tree holding bench/ and examples/")
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
+    # Programs run in a scratch directory, so a relative --build would
+    # resolve against it.
+    args.build = os.path.abspath(args.build)
     for sub in ("bench", "examples"):
         if not os.path.isdir(os.path.join(args.build, sub)):
             ap.error("%s has no %s/ directory; build the benches and "

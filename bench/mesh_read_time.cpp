@@ -53,8 +53,12 @@ MeshReadResult simulateMeshRead(int ranks, std::uint64_t elements) {
         stack.coll.broadcastCost(stack.mach.numRanks(), meshBytes));
     done = stack.sched.now() - t0;
   };
+  const WallTimer wall;
   stack.sched.spawn(program());
-  stack.sched.run();
+  const std::uint64_t events = stack.sched.run();
+  perfRecord("np=" + std::to_string(ranks) + " mesh read E=" +
+                 std::to_string(elements / 1000) + "K",
+             wall.seconds(), events);
   return {done};
 }
 

@@ -2,6 +2,9 @@
 // simulated machine the figure harnesses can afford.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <functional>
+
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "simcore/channel.hpp"
@@ -84,8 +87,7 @@ void BM_ResourceContention(benchmark::State& state) {
 BENCHMARK(BM_ResourceContention)->Arg(256)->Arg(2048);
 
 // Event-queue stress cases: timestamp distributions chosen to exercise each
-// tier of the ladder queue (see scheduler.hpp). micro_queue.cpp runs the
-// same shapes against the legacy std::priority_queue for A/B comparison.
+// tier of the ladder queue (see scheduler.hpp).
 
 void BM_QueueUniform(benchmark::State& state) {
   // Uniform spread: events flow far pool -> near ring -> dispatch.
@@ -147,6 +149,29 @@ void BM_QueueSelfRescheduling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * procs * kRounds);
 }
 BENCHMARK(BM_QueueSelfRescheduling)->Arg(1 << 12);
+
+void BM_QueueZeroDelayStorm(benchmark::State& state) {
+  // Chains that re-arm themselves at zero delay kDepth times: the wakeup
+  // cascade Resource::release / Gate::fire produce, all in the now-FIFO.
+  const auto chains = static_cast<int>(state.range(0));
+  constexpr int kDepth = 64;
+  for (auto _ : state) {
+    Scheduler sched;
+    std::uint64_t sum = 0;
+    std::function<void(int)> arm = [&](int remaining) {
+      ++sum;
+      if (remaining > 0) sched.scheduleCall(0.0, [&arm, remaining] {
+        arm(remaining - 1);
+      });
+    };
+    for (int c = 0; c < chains; ++c)
+      sched.scheduleCall(0.0, [&arm] { arm(kDepth - 1); });
+    sched.run();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * chains * kDepth);
+}
+BENCHMARK(BM_QueueZeroDelayStorm)->Arg(1 << 10);
 
 void BM_RngStream(benchmark::State& state) {
   RngStream rng(1, "bench");

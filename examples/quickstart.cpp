@@ -56,12 +56,16 @@ int main(int argc, char** argv) {
     s.directory = base + "/" + std::to_string(static_cast<int>(
                                    v.config.strategy));
     const auto result = hostio::writeCheckpoint(s, v.config, state);
-    std::printf("%-38s %6.1f ms, %7.1f MB/s", v.name,
-                result.wallSeconds * 1e3, result.bandwidth / 1e6);
+    std::printf("%-38s %zu part files\n", v.name, result.files.size());
+    // Host timings vary run to run, so they go to stderr: stdout stays
+    // comparable with plain diff.
+    std::fflush(stdout);
+    std::fprintf(stderr, "[host] %.1f ms, %.1f MB/s", result.wallSeconds * 1e3,
+                 result.bandwidth / 1e6);
     if (v.config.strategy == hostio::HostStrategy::kRbIo)
-      std::printf("  (perceived by workers: %.1f GB/s)",
-                  result.perceivedBandwidth / 1e9);
-    std::printf("\n");
+      std::fprintf(stderr, "  (perceived by workers: %.1f GB/s)",
+                   result.perceivedBandwidth / 1e9);
+    std::fprintf(stderr, "\n");
     if (!hostio::verifyCheckpoint(s)) {
       std::printf("checksum verification FAILED\n");
       return 1;

@@ -8,13 +8,11 @@ namespace bgckpt::iolib {
 
 namespace {
 
-sim::Scheduler::Config schedConfig(int numRanks, SimStackOptions& options) {
-  sim::Scheduler::Config cfg = options.scheduler;
-  if (cfg.expectedEvents == 0) {
-    // Steady state holds a few queued events per rank (a pending delay or
-    // wakeup each for the rank program, its sends, and the I/O path).
-    cfg.expectedEvents = static_cast<std::size_t>(numRanks) * 4 + 1024;
-  }
+sim::Scheduler::Config schedConfig(int numRanks) {
+  // Steady state holds a few queued events per rank (a pending delay or
+  // wakeup each for the rank program, its sends, and the I/O path).
+  sim::Scheduler::Config cfg;
+  cfg.expectedEvents = static_cast<std::size_t>(numRanks) * 4 + 1024;
   return cfg;
 }
 
@@ -36,7 +34,7 @@ std::unique_ptr<sim::SimChecker> makeChecker(sim::SimCheckMode mode) {
 }  // namespace
 
 SimStack::SimStack(int numRanks, SimStackOptions options)
-    : sched(schedConfig(numRanks, options)),
+    : sched(schedConfig(numRanks)),
       checker(makeChecker(options.simcheck)),
       mach(machine::intrepidMachine(numRanks)),
       torus(sched, mach, &obs),

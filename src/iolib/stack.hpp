@@ -31,10 +31,6 @@ struct SimStackOptions {
   fs::FsConfig fsConfig = fs::gpfsConfig();
   stor::NoiseModel noise;  // paper conditions: shared system, normal load
   std::uint64_t seed = 2011;
-  /// Scheduler tuning. `expectedEvents == 0` (the default) derives a
-  /// capacity hint from numRanks; set `legacyQueue` to A/B the reference
-  /// event queue (determinism tests).
-  sim::Scheduler::Config scheduler;
   /// Runtime invariant checking (simcore/simcheck.hpp). `kAuto` consults
   /// the SIM_CHECK environment variable, then defaults to on in debug
   /// builds and off in release. Benches expose this as `--simcheck`.

@@ -40,13 +40,11 @@ struct [[nodiscard]] RootRunner {
   std::coroutine_handle<> handle;
 };
 
-Scheduler::Scheduler(const Config& config)
-    : buckets_(kBuckets), legacy_(config.legacyQueue) {
+Scheduler::Scheduler(const Config& config) : buckets_(kBuckets) {
   if (config.expectedEvents > 0) reserve(config.expectedEvents);
 }
 
 void Scheduler::reserve(std::size_t expectedEvents) {
-  if (legacy_) return;  // the reference path keeps its textbook layout
   pool_.reserve(expectedEvents);
   far_.reserve(expectedEvents);
   nowQ_.reserve(std::min<std::size_t>(expectedEvents, 1u << 16));
@@ -294,12 +292,6 @@ void Scheduler::scheduleResume(Duration delayTime, std::coroutine_handle<> h,
     hooks_->onEventScheduled(
         seq, dispatchingSeq_, t, edge.kind,
         edge.label != nullptr ? edge.label : loc.file_name());
-  if (legacy_) {
-    legacyQueue_.push(LegacyEvent{
-        t, seq, h, nullptr,
-        EventMeta{now_, loc.file_name(), loc.line()}});
-    return;
-  }
   const std::uint32_t idx = allocNode();
   EventNode& n = pool_[idx];
   n.time = t;
@@ -325,12 +317,6 @@ void Scheduler::scheduleAt(SimTime t, std::function<void()> fn, WakeEdge edge,
     hooks_->onEventScheduled(
         seq, dispatchingSeq_, t, edge.kind,
         edge.label != nullptr ? edge.label : loc.file_name());
-  if (legacy_) {
-    legacyQueue_.push(LegacyEvent{
-        t, seq, nullptr, std::move(fn),
-        EventMeta{now_, loc.file_name(), loc.line()}});
-    return;
-  }
   const std::uint32_t idx = allocNode();
   EventNode& n = pool_[idx];
   n.time = t;
@@ -380,39 +366,11 @@ void Scheduler::step() {
   if (hooks_) hooks_->onDispatch(now_, size_);
 }
 
-void Scheduler::stepLegacy() {
-  LegacyEvent ev = legacyQueue_.top();
-  legacyQueue_.pop();
-  now_ = ev.time;
-  dispatchingSeq_ = ev.seq;
-  if (check_) {
-    check_->onDispatch(now_, ev.meta.scheduledAt, ev.meta.file, ev.meta.line);
-    if (ev.handle && FrameArena::instance().pointerState(ev.handle.address()) ==
-                         FrameArena::PointerState::kFreed)
-      check_->onStaleResume(now_, ev.handle.address());
-  }
-  ++eventsProcessed_;
-  if (ev.handle) {
-    ev.handle.resume();
-  } else {
-    ev.callback();
-  }
-  dispatchingSeq_ = SchedulerHooks::kNoParent;
-  if (hooks_) hooks_->onDispatch(now_, legacyQueue_.size());
-}
-
 std::uint64_t Scheduler::run() {
   const std::uint64_t before = eventsProcessed_;
-  if (legacy_) {
-    while (!legacyQueue_.empty()) {
-      stepLegacy();
-      if (firstError_) break;
-    }
-  } else {
-    while (size_ > 0) {
-      step();
-      if (firstError_) break;
-    }
+  while (size_ > 0) {
+    step();
+    if (firstError_) break;
   }
   if (firstError_) {
     auto ep = std::exchange(firstError_, nullptr);
@@ -423,16 +381,9 @@ std::uint64_t Scheduler::run() {
 
 std::uint64_t Scheduler::runUntil(SimTime untilTime) {
   const std::uint64_t before = eventsProcessed_;
-  if (legacy_) {
-    while (!legacyQueue_.empty() && legacyQueue_.top().time <= untilTime) {
-      stepLegacy();
-      if (firstError_) break;
-    }
-  } else {
-    while (size_ > 0 && nextEventTime() <= untilTime) {
-      step();
-      if (firstError_) break;
-    }
+  while (size_ > 0 && nextEventTime() <= untilTime) {
+    step();
+    if (firstError_) break;
   }
   if (now_ < untilTime) now_ = untilTime;
   if (firstError_) {

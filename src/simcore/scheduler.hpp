@@ -29,15 +29,13 @@
 // Event payloads (coroutine handle / callback) live in a pooled free list,
 // so steady-state scheduling performs no allocation and heap sifts move
 // small PODs instead of whole events. All tiers pop in strict (time, seq)
-// order, so the dispatch sequence is bit-identical to a single binary heap;
-// `Config::legacyQueue` keeps the straightforward std::priority_queue
-// implementation selectable as an A/B reference for determinism tests.
+// order, so the dispatch sequence is the one any correct priority queue
+// keyed on (time, seq) gives.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <source_location>
 #include <stdexcept>
 #include <vector>
@@ -117,10 +115,6 @@ class Scheduler {
   struct Config {
     /// Pre-reserve pool/heap storage for roughly this many queued events.
     std::size_t expectedEvents = 0;
-    /// Use the reference std::priority_queue implementation instead of the
-    /// tiered queue. Dispatch order is identical; this exists so tests can
-    /// prove it (old-vs-new determinism regression).
-    bool legacyQueue = false;
   };
 
   Scheduler() : Scheduler(Config{}) {}
@@ -194,9 +188,7 @@ class Scheduler {
   std::uint64_t eventsProcessed() const { return eventsProcessed_; }
 
   /// Events currently queued (diagnostic; sampled by SchedulerHooks).
-  std::size_t queueDepth() const {
-    return legacy_ ? legacyQueue_.size() : size_;
-  }
+  std::size_t queueDepth() const { return size_; }
 
   /// Event-pool slots ever allocated (diagnostic: a drained-and-refilled
   /// queue reuses slots instead of growing, which tests assert).
@@ -261,21 +253,6 @@ class Scheduler {
     unsigned line = 0;
   };
 
-  // Reference implementation (Config::legacyQueue).
-  struct LegacyEvent {
-    SimTime time;
-    std::uint64_t seq;
-    std::coroutine_handle<> handle;
-    std::function<void()> callback;
-    EventMeta meta;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
   void scheduleAt(SimTime t, std::function<void()> fn, WakeEdge edge,
                   std::source_location loc);
   std::uint32_t allocNode();
@@ -295,7 +272,6 @@ class Scheduler {
   SimTime nextEventTime();
   /// Dispatch one event; requires a non-empty queue.
   void step();
-  void stepLegacy();
 
   void noteRootDone(std::uint64_t rootId) {
     --liveRoots_;
@@ -339,13 +315,6 @@ class Scheduler {
   std::vector<FarEntry> far_;
   SimTime farMin_ = 0.0;
   SimTime farMax_ = 0.0;
-
-  // srclint:allow(priority-queue): this is the legacy A/B reference queue
-  // itself — Config::legacyQueue routes dispatch through it to prove the
-  // tiered queue preserves (time, seq) order.
-  std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, LegacyLater>
-      legacyQueue_;
-  const bool legacy_ = false;
 
   std::size_t size_ = 0;
   SimTime now_ = 0.0;

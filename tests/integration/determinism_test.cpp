@@ -1,15 +1,26 @@
-// Old-vs-new event queue determinism: the tiered queue must be an exact
-// drop-in for the legacy std::priority_queue — same dispatch order, so the
-// full figure-5 stack produces bit-identical results at scale. Any drift
-// here means the tiered queue reordered equal-time events and every figure
-// in the paper reproduction silently changed.
+// The full figure-5 stack is deterministic: a 16K-rank rbIO nf=ng
+// checkpoint dispatches exactly the event count golden.py recorded for the
+// same point of the fig5 bench (bench/golden/fig5_write_bandwidth.events),
+// and a repeat run reproduces every result bit for bit. Any drift here
+// means the event queue reordered equal-time events or a layer gained or
+// lost work, and every figure in the paper reproduction silently changed.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <fstream>
+#include <string>
 
 #include "iolib/stack.hpp"
 #include "iolib/strategies.hpp"
 
+#ifndef BGCKPT_GOLDEN_DIR
+#error "BGCKPT_GOLDEN_DIR must be defined by the build"
+#endif
+
 namespace bgckpt {
 namespace {
+
+constexpr int kNp = 16384;
 
 struct StackOutcome {
   std::uint64_t events;
@@ -18,33 +29,43 @@ struct StackOutcome {
   double makespan;
 };
 
-StackOutcome runFig5Stack(bool legacyQueue) {
-  constexpr int kNp = 16384;
-  iolib::SimStackOptions opt;  // default options == the figure benches
-  opt.scheduler.legacyQueue = legacyQueue;
-  iolib::SimStack stack(kNp, opt);
+StackOutcome runFig5Stack(const iolib::StrategyConfig& cfg) {
+  iolib::SimStack stack(kNp);  // default options == the figure benches
   const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(kNp);
-  const auto r =
-      runCheckpoint(stack, spec, iolib::StrategyConfig::rbIo(64, true));
-  return {stack.sched.eventsProcessed(), stack.sched.now(), r.bandwidth,
-          r.makespan};
+  const std::uint64_t events0 = stack.sched.eventsProcessed();
+  const auto r = runCheckpoint(stack, spec, cfg);
+  return {stack.sched.eventsProcessed() - events0, stack.sched.now(),
+          r.bandwidth, r.makespan};
 }
 
-TEST(Determinism, TieredQueueReproducesLegacyFig5StackExactly) {
-  const auto tiered = runFig5Stack(false);
-  const auto legacy = runFig5Stack(true);
-  EXPECT_EQ(tiered.events, legacy.events);
-  EXPECT_EQ(tiered.finalTime, legacy.finalTime);  // bit-identical, no EQ_NEAR
-  EXPECT_EQ(tiered.bandwidth, legacy.bandwidth);
-  EXPECT_EQ(tiered.makespan, legacy.makespan);
+/// The events golden.py recorded for `label` in `file` ("<events>\t<label>"
+/// lines), or 0 when no line carries that label.
+std::uint64_t goldenEvents(const char* file, const std::string& label) {
+  std::ifstream in(std::string(BGCKPT_GOLDEN_DIR) + "/" + file);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto tab = line.find('\t');
+    if (tab != std::string::npos && line.substr(tab + 1) == label)
+      return std::stoull(line.substr(0, tab));
+  }
+  return 0;
 }
 
-TEST(Determinism, RepeatedTieredRunsAreBitIdentical) {
-  const auto a = runFig5Stack(false);
-  const auto b = runFig5Stack(false);
+TEST(Determinism, Fig5StackMatchesItsGoldenAndARepeatRun) {
+  const auto cfg = iolib::StrategyConfig::rbIo(64, true);
+  // The label the fig5 bench gives this point in its --perf-json record.
+  const std::string label = "np=" + std::to_string(kNp) + " " + cfg.describe();
+  const std::uint64_t golden =
+      goldenEvents("fig5_write_bandwidth.events", label);
+  ASSERT_GT(golden, 0u) << "no golden line for \"" << label << "\"";
+
+  const auto a = runFig5Stack(cfg);
+  const auto b = runFig5Stack(cfg);
+  EXPECT_EQ(a.events, golden);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.finalTime, b.finalTime);
+  EXPECT_EQ(a.finalTime, b.finalTime);  // bit-identical, no EQ_NEAR
   EXPECT_EQ(a.bandwidth, b.bandwidth);
+  EXPECT_EQ(a.makespan, b.makespan);
 }
 
 }  // namespace

@@ -176,46 +176,62 @@ TEST(Scheduler, DeadlockLeavesLiveRoots) {
   EXPECT_EQ(sched.liveRoots(), 1u);  // stuck process detected
 }
 
-// --- tiered event queue vs. the legacy priority_queue reference ----------
+// --- dispatch order across the tiered queue ------------------------------
 
-Scheduler::Config queueConfig(bool legacy) {
-  Scheduler::Config cfg;
-  cfg.legacyQueue = legacy;
-  return cfg;
-}
-
-/// Both queue implementations must dispatch an arbitrary schedule in the
-/// exact same order: (time, insertion seq). Uses a deterministic LCG so the
-/// "random" schedule is identical on both sides, with timestamps spanning
-/// many near-window reseeds plus duplicate-time runs.
-TEST(Scheduler, TieredQueueMatchesLegacyDispatchOrder) {
-  auto runSide = [](bool legacy) {
-    Scheduler sched(queueConfig(legacy));
-    std::vector<int> order;
-    std::uint64_t lcg = 12345;
-    auto next = [&lcg] {
-      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-      return static_cast<double>(lcg >> 33);
-    };
-    for (int i = 0; i < 2000; ++i) {
-      double t = next() / 1e6;
-      if (i % 7 == 0) t = 42.0;        // duplicate-time runs
-      if (i % 13 == 0) t = t * 1e4;    // far-tier outliers
-      sched.scheduleCall(t, [&order, i] { order.push_back(i); });
-    }
-    // Events scheduled from inside callbacks (time has advanced) as well.
-    sched.scheduleCall(1.0, [&] {
-      for (int i = 2000; i < 2100; ++i)
-        sched.scheduleCall(static_cast<double>(i % 11),
-                           [&order, i] { order.push_back(i); });
-    });
-    sched.run();
-    return order;
+/// An arbitrary schedule must dispatch in strictly increasing (time,
+/// insertion seq) order, each event once and at its scheduled time: with
+/// non-negative delays that is exactly the order any correct priority queue
+/// keyed on (time, seq) gives. A deterministic LCG spreads timestamps over
+/// many near-window reseeds, plus duplicate-time runs and far-tier outliers.
+TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
+  Scheduler sched;
+  struct Dispatch {
+    int id;
+    SimTime now;
+    std::uint64_t seq;
   };
-  const auto tiered = runSide(false);
-  const auto legacy = runSide(true);
-  ASSERT_EQ(tiered.size(), 2100u);
-  EXPECT_EQ(tiered, legacy);
+  std::vector<Dispatch> order;
+  std::vector<SimTime> due(2100);
+  std::uint64_t lcg = 12345;
+  auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(lcg >> 33);
+  };
+  auto record = [&order, &sched](int id) {
+    order.push_back({id, sched.now(), sched.dispatchingSeq()});
+  };
+  for (int i = 0; i < 2000; ++i) {
+    double t = next() / 1e6;
+    if (i % 7 == 0) t = 42.0;        // duplicate-time runs
+    if (i % 13 == 0) t = t * 1e4;    // far-tier outliers
+    due[static_cast<std::size_t>(i)] = t;
+    sched.scheduleCall(t, [&record, i] { record(i); });
+  }
+  // Events scheduled from inside callbacks (time has advanced) as well.
+  sched.scheduleCall(1.0, [&] {
+    for (int i = 2000; i < 2100; ++i) {
+      due[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 11);
+      sched.scheduleCall(static_cast<double>(i % 11),
+                         [&record, i] { record(i); });
+    }
+  });
+  sched.run();
+  ASSERT_EQ(order.size(), 2100u);
+  std::vector<int> seen(2100, 0);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const Dispatch& d = order[k];
+    ASSERT_GE(d.id, 0);
+    ASSERT_LT(d.id, 2100);
+    ++seen[static_cast<std::size_t>(d.id)];
+    EXPECT_EQ(d.now, due[static_cast<std::size_t>(d.id)]) << "event " << d.id;
+    if (k > 0) {
+      const Dispatch& p = order[k - 1];
+      EXPECT_TRUE(p.now < d.now || (p.now == d.now && p.seq < d.seq))
+          << "event " << d.id << " at (" << d.now << ", " << d.seq
+          << ") dispatched after (" << p.now << ", " << p.seq << ")";
+    }
+  }
+  EXPECT_EQ(seen, std::vector<int>(2100, 1));
 }
 
 TEST(Scheduler, RunUntilStopsAcrossQueueWindowBoundaries) {
@@ -252,7 +268,7 @@ TEST(Scheduler, EventPoolIsRecycledNotGrown) {
 }
 
 TEST(Scheduler, ReserveDoesNotChangeBehaviour) {
-  Scheduler sized(Scheduler::Config{1 << 16, false});
+  Scheduler sized(Scheduler::Config{1 << 16});
   Scheduler unsized;
   std::vector<int> a, b;
   for (int i = 0; i < 100; ++i) {

@@ -18,7 +18,7 @@ int bumpTicks() {
 }
 
 void queues() {
-  std::priority_queue<int> backlog;  // priority-queue: outside scheduler.cpp
+  std::priority_queue<int> backlog;  // priority-queue: a second event queue
   backlog.push(bumpTicks());
   int* scratch = new int[4];    // raw-new: simcore allocations use the arena
   delete[] scratch;             // raw-new: and the matching delete

@@ -1,7 +1,7 @@
 // End-to-end coverage for the offline CLIs (tools/trace_report,
-// tools/perf_compare, tools/sweep) against small committed fixtures: exit
-// codes and the key output lines each mode must produce. The binaries and
-// fixture directory come in as compile definitions from CMake.
+// tools/sweep) against small committed fixtures: exit codes and the key
+// output lines each mode must produce. The binaries and fixture directory
+// come in as compile definitions from CMake.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,9 +16,6 @@
 #endif
 #ifndef BENCH_BIN_DIR
 #error "BENCH_BIN_DIR must be defined by the build"
-#endif
-#ifndef BENCH_BASELINE_DIR
-#error "BENCH_BASELINE_DIR must be defined by the build"
 #endif
 
 namespace {
@@ -41,9 +38,6 @@ RunResult run(const std::string& cmd) {
 
 std::string traceReport() {
   return std::string(TOOLS_BIN_DIR) + "/trace_report";
-}
-std::string perfCompare() {
-  return std::string(TOOLS_BIN_DIR) + "/perf_compare";
 }
 std::string fixture(const char* name) {
   return std::string(TOOLS_FIXTURE_DIR) + "/" + name;
@@ -430,65 +424,114 @@ TEST(CampaignCli, MissingLedgerAndUsageErrorsExitTwo) {
             2);
 }
 
-TEST(PerfCompareCli, PassesWhenEventsMatch) {
-  const auto r = run(perfCompare() + " " + fixture("perf_base.json") + " " +
-                     fixture("perf_same.json") + " --no-wall");
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("PERF CHECK [PASS]: events"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("PERF CHECK [SKIP]: wall-clock"), std::string::npos);
+// ---------------------------------------------------------------------------
+// trace_report --runtime --diff as a gate (--tolerance F, --min-speedup X):
+// identical runs and event counts, and an elapsed-wall bound.
+// ---------------------------------------------------------------------------
+
+std::string runtimeGate(const char* a, const char* b,
+                        const std::string& bound) {
+  return traceReport() + " --runtime " + fixture(a) + " --diff " + fixture(b) +
+         " " + bound;
 }
 
-TEST(PerfCompareCli, FailsOnEventRegression) {
-  const auto r = run(perfCompare() + " " + fixture("perf_base.json") + " " +
-                     fixture("perf_regressed.json") + " --no-wall");
-  EXPECT_EQ(r.exitCode, 1) << r.output;
-  EXPECT_NE(r.output.find("PERF CHECK [FAIL]: events"), std::string::npos)
-      << r.output;
-}
-
-TEST(PerfCompareCli, ComparesMatchingThreadGroupsOnly) {
-  // Baseline holds serial and 8-thread groups; the current report is
-  // serial-only, so only the threads=1 group gates and the 8-thread group
-  // is skipped.
-  const auto r = run(perfCompare() + " " + fixture("perf_base_threads.json") +
-                     " " + fixture("perf_same.json") + " --no-wall");
+TEST(RuntimeGateCli, PassesWhenEventsMatch) {
+  const auto r = run(runtimeGate("perf_base.json", "perf_same.json",
+                                 "--tolerance 0.15"));
   EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("PERF CHECK [PASS]: events"), std::string::npos)
+  EXPECT_NE(r.output.find("runtime gate [OK]: 2 runs, labels and event "
+                          "counts identical"),
+            std::string::npos)
       << r.output;
-  EXPECT_NE(r.output.find("[threads=1]"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("PERF CHECK [SKIP]: no [threads=8]"),
+  EXPECT_NE(r.output.find("runtime gate [OK]: elapsed wall 0.300 s -> "
+                          "0.300 s"),
             std::string::npos)
       << r.output;
 }
 
-TEST(PerfCompareCli, MinSpeedupPassesWhenParallelIsFaster) {
-  const auto r = run(perfCompare() + " " + fixture("perf_base.json") + " " +
-                     fixture("perf_parallel.json") + " --min-speedup 3");
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("PERF CHECK [PASS]: speedup 4.00x"),
+TEST(RuntimeGateCli, FailsOnEventRegression) {
+  const auto r = run(runtimeGate("perf_base.json", "perf_regressed.json",
+                                 "--tolerance 0.15"));
+  EXPECT_EQ(r.exitCode, 1) << r.output;
+  EXPECT_NE(r.output.find("runtime gate [FAIL]: run 0: \"np=256 coIO\" 10000 "
+                          "events vs \"np=256 coIO\" 25000 events"),
             std::string::npos)
       << r.output;
 }
 
-TEST(PerfCompareCli, MinSpeedupFailsWhenParallelIsNotFasterEnough) {
-  const auto r = run(perfCompare() + " " + fixture("perf_base.json") + " " +
-                     fixture("perf_same.json") + " --min-speedup 3");
+// One event more in one run fails however loose the wall bound: the
+// simulation is deterministic, so a tracer that schedules one event
+// changed the work done.
+TEST(RuntimeGateCli, OneEventOfDriftFailsUnderAnyTolerance) {
+  const auto r = run(runtimeGate("perf_serial.json", "perf_one_event.json",
+                                 "--tolerance 0.5"));
   EXPECT_EQ(r.exitCode, 1) << r.output;
-  EXPECT_NE(r.output.find("PERF CHECK [FAIL]: speedup"), std::string::npos)
+  EXPECT_NE(r.output.find("runtime gate [FAIL]: run 1: \"np=16384 coIO "
+                          "nf=1\" 2601617 events vs \"np=16384 coIO nf=1\" "
+                          "2601618 events"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("runtime gate [OK]: elapsed wall 6.000 s -> "
+                          "6.000 s"),
+            std::string::npos)
       << r.output;
 }
 
-TEST(PerfCompareCli, UsageAndMissingFilesExitTwo) {
-  EXPECT_EQ(run(perfCompare()).exitCode, 2);
-  EXPECT_EQ(run(perfCompare() + " " + fixture("perf_base.json") +
-                " /nonexistent.json")
+// perf_prefetch.json is shaped like a real --threads=4 record: every run's
+// wall is as long as or longer than its serial twin (the runs contend), and
+// the one prefetch region took a third of the serial total. The speedup is
+// the region's, 6 s / 2 s, not the ratio of summed per-run walls.
+TEST(RuntimeGateCli, MinSpeedupTimesTheParallelRegion) {
+  const auto r = run(runtimeGate("perf_serial.json", "perf_prefetch.json",
+                                 "--min-speedup 2"));
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_NE(r.output.find("runtime gate [OK]: 5 runs, labels and event "
+                          "counts identical"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("runtime gate [OK]: elapsed wall 6.000 s -> "
+                          "2.000 s, speedup 3.00x (required >= 2.00x)"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(RuntimeGateCli, MinSpeedupFailsWhenParallelIsNotFasterEnough) {
+  const auto r = run(runtimeGate("perf_base.json", "perf_same.json",
+                                 "--min-speedup 3"));
+  EXPECT_EQ(r.exitCode, 1) << r.output;
+  EXPECT_NE(r.output.find("runtime gate [FAIL]: elapsed wall 0.300 s -> "
+                          "0.300 s, speedup 1.00x"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(RuntimeGateCli, UsageAndMissingFilesExitTwo) {
+  // A bound needs a record to compare against, and only --runtime has one.
+  EXPECT_EQ(run(traceReport() + " --runtime " + fixture("perf_base.json") +
+                " --min-speedup 2")
                 .exitCode,
             2);
-  // The first 400 bytes of the fig5 baseline: 3 of its 10 runs, cut
-  // mid-record. A report that does not parse is an error, not a pass.
-  EXPECT_EQ(run(perfCompare() + " " + BENCH_BASELINE_DIR +
-                "/FIG5_perf.json " + fixture("perf_cut.json") + " --no-wall")
+  EXPECT_EQ(run(traceReport() + " --runtime " + fixture("perf_base.json") +
+                " --tolerance 0.5")
+                .exitCode,
+            2);
+  EXPECT_EQ(run(traceReport() + " --critpath " +
+                fixture("critpath_coio.json") + " --diff " +
+                fixture("critpath_rbio.json") + " --min-speedup 2")
+                .exitCode,
+            2);
+  EXPECT_EQ(run(runtimeGate("perf_base.json", "perf_same.json",
+                            "--min-speedup 0"))
+                .exitCode,
+            2);
+  EXPECT_EQ(run(traceReport() + " --runtime " + fixture("perf_base.json") +
+                " --diff /nonexistent.json --tolerance 0.5")
+                .exitCode,
+            2);
+  // The first 400 bytes of perf_serial.json, cut mid-record. A record that
+  // does not parse is an error, not a pass.
+  EXPECT_EQ(run(runtimeGate("perf_serial.json", "perf_cut.json",
+                            "--tolerance 0.5"))
                 .exitCode,
             2);
 }

@@ -24,10 +24,9 @@ const std::vector<RuleInfo> kRules = {
      "and the promise-type hooks) is exempt: it *is* the designated\n"
      "allocator."},
     {"priority-queue", "hygiene",
-     "std::priority_queue outside src/simcore/scheduler.cpp",
-     "The tiered ladder queue is the production dispatch structure; the\n"
-     "legacy binary heap exists only as the A/B reference inside\n"
-     "scheduler.cpp. Any other priority_queue is either a duplicate event\n"
+     "std::priority_queue anywhere",
+     "The tiered ladder queue in src/simcore/scheduler.cpp is the one\n"
+     "dispatch structure. Any priority_queue is either a duplicate event\n"
      "queue or an accidental O(log n) hot path."},
     {"assert", "hygiene",
      "release-invisible assert() (or <cassert>) in src/",
@@ -295,10 +294,10 @@ void tokenRules(FileCtx& ctx) {
                        "` in simcore; allocations on the event path must go "
                        "through FrameArena / the event pool");
     }
-    if (t.text == "priority_queue" && !f.isSchedulerCpp)
+    if (t.text == "priority_queue")
       ctx.report(t.line, "priority-queue",
-                 "std::priority_queue is reserved for the legacy reference "
-                 "queue inside scheduler.cpp; use the Scheduler API");
+                 "std::priority_queue duplicates the event queue; use the "
+                 "Scheduler API");
     if (f.inSrc && t.text == "assert" && next != nullptr && isPunct(*next, "("))
       ctx.report(t.line, "assert",
                  "assert() vanishes under NDEBUG; simulation-state "
@@ -903,7 +902,6 @@ AnalyzedFile analyze(LexedFile lexed) {
   f.inNetsim = name.find("src/netsim/") != std::string::npos;
   f.inObs = name.find("src/obs/") != std::string::npos;
   f.inIolib = name.find("src/iolib/") != std::string::npos;
-  f.isSchedulerCpp = name.find("simcore/scheduler.cpp") != std::string::npos;
   const auto dot = name.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : name.substr(dot);
   f.isHeader = ext == ".hpp" || ext == ".h";

@@ -52,7 +52,6 @@ struct AnalyzedFile {
   bool inNetsim = false;
   bool inObs = false;
   bool inIolib = false;
-  bool isSchedulerCpp = false;
   bool isHeader = false;
 };
 

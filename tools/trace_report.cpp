@@ -5,7 +5,8 @@
 //         trace_report --critpath <run.json> [--diff <other.json>]
 //         trace_report --timeline <telemetry.json> [--diff <other.json>]
 //         trace_report --waterfall <optrace.json> [--req ID | --diff <other>]
-//         trace_report --runtime <perf.json> [--diff <other.json>]
+//         trace_report --runtime <perf.json> [--diff <other.json>
+//                      [--min-speedup X] [--tolerance F]]
 //
 // Default mode reads the event log written alongside a Chrome trace by
 // `<bench> --trace <file>` (the `<file>.jsonl` twin), rebuilds the I/O
@@ -33,7 +34,12 @@
 // side of the perf record written by `<bench> --perf-json`: each --threads
 // prefetch region's jobs slowest first, with the serial-fraction /
 // Amdahl-ceiling analysis, then the per-point wall table; --diff compares
-// two records point by point.
+// two records point by point. With --min-speedup X or --tolerance F the
+// diff is a gate (exit 1 on failure): both records must hold the same runs
+// (labels in order, identical event counts), and B's elapsed wall must be
+// at most A's / X, or at most A's * (1 + F). Elapsed wall is each parallel
+// region's wall plus the runs no region covers, so a --threads record is
+// timed by its regions, not by per-run walls that overlap.
 //
 // --campaign renders the cross-run ledger a `tools/sweep` run wrote: the
 // per-strategy bandwidth-vs-np table (the fig5 surface re-derived from
@@ -41,8 +47,7 @@
 // the best-strategy-per-(np, nf) matrix, and the per-config run list.
 // With --diff it lines configs up across two ledgers by config hash (A/B
 // across git revs); with --baseline it gates per-config event counts
-// against a committed ledger (drift beyond --tolerance fails, exit 1 —
-// the perf_compare contract applied across runs).
+// against a committed ledger (drift beyond --tolerance fails, exit 1).
 //
 // Every JSON artifact a mode reads must carry this build's version in its
 // "schema" field, else exit 2.
@@ -91,7 +96,8 @@ int usage(const char* argv0) {
                " [--width N]\n"
                "       %s --waterfall <optrace.json> [--req ID |"
                " --diff <other.json>]\n"
-               "       %s --runtime <perf.json> [--diff <other.json>]\n"
+               "       %s --runtime <perf.json> [--diff <other.json>"
+               " [--min-speedup X] [--tolerance F]]\n"
                "       %s --campaign <ledger-dir> [--diff <other-dir> |"
                " --baseline <dir> [--tolerance F]]\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0);
@@ -782,7 +788,99 @@ const Value* perfRuns(const Value& doc) {
   return runs != nullptr && runs->isArray() ? runs : nullptr;
 }
 
-int runRuntimeMode(const char* pathA, const char* pathB) {
+/// Wall-clock seconds a perf record took end to end: each parallel
+/// region's wall, plus the wall of every run no region's jobs cover (the
+/// run record of a prefetched point repeats its job's label). Per-run walls
+/// of prefetched points overlap, so their sum is not the time taken.
+double elapsedWall(const Value& doc) {
+  std::map<std::string, int> covered;  // label -> region jobs not yet matched
+  double wall = 0;
+  if (const Value* regions = doc.find("parallel_regions");
+      regions != nullptr && regions->isArray()) {
+    for (const Value& rv : *regions->array) {
+      wall += rv.numberOr("wall_seconds", 0);
+      if (const Value* jobs = rv.find("jobs"); jobs && jobs->isArray())
+        for (const Value& jv : *jobs->array)
+          ++covered[jv.stringOr("label", "?")];
+    }
+  }
+  if (const Value* runs = perfRuns(doc)) {
+    for (const Value& rv : *runs->array) {
+      int& left = covered[rv.stringOr("label", "?")];
+      if (left > 0)
+        --left;
+      else
+        wall += rv.numberOr("wall_seconds", 0);
+    }
+  }
+  return wall;
+}
+
+/// The --min-speedup / --tolerance gate over two perf records of the same
+/// workload: the same runs in the same order with identical event counts
+/// (the simulation is deterministic, so one event of drift is a change in
+/// the work done), and B's elapsed wall within the bound. `minSpeedup` <= 0
+/// and `tolerance` < 0 turn their bound off. Returns the exit code.
+int gateRuntime(const Value& a, const Value& b, double minSpeedup,
+                double tolerance) {
+  int failures = 0;
+  const Value* runsA = perfRuns(a);
+  const Value* runsB = perfRuns(b);
+  const std::size_t nA = runsA != nullptr ? runsA->array->size() : 0;
+  const std::size_t nB = runsB != nullptr ? runsB->array->size() : 0;
+  std::printf("\n");
+  if (nA == 0 || nA != nB) {
+    std::printf("runtime gate [FAIL]: %zu run(s) vs %zu; both records must "
+                "hold the same runs\n",
+                nA, nB);
+    ++failures;
+  } else {
+    std::size_t same = 0;
+    for (std::size_t i = 0; i < nA; ++i) {
+      const Value& ra = (*runsA->array)[i];
+      const Value& rb = (*runsB->array)[i];
+      const std::string labelA = ra.stringOr("label", "?");
+      const std::string labelB = rb.stringOr("label", "?");
+      const double evA = ra.numberOr("events", -1);
+      const double evB = rb.numberOr("events", -1);
+      if (labelA == labelB && evA == evB && evA >= 0) {
+        ++same;
+        continue;
+      }
+      std::printf("runtime gate [FAIL]: run %zu: \"%s\" %.0f events vs "
+                  "\"%s\" %.0f events\n",
+                  i, labelA.c_str(), evA, labelB.c_str(), evB);
+      ++failures;
+    }
+    if (same == nA)
+      std::printf("runtime gate [OK]: %zu runs, labels and event counts "
+                  "identical\n",
+                  nA);
+  }
+  const double wallA = elapsedWall(a);
+  const double wallB = elapsedWall(b);
+  if (minSpeedup > 0) {
+    const double speedup = wallB > 0 ? wallA / wallB : 0.0;
+    const bool pass = speedup >= minSpeedup;
+    std::printf("runtime gate [%s]: elapsed wall %.3f s -> %.3f s, speedup "
+                "%.2fx (required >= %.2fx)\n",
+                pass ? "OK" : "FAIL", wallA, wallB, speedup, minSpeedup);
+    failures += pass ? 0 : 1;
+  }
+  if (tolerance >= 0) {
+    const bool pass = wallB <= wallA * (1 + tolerance);
+    std::printf("runtime gate [%s]: elapsed wall %.3f s -> %.3f s (%+.1f%%, "
+                "tolerance +%.1f%%)\n",
+                pass ? "OK" : "FAIL", wallA, wallB,
+                wallA > 0 ? (wallB - wallA) / wallA * 100.0 : 0.0,
+                tolerance * 100.0);
+    failures += pass ? 0 : 1;
+  }
+  return failures == 0 ? 0 : 1;
+}
+
+int runRuntimeMode(const char* pathA, const char* pathB, double minSpeedup,
+                   double tolerance) {
   using bgckpt::obs::kPerfSchemaVersion;
   Value a;
   if (!loadGatedArtifact(pathA, "perf", kPerfSchemaVersion, &a)) return 2;
@@ -819,6 +917,8 @@ int runRuntimeMode(const char* pathA, const char* pathB) {
                     ab.second,
                     ab.first > 0 ? ab.second / ab.first : 0.0);
     }
+    if (minSpeedup > 0 || tolerance >= 0)
+      return gateRuntime(a, b, minSpeedup, tolerance);
     return 0;
   }
 
@@ -1035,9 +1135,9 @@ int runCampaignMode(const char* dir, const char* diffDir,
   }
 
   if (baselineDir != nullptr) {
-    // The perf_compare contract applied across runs: simulated event
-    // counts are deterministic per (config, code), so any drift beyond
-    // the tolerance marks a behavioural change — and fails the gate.
+    // Simulated event counts are deterministic per (config, code), so any
+    // drift beyond the tolerance marks a behavioural change — and fails
+    // the gate.
     // Wall time is printed for context only (ledgers cross machines).
     std::vector<LedgerEntry> base;
     if (!openLedger(baselineDir, &base)) return 2;
@@ -1093,6 +1193,8 @@ int main(int argc, char** argv) {
   const char* diffPath = nullptr;
   const char* baselinePath = nullptr;
   double tolerance = 0.15;
+  bool toleranceGiven = false;
+  double minSpeedup = 0;
   int bins = 60;
   int width = 72;
   long long reqId = -1;
@@ -1132,6 +1234,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
       tolerance = std::strtod(argv[++i], nullptr);
       if (!(tolerance >= 0)) return usage(argv[0]);
+      toleranceGiven = true;
+    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
+      minSpeedup = std::strtod(argv[++i], nullptr);
+      if (!(minSpeedup > 0)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--diff") == 0 && i + 1 < argc) {
       diffPath = argv[++i];
     } else if (argv[i][0] == '-') {
@@ -1147,12 +1253,18 @@ int main(int argc, char** argv) {
   if (baselinePath != nullptr &&
       (mode != Mode::kCampaign || diffPath != nullptr))
     return usage(argv[0]);
+  // The runtime gate's bounds need a record to compare against.
+  if ((minSpeedup > 0 || (toleranceGiven && mode == Mode::kRuntime)) &&
+      (mode != Mode::kRuntime || diffPath == nullptr))
+    return usage(argv[0]);
   if (mode == Mode::kAttr) return runAttrMode(path, diffPath);
   if (mode == Mode::kCritPath) return runCritPathMode(path, diffPath);
   if (mode == Mode::kTimeline) return runTimelineMode(path, diffPath, width);
   if (mode == Mode::kWaterfall)
     return runWaterfallMode(path, diffPath, reqId, width);
-  if (mode == Mode::kRuntime) return runRuntimeMode(path, diffPath);
+  if (mode == Mode::kRuntime)
+    return runRuntimeMode(path, diffPath, minSpeedup,
+                          toleranceGiven ? tolerance : -1.0);
   if (mode == Mode::kCampaign)
     return runCampaignMode(path, diffPath, baselinePath, tolerance);
 
