@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -18,8 +17,8 @@
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flightrec.hpp"
+#include "obs/obs.hpp"
 #include "obs/optrace.hpp"
-#include "obs/runstore.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "simcore/parallel.hpp"
@@ -69,27 +68,11 @@ class LiveStack final : public obs::TraceSink {
 };
 std::vector<std::weak_ptr<LiveStack>> gLiveStacks;
 
-/// Strategy/result metadata attached to runSim perf records. The campaign
-/// roll-up (trace_report --campaign) re-derives figure tables from these
-/// fields; measuredGbs stores the exact string the bench printed, so the
-/// ledger view is byte-identical to the individually-run bench's stdout by
-/// construction, not by re-formatting.
-struct SimMeta {
-  bool present = false;
-  int np = 0;
-  int nf = 0;
-  std::string strategy;     // strategyName(cfg.kind)
-  std::string config;       // cfg.describe()
-  std::string measuredGbs;  // gbs(result.bandwidth)
-  double simSeconds = 0.0;  // result.makespan, simulated seconds
-};
-
 struct PerfEntry {
   std::string label;
   double wallSeconds = 0.0;
   std::uint64_t events = 0;
   unsigned threads = 1;
-  SimMeta sim;
 };
 std::vector<PerfEntry> gPerfEntries;
 
@@ -102,43 +85,18 @@ struct ParallelRegion {
 };
 std::vector<ParallelRegion> gRegions;
 
-/// Completed-but-not-yet-consumed simulation points (see prefetchSims).
-/// Written single-threaded after the parallel phase, consumed by runSim.
+/// Completed-but-not-yet-consumed simulation points (see prefetchSims), in
+/// point order. Written single-threaded after the parallel phase, consumed
+/// by runSim. A run matches on its whole SimPoint, not on the describe()
+/// label, which omits hints and buffer sizes.
 struct CachedRun {
+  SimPoint point;
   iolib::CheckpointResult result;
   std::string label;
   double wallSeconds = 0.0;
   std::uint64_t events = 0;
 };
-std::map<std::string, std::deque<CachedRun>> gSimCache;
-
-/// Cache key covering *every* field that changes simulated behaviour.
-/// StrategyConfig::describe() is presentation (it omits hints and buffer
-/// sizes), so it must not be the key.
-std::string pointKey(int np, const iolib::StrategyConfig& cfg,
-                     std::uint64_t seed) {
-  std::string key = std::to_string(np);
-  key += '|';
-  key += std::to_string(static_cast<int>(cfg.kind));
-  key += '|';
-  key += std::to_string(cfg.nf);
-  key += '|';
-  key += std::to_string(cfg.groupSize);
-  key += '|';
-  key += std::to_string(cfg.hints.bgpNodesPset);
-  key += '|';
-  key += std::to_string(cfg.hints.cbBufferSize);
-  key += '|';
-  key += cfg.hints.alignFileDomains ? '1' : '0';
-  key += cfg.hints.deferredOpen ? '1' : '0';
-  key += '|';
-  key += std::to_string(cfg.writerBuffer);
-  key += '|';
-  key += cfg.onePfppPrivateDirs ? '1' : '0';
-  key += '|';
-  key += std::to_string(seed);
-  return key;
-}
+std::vector<CachedRun> gSimCache;
 
 std::string jsonEscape(const std::string& s) {
   std::string out;
@@ -170,10 +128,8 @@ std::string jsonlTwin(const std::string& path) {
   return path + ".jsonl";
 }
 
-/// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
-/// and stores VALUE in `out`. A separate value that is missing or is itself
-/// a flag exits 2: otherwise `--telemetry --optrace` would write a file
-/// named "--optrace" and never turn op tracing on.
+}  // namespace
+
 bool flagValue(int argc, char** argv, int& i, const char* name,
                std::string& out) {
   const char* a = argv[i];
@@ -193,8 +149,6 @@ bool flagValue(int argc, char** argv, int& i, const char* name,
   out = argv[++i];
   return true;
 }
-
-}  // namespace
 
 void obsInit(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -284,8 +238,7 @@ unsigned benchThreads() { return gThreads; }
 void perfRecord(const std::string& label, double wallSeconds,
                 std::uint64_t events) {
   if (gPerfJsonPath.empty()) return;
-  gPerfEntries.push_back(
-      PerfEntry{label, wallSeconds, events, gThreads, SimMeta{}});
+  gPerfEntries.push_back(PerfEntry{label, wallSeconds, events, gThreads});
 }
 
 bool perfFlush() {
@@ -296,8 +249,6 @@ bool perfFlush() {
                  gPerfJsonPath.c_str());
     return false;
   }
-  double totalWall = 0.0;
-  std::uint64_t totalEvents = 0;
   std::fprintf(f, "{\n  \"schema\": \"%s\",\n  \"runs\": [\n",
                obs::kPerfSchemaVersion);
   for (std::size_t i = 0; i < gPerfEntries.size(); ++i) {
@@ -308,29 +259,12 @@ bool perfFlush() {
     std::fprintf(f,
                  "    {\"label\": \"%s\", \"threads\": %u, "
                  "\"wall_seconds\": %.6f, "
-                 "\"events\": %llu, \"events_per_second\": %.0f",
+                 "\"events\": %llu, \"events_per_second\": %.0f}%s\n",
                  jsonEscape(e.label).c_str(), e.threads, e.wallSeconds,
-                 static_cast<unsigned long long>(e.events), eps);
-    if (e.sim.present) {
-      std::fprintf(f,
-                   ", \"np\": %d, \"nf\": %d, \"strategy\": \"%s\", "
-                   "\"config\": \"%s\", \"measured_gbs\": \"%s\", "
-                   "\"sim_seconds\": %.6f",
-                   e.sim.np, e.sim.nf, jsonEscape(e.sim.strategy).c_str(),
-                   jsonEscape(e.sim.config).c_str(),
-                   jsonEscape(e.sim.measuredGbs).c_str(), e.sim.simSeconds);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < gPerfEntries.size() ? "," : "");
-    totalWall += e.wallSeconds;
-    totalEvents += e.events;
+                 static_cast<unsigned long long>(e.events), eps,
+                 i + 1 < gPerfEntries.size() ? "," : "");
   }
-  const double totalEps =
-      totalWall > 0.0 ? static_cast<double>(totalEvents) / totalWall : 0.0;
-  std::fprintf(f,
-               "  ],\n  \"total\": {\"wall_seconds\": %.6f, \"events\": %llu, "
-               "\"events_per_second\": %.0f}",
-               totalWall, static_cast<unsigned long long>(totalEvents),
-               totalEps);
+  std::fprintf(f, "  ]");
   if (!gRegions.empty()) {
     std::fprintf(f, ",\n  \"parallel_regions\": [\n");
     for (std::size_t r = 0; r < gRegions.size(); ++r) {
@@ -546,26 +480,6 @@ iolib::CheckpointResult runMeasured(iolib::SimStack& stack, int np,
   return result;
 }
 
-/// perfRecord plus the strategy/result metadata of one simulated
-/// checkpoint. Both runSim paths (fresh run, prefetch-cache replay) land
-/// here, so the --perf-json record carries the same sim fields whatever
-/// the thread count.
-void perfRecordSim(const std::string& label, double wallSeconds,
-                   std::uint64_t events, int np,
-                   const iolib::StrategyConfig& cfg,
-                   const iolib::CheckpointResult& result) {
-  perfRecord(label, wallSeconds, events);
-  if (gPerfJsonPath.empty() || gPerfEntries.empty()) return;
-  SimMeta& sim = gPerfEntries.back().sim;
-  sim.present = true;
-  sim.np = np;
-  sim.nf = cfg.nf;
-  sim.strategy = iolib::strategyName(cfg.kind);
-  sim.config = cfg.describe();
-  sim.measuredGbs = gbs(result.bandwidth);
-  sim.simSeconds = result.makespan;
-}
-
 }  // namespace
 
 void prefetchSims(const std::vector<SimPoint>& points) {
@@ -576,7 +490,6 @@ void prefetchSims(const std::vector<SimPoint>& points) {
   // non-prefetched attach continues after them.
   if (obs) gStacksAttached = base + static_cast<int>(points.size());
   struct Slot {
-    std::string key;
     CachedRun run;
     double jobSeconds = 0.0;  // stack build through teardown
   };
@@ -593,7 +506,7 @@ void prefetchSims(const std::vector<SimPoint>& points) {
       opt.flightRecorderEvents = gFlightRecEvents;
       iolib::SimStack stack(p.np, opt);
       if (obs) attachObsNumbered(stack, base + static_cast<int>(i) + 1);
-      slot.key = pointKey(p.np, p.cfg, p.seed);
+      slot.run.point = p;
       slot.run.label = "np=" + std::to_string(p.np) + " " + p.cfg.describe();
       slot.run.result = runMeasured(stack, p.np, p.cfg, slot.run.wallSeconds,
                                     slot.run.events);
@@ -609,20 +522,20 @@ void prefetchSims(const std::vector<SimPoint>& points) {
       region.jobs.emplace_back(slot.run.label, slot.jobSeconds);
     gRegions.push_back(std::move(region));
   }
-  for (Slot& slot : slots)
-    gSimCache[slot.key].push_back(std::move(slot.run));
+  for (Slot& slot : slots) gSimCache.push_back(std::move(slot.run));
 }
 
 iolib::CheckpointResult runSim(int np, const iolib::StrategyConfig& cfg,
                                std::uint64_t seed) {
-  const auto cached = gSimCache.find(pointKey(np, cfg, seed));
-  if (cached != gSimCache.end() && !cached->second.empty()) {
-    CachedRun run = std::move(cached->second.front());
-    cached->second.pop_front();
-    if (cached->second.empty()) gSimCache.erase(cached);
+  const SimPoint point{np, cfg, seed};
+  const auto cached =
+      std::find_if(gSimCache.begin(), gSimCache.end(),
+                   [&](const CachedRun& run) { return run.point == point; });
+  if (cached != gSimCache.end()) {
+    CachedRun run = std::move(*cached);
+    gSimCache.erase(cached);
     // Replayed at consumption time so the perf record keeps serial order.
-    perfRecordSim(run.label, run.wallSeconds, run.events, np, cfg,
-                  run.result);
+    perfRecord(run.label, run.wallSeconds, run.events);
     return run.result;
   }
   iolib::SimStackOptions opt;
@@ -639,8 +552,8 @@ iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
   double wall = 0.0;
   std::uint64_t events = 0;
   auto result = runMeasured(stack, np, cfg, wall, events);
-  perfRecordSim("np=" + std::to_string(np) + " " + cfg.describe(), wall,
-                events, np, cfg, result);
+  perfRecord("np=" + std::to_string(np) + " " + cfg.describe(), wall,
+             events);
   return result;
 }
 

@@ -45,12 +45,12 @@ std::string secs(double seconds);
 ///                      <file>.jsonl event log for tools/trace_report
 ///   --metrics <file>   export the metrics registry as JSON there
 ///   --perf-json <file> write a machine-readable perf record there (schema
-///                      bgckpt-perf-1): one entry per simulated run (wall
-///                      seconds, events processed, events/sec), totals, and
-///                      with --threads the wall time of each prefetch region
-///                      and of its jobs. bench/golden/golden.py gates its
-///                      event counts; `trace_report --runtime` renders one
-///                      record, and `--runtime A --diff B` compares two
+///                      bgckpt-perf-1): one entry per simulated run (label,
+///                      wall seconds, events processed, events/sec) and,
+///                      with --threads, the wall time of each prefetch
+///                      region and of its jobs. bench/golden/golden.py gates
+///                      its event counts; `trace_report --runtime` renders
+///                      one record, and `--runtime A --diff B` compares two
 ///                      point by point (with --min-speedup or --tolerance,
 ///                      as a gate on same-machine wall time).
 ///   --simcheck[=MODE]  enable the runtime invariant checker on every
@@ -99,6 +99,15 @@ std::string secs(double seconds);
 /// is missing or is itself a flag. Unknown arguments are ignored so
 /// harnesses stay forward-compatible.
 void obsInit(int argc, char** argv);
+
+/// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
+/// and stores VALUE in `out` (advancing `i` past a separate value). A
+/// separate value that is missing or is itself a flag exits 2 with
+/// `error: NAME needs a value`: otherwise `--telemetry --optrace` would
+/// write a file named "--optrace" and never turn op tracing on. Harnesses
+/// parse their own valued flags with it, so they share this contract.
+bool flagValue(int argc, char** argv, int& i, const char* name,
+               std::string& out);
 
 /// The worker-thread count requested with --threads (>= 1).
 unsigned benchThreads();
@@ -154,6 +163,8 @@ struct SimPoint {
   int np = 0;
   iolib::StrategyConfig cfg;
   std::uint64_t seed = 2011;
+
+  bool operator==(const SimPoint&) const = default;
 };
 
 /// Simulate every point ahead of time on benchThreads() workers and cache

@@ -14,11 +14,13 @@
 //                        (np/ng) * BW_rbIO/BW_coIO     (from bandwidths)
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/models.hpp"
 #include "common.hpp"
+#include "machine/bgp.hpp"
 #include "obs/attr.hpp"
 
 using namespace bgckpt;
@@ -66,14 +68,15 @@ void printPhaseTable(const char* label,
 int main(int argc, char** argv) {
   bgckpt::bench::obsInit(argc, argv);
   int np = 4096;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--np") == 0 && i + 1 < argc)
-      np = std::atoi(argv[++i]);
-    else if (std::strncmp(argv[i], "--np=", 5) == 0)
-      np = std::atoi(argv[i] + 5);
-  }
-  if (np < 128 || np % 64 != 0) {
-    std::fprintf(stderr, "error: --np must be a multiple of 64, >= 128\n");
+  std::string value;
+  for (int i = 1; i < argc; ++i)
+    if (flagValue(argc, argv, i, "--np", value)) np = std::atoi(value.c_str());
+  // Every Intrepid partition is a multiple of 64 ranks, so the 64:1 groups
+  // always divide it.
+  try {
+    machine::intrepidMachine(np);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: --np %d: %s\n", np, e.what());
     return 2;
   }
   banner("Equation (7) - measured blocked time vs the analytical model",

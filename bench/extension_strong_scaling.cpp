@@ -5,6 +5,7 @@
 // checkpoint volume is pinned to the 16K-rank problem (~39 GB) while the
 // partition grows — per-rank data shrinks, so fixed per-rank overheads and
 // metadata costs erode the gains differently per strategy.
+#include <algorithm>
 #include <cstdio>
 
 #include "common.hpp"
@@ -36,22 +37,35 @@ int main(int argc, char** argv) {
     struct V {
       const char* name;
       iolib::StrategyConfig cfg;
+      iolib::CheckpointResult result;
     };
-    for (const auto& v : std::vector<V>{
-             {"coIO 64:1", iolib::StrategyConfig::coIo(np / 64)},
-             {"rbIO 64:1 nf=ng", iolib::StrategyConfig::rbIo(64, true)},
-             {"rbIO nf=1024", iolib::StrategyConfig::rbIo(np / 1024, true)},
-         }) {
-      iolib::SimStack stack(np);
-      bgckpt::bench::attachObs(stack);
-      const WallTimer wall;
-      const std::uint64_t events0 = stack.sched.eventsProcessed();
-      const auto r = iolib::runCheckpoint(stack, spec, v.cfg);
-      perfRecord("np=" + std::to_string(np) + " " + v.cfg.describe() +
-                     " (strong scaling)",
-                 wall.seconds(), stack.sched.eventsProcessed() - events0);
-      grid[v.name][np] = {r.bandwidth};
-      std::printf("  %-16s %8s (makespan %s)\n", v.name,
+    std::vector<V> rows = {
+        {"coIO 64:1", iolib::StrategyConfig::coIo(np / 64), {}},
+        {"rbIO 64:1 nf=ng", iolib::StrategyConfig::rbIo(64, true), {}},
+        {"rbIO nf=1024", iolib::StrategyConfig::rbIo(np / 1024, true), {}},
+    };
+    for (auto row = rows.begin(); row != rows.end(); ++row) {
+      // At 64K, np / 1024 == 64: "rbIO nf=1024" is the "rbIO 64:1 nf=ng"
+      // configuration, so it takes that row's result instead of
+      // simulating it again.
+      const auto same = std::find_if(rows.begin(), row, [&](const V& done) {
+        return done.cfg == row->cfg;
+      });
+      if (same != row) {
+        row->result = same->result;
+      } else {
+        iolib::SimStack stack(np);
+        bgckpt::bench::attachObs(stack);
+        const WallTimer wall;
+        const std::uint64_t events0 = stack.sched.eventsProcessed();
+        row->result = iolib::runCheckpoint(stack, spec, row->cfg);
+        perfRecord("np=" + std::to_string(np) + " " + row->cfg.describe() +
+                       " (strong scaling)",
+                   wall.seconds(), stack.sched.eventsProcessed() - events0);
+      }
+      const iolib::CheckpointResult& r = row->result;
+      grid[row->name][np] = {r.bandwidth};
+      std::printf("  %-16s %8s (makespan %s)\n", row->name,
                   gbs(r.bandwidth).c_str(), secs(r.makespan).c_str());
       std::fflush(stdout);
     }

@@ -4,8 +4,8 @@
 // (64K, 1.1B, ~157GB).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
+#include <string>
 
 #include "common.hpp"
 
@@ -18,12 +18,10 @@ int main(int argc, char** argv) {
   // scales up to N. Shape checks need all three scales, so they are
   // skipped; the run still exercises every approach end-to-end.
   int maxNp = 65536;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-np") == 0 && i + 1 < argc)
-      maxNp = std::atoi(argv[i + 1]);
-    else if (std::strncmp(argv[i], "--max-np=", 9) == 0)
-      maxNp = std::atoi(argv[i] + 9);
-  }
+  std::string value;
+  for (int i = 1; i < argc; ++i)
+    if (flagValue(argc, argv, i, "--max-np", value))
+      maxNp = std::atoi(value.c_str());
   banner("Figure 5 - write performance with NekCEM on Intrepid GPFS",
          "Bandwidth = total data / wall time of the slowest processor.");
 

@@ -4,10 +4,11 @@
     python3 bench/golden/golden.py --record --threads=4 --build build
     python3 bench/golden/golden.py --check --threads=4 --build build
 
-Runs every paper bench with --threads=N and --perf-json, plus the examples
-(the four simulated ones and the two that write real files). Every host
-timing goes to stderr, so each program's stdout is deterministic. For each
-it keeps, next to this script:
+Runs every paper bench with --threads=N and --perf-json, the VARIANTS below
+(a bench at other arguments), plus the examples (the four simulated ones
+and the two that write real files). Every host timing goes to stderr, so
+each program's stdout is deterministic. For each it keeps, next to this
+script:
 
   <name>.stdout  the program's stdout, byte for byte
   <name>.events  one "<events>\\t<label>" line per simulated run of the
@@ -39,19 +40,29 @@ BENCHES = (
     "extension_multilevel", "extension_131k_forecast",
     "extension_optimal_cadence", "extension_strong_scaling", "nekcem_scaling",
 )
+# (golden name, bench, arguments): benches gated away from their defaults.
+# eq7's default is 4096 ranks; these are its four smaller scales.
+VARIANTS = (
+    ("eq7_measured_vs_model_np256", "eq7_measured_vs_model", ("--np", "256")),
+    ("eq7_measured_vs_model_np512", "eq7_measured_vs_model", ("--np", "512")),
+    ("eq7_measured_vs_model_np1024", "eq7_measured_vs_model",
+     ("--np", "1024")),
+    ("eq7_measured_vs_model_np2048", "eq7_measured_vs_model",
+     ("--np", "2048")),
+)
 EXAMPLES = ("intrepid_campaign", "tuning_advisor", "darshan_report",
             "restart_reader", "quickstart", "waveguide_checkpoint")
 
 
-def run(build, name, threads, workdir):
+def run(build, name, program, args, threads, workdir):
     """Run one program; returns (stdout, events text or None, exit code)."""
-    if name in EXAMPLES:
-        cmd = [os.path.join(build, "examples", name)]
+    if program in EXAMPLES:
+        cmd = [os.path.join(build, "examples", program)]
         perf = None
     else:
         perf = os.path.join(workdir, name + ".perf.json")
-        cmd = [os.path.join(build, "bench", name), "--threads=%d" % threads,
-               "--perf-json", perf]
+        cmd = [os.path.join(build, "bench", program), *args,
+               "--threads=%d" % threads, "--perf-json", perf]
     # restart_reader and quickstart print paths in the temporary directory:
     # pin it so the output does not depend on $TMPDIR.
     env = dict(os.environ, TMPDIR="/tmp")
@@ -100,13 +111,15 @@ def main():
         if not os.path.isdir(os.path.join(args.build, sub)):
             ap.error("%s has no %s/ directory; build the benches and "
                      "examples first" % (args.build, sub))
-    names = BENCHES + EXAMPLES
+    programs = ([(b, b, ()) for b in BENCHES] + list(VARIANTS) +
+                [(e, e, ()) for e in EXAMPLES])
 
     failures = 0
     with tempfile.TemporaryDirectory(prefix="bgckpt_golden_") as workdir:
-        for name in names:
+        for name, program, prog_args in programs:
             start = time.monotonic()
-            stdout, events, code = run(args.build, name, args.threads, workdir)
+            stdout, events, code = run(args.build, name, program, prog_args,
+                                       args.threads, workdir)
             outputs = [(name + ".stdout", stdout)]
             if events is not None:
                 outputs.append((name + ".events", events))
@@ -133,7 +146,7 @@ def main():
             failures += bool(problems)
     if failures:
         print("%d of %d programs differ from their goldens or failed"
-              % (failures, len(names)))
+              % (failures, len(programs)))
         return 1
     return 0
 

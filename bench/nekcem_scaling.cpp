@@ -28,13 +28,15 @@ int main(int argc, char** argv) {
               eff * 100);
   std::printf("weak-scaling checkpoint-run step (n/P=17000): %.3f s\n",
               model.weakScalingStepSeconds());
-  for (int np : {16384, 32768, 65536})
+  for (int np : {16384, 32768, 65536}) {
+    // 68K elements per 16K ranks, each of (N+1)^3 = 16^3 grid points.
+    const std::uint64_t elements =
+        68000 * static_cast<std::uint64_t>(np / 16384);
     std::printf("  (E,P)=(%3dK,%dK): n=%.0fM points, t_step %.3f s\n",
-                68 * (np / 16384), np / 1024,
-                68.0 * (np / 16384) * 4096 / 1e6,
-                model.stepSeconds(static_cast<std::uint64_t>(68000) *
-                                      static_cast<std::uint64_t>(np / 16384),
-                                  15, np));
+                static_cast<int>(elements / 1000), np / 1024,
+                static_cast<double>(elements) * 4096 / 1e6,
+                model.stepSeconds(elements, 15, np));
+  }
 
   std::printf("\n== real mini solver (host) ==\n");
   struct Row {

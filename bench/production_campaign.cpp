@@ -4,14 +4,8 @@
 // every nc steps, on 16,384 simulated ranks. rbIO's dedicated writers
 // drain checkpoints concurrently with computation, so its I/O cost only
 // surfaces when the cadence outpaces the writers.
-//
-// Sweepable: --np N (multiple of 64 with a valid Intrepid partition, so
-// 256/512/1024/...), --steps N, --every N. Any non-default value is a
-// smoke/sweep run: the paper-shape checks assume the 16,384-rank
-// production campaign and are skipped, but every strategy row still lands
-// in the --perf-json report so `tools/sweep` can ledger the point.
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "common.hpp"
 #include "iolib/campaign.hpp"
@@ -20,41 +14,17 @@
 using namespace bgckpt;
 using namespace bgckpt::bench;
 
-namespace {
-
-int intFlag(int argc, char** argv, const char* name, int fallback) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return std::atoi(argv[i + 1]);
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::atoi(argv[i] + len + 1);
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bgckpt::bench::obsInit(argc, argv);
-  const int np = intFlag(argc, argv, "--np", 16384);
-  const int steps = intFlag(argc, argv, "--steps", 60);
-  const int every = intFlag(argc, argv, "--every", 20);
-  if (np < 64 || np % 64 != 0 || steps < 1 || every < 1) {
-    std::fprintf(stderr,
-                 "production_campaign: need --np >= 64 (multiple of 64), "
-                 "--steps >= 1, --every >= 1\n");
-    return 2;
-  }
-  const bool production = np == 16384 && steps == 60 && every == 20;
+  const int np = 16384;
   banner("Production campaign - end-to-end Eq. (1), measured directly",
          "60 compute steps, checkpoint every 20, 16,384 ranks.");
 
   nekcem::PerfModel perf;
   const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
   iolib::CampaignConfig base;
-  base.steps = steps;
-  base.checkpointEvery = every;
+  base.steps = 60;
+  base.checkpointEvery = 20;
   base.computeStepSeconds = perf.weakScalingStepSeconds();
 
   struct Row {
@@ -67,12 +37,8 @@ int main(int argc, char** argv) {
       {"coIO 64:1", iolib::StrategyConfig::coIo(np / 64), {}},
       {"rbIO 64:1 nf=ng", iolib::StrategyConfig::rbIo(64, true), {}},
   };
-  if (!production)
-    std::printf("\nsweep point: np=%d steps=%d every=%d (shape checks "
-                "skipped)\n",
-                np, steps, every);
   std::printf("\ncompute-only time: %.1f s (%d steps x %.3f s)\n",
-              base.steps * base.computeStepSeconds, steps,
+              base.steps * base.computeStepSeconds, base.steps,
               base.computeStepSeconds);
   std::printf("\n  %-16s | %10s | %12s | %10s\n", "strategy", "total",
               "I/O overhead", "% overhead");
@@ -99,7 +65,6 @@ int main(int argc, char** argv) {
               vsPfpp, vsCoIo);
 
   std::vector<Check> checks;
-  if (!production) return reportChecks(checks);
   // At 16K with nc=20 the writer drain (~5 s) slightly exceeds the cadence
   // (~4.4 s), so writers trail the computation — the paper's own caveat
   // that writers must "flush their I/O requests roughly in the time

@@ -60,6 +60,7 @@ struct StrategyConfig {
   bool onePfppPrivateDirs = false;
 
   std::string describe() const;
+  bool operator==(const StrategyConfig&) const = default;
 
   static StrategyConfig onePfpp();
   static StrategyConfig coIo(int nf);

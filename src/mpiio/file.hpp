@@ -34,6 +34,8 @@ struct Hints {
   bool alignFileDomains = true;
   /// Only aggregators open the file at filesystem level.
   bool deferredOpen = true;
+
+  bool operator==(const Hints&) const = default;
 };
 
 /// One rank's handle to a shared MPI file. Copyable (shares state).

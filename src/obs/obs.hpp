@@ -30,6 +30,10 @@ class TelemetrySink;
 class OpTracer;
 class OpTraceSink;
 
+/// Schema tag of a bench's `--perf-json` record: per-run wall and event
+/// counts, and the wall time of each --threads prefetch region.
+inline constexpr const char* kPerfSchemaVersion = "bgckpt-perf-1";
+
 /// sim::SchedulerHooks implementation: counts dispatched events, tracks the
 /// event-queue high-water mark, and emits one span per root task on the
 /// scheduler layer (tid = root id). When a CritPathRecorder is attached it

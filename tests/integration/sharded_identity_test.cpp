@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -36,12 +37,14 @@ struct RunResult {
   std::string output;
 };
 
-/// Runs a bench binary and captures stdout only. stderr is discarded: the
-/// obs announce lines go there, and with --threads > 1 their interleaving
-/// with worker progress is not deterministic.
-RunResult run(const std::string& cmd) {
+/// Runs a bench binary and captures stdout only, unless `withStderr`.
+/// stderr is discarded by default: the obs announce lines go there, and with
+/// --threads > 1 their interleaving with worker progress is not
+/// deterministic.
+RunResult run(const std::string& cmd, bool withStderr = false) {
   RunResult r;
-  FILE* pipe = popen((cmd + " 2>/dev/null").c_str(), "r");
+  FILE* pipe =
+      popen((cmd + (withStderr ? " 2>&1" : " 2>/dev/null")).c_str(), "r");
   if (pipe == nullptr) return r;
   char buf[512];
   while (std::fgets(buf, sizeof(buf), pipe) != nullptr) r.output += buf;
@@ -139,7 +142,13 @@ void expectByteIdentical(const std::string& bench, const std::string& args,
 
   std::vector<std::string> expected;
   for (int n = 1; n <= stacks; ++n) {
-    const std::string tag = n == 1 ? "" : "." + std::to_string(n);
+    // Built with += rather than `"." + to_string(n)`: the rvalue-insert
+    // overload trips GCC 12's -Wrestrict false positive at -O3 under -Werror.
+    std::string tag;
+    if (n > 1) {
+      tag = ".";
+      tag += std::to_string(n);
+    }
     expected.push_back("attr" + tag + ".json");
     expected.push_back("telemetry" + tag + ".json");
   }
@@ -202,6 +211,9 @@ TEST(ShardedIdentity, PerfJsonOnFullDiskExitsNonzero) {
 
 // A flag that takes a value must not swallow the next flag as its file
 // name: the run exits 2 and writes nothing named after the swallowed flag.
+// A bench's own valued flag follows the same contract: a missing value, or
+// one the simulated machine cannot run, exits 2 with an error instead of
+// running the default or aborting.
 TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
   const TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
@@ -212,6 +224,16 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
   for (const auto& e : fs::directory_iterator(tmp.path()))
     EXPECT_NE(e.path().filename().string().rfind("--optrace", 0), 0u)
         << "stray file " << e.path();
+  for (const auto& [args, error] : {
+           std::pair<std::string, std::string>{"eq7_measured_vs_model --np",
+                                               "error: --np needs a value"},
+           {"fig5_write_bandwidth --max-np", "error: --max-np needs a value"},
+           {"eq7_measured_vs_model --np 192",
+            "error: --np 192: unsupported Intrepid partition"}}) {
+    const RunResult bad = run(std::string(BENCH_BIN_DIR) + "/" + args, true);
+    EXPECT_EQ(bad.exitCode, 2) << args << "\n" << bad.output;
+    EXPECT_NE(bad.output.find(error), std::string::npos) << bad.output;
+  }
 }
 
 // Every announce line goes to stderr, so --trace and --metrics leave figure

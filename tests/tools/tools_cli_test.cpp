@@ -1,11 +1,12 @@
-// End-to-end coverage for the offline CLIs (tools/trace_report,
-// tools/sweep) against small committed fixtures: exit codes and the key
-// output lines each mode must produce. The binaries and fixture directory
-// come in as compile definitions from CMake.
+// End-to-end coverage for the offline CLI (tools/trace_report) against
+// small committed fixtures: exit codes and the key output lines each mode
+// must produce. The binary and fixture directories come in as compile
+// definitions from CMake.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 #ifndef TOOLS_BIN_DIR
@@ -13,9 +14,6 @@
 #endif
 #ifndef TOOLS_FIXTURE_DIR
 #error "TOOLS_FIXTURE_DIR must be defined by the build"
-#endif
-#ifndef BENCH_BIN_DIR
-#error "BENCH_BIN_DIR must be defined by the build"
 #endif
 
 namespace {
@@ -42,22 +40,6 @@ std::string traceReport() {
 std::string fixture(const char* name) {
   return std::string(TOOLS_FIXTURE_DIR) + "/" + name;
 }
-std::string sweepBin() { return std::string(TOOLS_BIN_DIR) + "/sweep"; }
-
-/// Fresh scratch ledger directory per test, removed on destruction.
-struct TempLedger {
-  std::filesystem::path path;
-  TempLedger() {
-    path = std::filesystem::temp_directory_path() /
-           ("tools_cli_ledger_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(path);
-  }
-  ~TempLedger() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string str() const { return path.string(); }
-};
 
 TEST(TraceReportCli, SummaryModeReportsLayersAndBalance) {
   const auto r = run(traceReport() + " " + fixture("trace_coio.jsonl"));
@@ -305,123 +287,6 @@ TEST(TraceReportCli, RuntimeRejectsWrongSchemaVersion) {
       run(traceReport() + " --runtime " + fixture("perf_badschema.json"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
   EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
-}
-
-// ---------------------------------------------------------------------------
-// tools/sweep + trace_report --campaign: the campaign ledger loop. The
-// committed campaign_a / campaign_b fixtures are two-revision mini-ledgers
-// produced by the real sweep tool (rev-a / rev-b) over the committed
-// sweep_smoke.json spec.
-// ---------------------------------------------------------------------------
-
-TEST(SweepCli, SecondPassIsAllCacheHits) {
-  TempLedger ledger;
-  const std::string cmd = sweepBin() + " " + fixture("sweep_smoke.json") +
-                          " --ledger " + ledger.str() + " --bench-dir " +
-                          BENCH_BIN_DIR + " --git-rev test-rev --jobs 2";
-  const auto first = run(cmd);
-  EXPECT_EQ(first.exitCode, 0) << first.output;
-  EXPECT_NE(first.output.find("(2 run, 0 cached, 0 failed)"),
-            std::string::npos)
-      << first.output;
-  const auto second = run(cmd);
-  EXPECT_EQ(second.exitCode, 0) << second.output;
-  EXPECT_NE(second.output.find("(0 run, 2 cached, 0 failed)"),
-            std::string::npos)
-      << second.output;
-  // A different revision derives different keys: everything re-runs.
-  const auto newRev = run(sweepBin() + " " + fixture("sweep_smoke.json") +
-                          " --ledger " + ledger.str() + " --bench-dir " +
-                          BENCH_BIN_DIR + " --git-rev other-rev --jobs 2");
-  EXPECT_EQ(newRev.exitCode, 0) << newRev.output;
-  EXPECT_NE(newRev.output.find("(2 run, 0 cached, 0 failed)"),
-            std::string::npos)
-      << newRev.output;
-}
-
-TEST(SweepCli, LedgerFeedsCampaignRollup) {
-  TempLedger ledger;
-  const auto sweep = run(sweepBin() + " " + fixture("sweep_smoke.json") +
-                         " --ledger " + ledger.str() + " --bench-dir " +
-                         BENCH_BIN_DIR + " --git-rev test-rev --jobs 1");
-  ASSERT_EQ(sweep.exitCode, 0) << sweep.output;
-  const auto r = run(traceReport() + " --campaign " + ledger.str());
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("2 run(s), 2 distinct config(s)"),
-            std::string::npos)
-      << r.output;
-  // The roll-up re-derives the bandwidth strings the bench printed,
-  // byte-identically (the ledger stores the exact "%.2f GB/s" text).
-  EXPECT_NE(r.output.find("0.26 GB/s"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("0.15 GB/s"), std::string::npos) << r.output;
-}
-
-TEST(SweepCli, RejectsUnknownSpecSchema) {
-  TempLedger ledger;
-  const auto r = run(sweepBin() + " " + fixture("telemetry_badschema.json") +
-                     " --ledger " + ledger.str());
-  EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
-}
-
-TEST(CampaignCli, RendersBandwidthTableAndBestStrategyMatrix) {
-  const auto r = run(traceReport() + " --campaign " + fixture("campaign_a"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("revision(s): rev-a"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("per-strategy bandwidth vs np"), std::string::npos)
-      << r.output;
-  // Byte-identical to the bench's own stdout at np=256: coIO nf=4 printed
-  // "BW_coIO=0.26 GB/s", rbIO "BW_rbIO=0.15 GB/s".
-  EXPECT_NE(r.output.find("0.26 GB/s"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("0.15 GB/s"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("best strategy per (np, nf)"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("coIO"), std::string::npos);
-  EXPECT_NE(r.output.find("rbIO"), std::string::npos);
-}
-
-TEST(CampaignCli, DiffMatchesConfigsAcrossRevisions) {
-  const auto r = run(traceReport() + " --campaign " + fixture("campaign_a") +
-                     " --diff " + fixture("campaign_b"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("diff against"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("revision(s): rev-b"), std::string::npos)
-      << r.output;
-  // Same configs at both revisions pair up by config hash; the simulation
-  // is deterministic, so event counts match exactly.
-  EXPECT_NE(r.output.find("eq7_measured_vs_model --np 256"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("+0.00%"), std::string::npos) << r.output;
-  EXPECT_EQ(r.output.find("only in"), std::string::npos) << r.output;
-}
-
-TEST(CampaignCli, BaselineGatePassesOnIdenticalEventCounts) {
-  const auto r = run(traceReport() + " --campaign " + fixture("campaign_b") +
-                     " --baseline " + fixture("campaign_a"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("gating against"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("campaign gate [OK]"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("2 gated: 2 ok, 0 failed, 0 skipped"),
-            std::string::npos)
-      << r.output;
-}
-
-TEST(CampaignCli, MissingLedgerAndUsageErrorsExitTwo) {
-  EXPECT_EQ(run(traceReport() + " --campaign /nonexistent-ledger").exitCode,
-            2);
-  // --baseline only makes sense with --campaign, and not alongside --diff.
-  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.jsonl") +
-                " --baseline " + fixture("campaign_a"))
-                .exitCode,
-            2);
-  EXPECT_EQ(run(traceReport() + " --campaign " + fixture("campaign_a") +
-                " --diff " + fixture("campaign_b") + " --baseline " +
-                fixture("campaign_a"))
-                .exitCode,
-            2);
 }
 
 // ---------------------------------------------------------------------------

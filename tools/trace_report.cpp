@@ -41,14 +41,6 @@
 // region's wall plus the runs no region covers, so a --threads record is
 // timed by its regions, not by per-run walls that overlap.
 //
-// --campaign renders the cross-run ledger a `tools/sweep` run wrote: the
-// per-strategy bandwidth-vs-np table (the fig5 surface re-derived from
-// stored perf records, byte-identical to the benches' own stdout values),
-// the best-strategy-per-(np, nf) matrix, and the per-config run list.
-// With --diff it lines configs up across two ledgers by config hash (A/B
-// across git revs); with --baseline it gates per-config event counts
-// against a committed ledger (drift beyond --tolerance fails, exit 1).
-//
 // Every JSON artifact a mode reads must carry this build's version in its
 // "schema" field, else exit 2.
 //
@@ -56,7 +48,6 @@
 // needs to undo the microsecond scaling of the Chrome stream.
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,8 +61,8 @@
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "obs/optrace.hpp"
-#include "obs/runstore.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "profiling/profile.hpp"
@@ -97,10 +88,8 @@ int usage(const char* argv0) {
                "       %s --waterfall <optrace.json> [--req ID |"
                " --diff <other.json>]\n"
                "       %s --runtime <perf.json> [--diff <other.json>"
-               " [--min-speedup X] [--tolerance F]]\n"
-               "       %s --campaign <ledger-dir> [--diff <other-dir> |"
-               " --baseline <dir> [--tolerance F]]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+               " [--min-speedup X] [--tolerance F]]\n",
+               argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -938,262 +927,12 @@ int runRuntimeMode(const char* pathA, const char* pathB, double minSpeedup,
   return 0;
 }
 
-// ------------------------------------------------------ --campaign mode --
-
-using bgckpt::obs::LedgerEntry;
-using bgckpt::obs::RunStore;
-
-/// One simulated-checkpoint perf record pulled out of a ledger entry:
-/// the row unit of the cross-run bandwidth and best-strategy views.
-struct CampaignRun {
-  int np = 0;
-  int nf = 0;
-  std::string strategy;     // "1PFPP" / "coIO" / "rbIO"
-  std::string config;       // StrategyConfig::describe() text
-  std::string measuredGbs;  // the exact string the bench printed
-  double gbsValue = 0;      // parsed from measuredGbs, comparisons only
-};
-
-/// Human identity of one stored run: "bench --args" plus the repetition
-/// ordinal when the sweep asked for more than one.
-std::string runLabel(const LedgerEntry& e) {
-  std::string label = e.config.stringOr("bench", "?");
-  if (const Value* args = e.config.find("args"); args && args->isArray())
-    for (const Value& a : *args->array) {
-      label += ' ';
-      label += a.string;
-    }
-  const int rep = static_cast<int>(e.config.numberOr("rep", 1));
-  if (rep > 1) label += " [rep " + std::to_string(rep) + "]";
-  return label;
-}
-
-double perfTotal(const LedgerEntry& e, const char* field) {
-  const Value* total = e.perf.find("total");
-  return total != nullptr ? total->numberOr(field, 0) : 0;
-}
-
-std::vector<CampaignRun> collectSimRuns(
-    const std::vector<LedgerEntry>& entries) {
-  std::vector<CampaignRun> out;
-  for (const LedgerEntry& e : entries) {
-    const Value* runs = e.perf.find("runs");
-    if (runs == nullptr || !runs->isArray()) continue;
-    for (const Value& rv : *runs->array) {
-      if (!rv.isObject() || rv.find("strategy") == nullptr) continue;
-      CampaignRun r;
-      r.np = static_cast<int>(rv.numberOr("np", 0));
-      r.nf = static_cast<int>(rv.numberOr("nf", 0));
-      r.strategy = rv.stringOr("strategy", "?");
-      r.config = rv.stringOr("config", "?");
-      r.measuredGbs = rv.stringOr("measured_gbs", "?");
-      r.gbsValue = std::strtod(r.measuredGbs.c_str(), nullptr);
-      out.push_back(std::move(r));
-    }
-  }
-  return out;
-}
-
-/// Open a ledger directory, report corrupt entries on stderr, and require
-/// at least one intact run.
-bool openLedger(const char* dir, std::vector<LedgerEntry>* out) {
-  std::vector<std::string> errors;
-  *out = RunStore(dir).loadAll(&errors);
-  for (const std::string& err : errors)
-    std::fprintf(stderr, "trace_report: skipping entry: %s\n", err.c_str());
-  if (out->empty()) {
-    std::fprintf(stderr, "trace_report: %s: no intact ledger entries\n", dir);
-    return false;
-  }
-  return true;
-}
-
-void printLedgerSummary(const std::vector<LedgerEntry>& entries) {
-  std::unordered_set<std::string> hashes, revs;
-  std::string revList;
-  for (const LedgerEntry& e : entries) {
-    hashes.insert(e.configHash);
-    if (revs.insert(e.gitRev).second) {
-      if (!revList.empty()) revList += ", ";
-      revList += e.gitRev;
-    }
-  }
-  std::printf("%zu run(s), %zu distinct config(s), revision(s): %s\n",
-              entries.size(), hashes.size(), revList.c_str());
-}
-
-/// The fig5 surface, re-derived: strategy configuration x np, each cell
-/// the stored `measured_gbs` string verbatim. Conflicting duplicates (same
-/// config and np, different measurement) render as "varies" rather than
-/// silently picking one.
-void renderBandwidthTable(const std::vector<CampaignRun>& runs) {
-  std::vector<int> nps;
-  for (const CampaignRun& r : runs)
-    if (std::find(nps.begin(), nps.end(), r.np) == nps.end())
-      nps.push_back(r.np);
-  std::sort(nps.begin(), nps.end());
-  // config text -> np -> cell; file order decides row order (stable).
-  std::vector<std::string> order;
-  std::map<std::string, std::map<int, std::string>> cells;
-  for (const CampaignRun& r : runs) {
-    if (cells.find(r.config) == cells.end()) order.push_back(r.config);
-    auto& cell = cells[r.config][r.np];
-    if (cell.empty())
-      cell = r.measuredGbs;
-    else if (cell != r.measuredGbs)
-      cell = "varies";
-  }
-  std::printf("\nper-strategy bandwidth vs np (measured):\n%-26s", "strategy");
-  for (int np : nps) {
-    char head[24];
-    std::snprintf(head, sizeof(head), "np=%d", np);
-    std::printf(" %14s", head);
-  }
-  std::printf("\n");
-  for (const std::string& config : order) {
-    std::printf("%-26s", config.c_str());
-    for (int np : nps) {
-      const auto& row = cells[config];
-      const auto it = row.find(np);
-      std::printf(" %14s", it == row.end() ? "-" : it->second.c_str());
-    }
-    std::printf("\n");
-  }
-}
-
-/// Which strategy wins each (np, nf) cell, by measured bandwidth.
-void renderBestStrategyMatrix(const std::vector<CampaignRun>& runs) {
-  std::vector<int> nps, nfs;
-  for (const CampaignRun& r : runs) {
-    if (std::find(nps.begin(), nps.end(), r.np) == nps.end())
-      nps.push_back(r.np);
-    if (std::find(nfs.begin(), nfs.end(), r.nf) == nfs.end())
-      nfs.push_back(r.nf);
-  }
-  std::sort(nps.begin(), nps.end());
-  std::sort(nfs.begin(), nfs.end());
-  std::map<std::pair<int, int>, const CampaignRun*> best;
-  for (const CampaignRun& r : runs) {
-    const CampaignRun*& slot = best[{r.np, r.nf}];
-    if (slot == nullptr || r.gbsValue > slot->gbsValue) slot = &r;
-  }
-  std::printf("\nbest strategy per (np, nf), by measured bandwidth:\n%-10s",
-              "np \\ nf");
-  for (int nf : nfs) std::printf(" %12d", nf);
-  std::printf("\n");
-  for (int np : nps) {
-    std::printf("%-10d", np);
-    for (int nf : nfs) {
-      const auto it = best.find({np, nf});
-      std::printf(" %12s",
-                  it == best.end() ? "-" : it->second->strategy.c_str());
-    }
-    std::printf("\n");
-  }
-}
-
-int runCampaignMode(const char* dir, const char* diffDir,
-                    const char* baselineDir, double tolerance) {
-  std::vector<LedgerEntry> entries;
-  if (!openLedger(dir, &entries)) return 2;
-  std::printf("campaign ledger: %s\n", dir);
-  printLedgerSummary(entries);
-
-  if (diffDir != nullptr) {
-    std::vector<LedgerEntry> other;
-    if (!openLedger(diffDir, &other)) return 2;
-    std::printf("diff against: %s\n", diffDir);
-    printLedgerSummary(other);
-    std::map<std::string, const LedgerEntry*> byHashB;
-    for (const LedgerEntry& e : other) byHashB[e.configHash] = &e;
-    std::unordered_set<std::string> matched;
-    std::printf("\n%-44s %10s %10s %8s %12s %12s %8s\n", "config", "A wall-s",
-                "B wall-s", "B/A", "A events", "B events", "delta");
-    for (const LedgerEntry& a : entries) {
-      const auto it = byHashB.find(a.configHash);
-      if (it == byHashB.end()) continue;
-      matched.insert(a.configHash);
-      const LedgerEntry& b = *it->second;
-      const double wallA = perfTotal(a, "wall_seconds");
-      const double wallB = perfTotal(b, "wall_seconds");
-      const double evA = perfTotal(a, "events");
-      const double evB = perfTotal(b, "events");
-      std::printf("%-44s %10.3f %10.3f %7.2fx %12.0f %12.0f %+7.2f%%\n",
-                  runLabel(a).c_str(), wallA, wallB,
-                  wallA > 0 ? wallB / wallA : 0.0, evA, evB,
-                  evA > 0 ? (evB - evA) / evA * 100.0 : 0.0);
-    }
-    for (const LedgerEntry& a : entries)
-      if (byHashB.find(a.configHash) == byHashB.end())
-        std::printf("only in A: %s (rev %s)\n", runLabel(a).c_str(),
-                    a.gitRev.c_str());
-    for (const LedgerEntry& b : other)
-      if (matched.find(b.configHash) == matched.end())
-        std::printf("only in B: %s (rev %s)\n", runLabel(b).c_str(),
-                    b.gitRev.c_str());
-    return 0;
-  }
-
-  if (baselineDir != nullptr) {
-    // Simulated event counts are deterministic per (config, code), so any
-    // drift beyond the tolerance marks a behavioural change — and fails
-    // the gate.
-    // Wall time is printed for context only (ledgers cross machines).
-    std::vector<LedgerEntry> base;
-    if (!openLedger(baselineDir, &base)) return 2;
-    std::printf("gating against: %s (tolerance %.1f%%)\n", baselineDir,
-                tolerance * 100.0);
-    std::map<std::string, const LedgerEntry*> byHash;
-    for (const LedgerEntry& e : base) byHash[e.configHash] = &e;
-    int failed = 0, skipped = 0, ok = 0;
-    std::printf("\n");
-    for (const LedgerEntry& cur : entries) {
-      const auto it = byHash.find(cur.configHash);
-      if (it == byHash.end()) {
-        std::printf("campaign gate [SKIP] %s: not in baseline\n",
-                    runLabel(cur).c_str());
-        ++skipped;
-        continue;
-      }
-      const double evCur = perfTotal(cur, "events");
-      const double evBase = perfTotal(*it->second, "events");
-      const double drift =
-          evBase > 0 ? std::abs(evCur - evBase) / evBase : (evCur > 0 ? 1 : 0);
-      const bool pass = drift <= tolerance;
-      std::printf("campaign gate [%s] %s: events %.0f -> %.0f (%+.2f%%), "
-                  "wall %.3fs -> %.3fs\n",
-                  pass ? "OK" : "FAIL", runLabel(cur).c_str(), evBase, evCur,
-                  evBase > 0 ? (evCur - evBase) / evBase * 100.0 : 0.0,
-                  perfTotal(*it->second, "wall_seconds"),
-                  perfTotal(cur, "wall_seconds"));
-      pass ? ++ok : ++failed;
-    }
-    std::printf("\n%d gated: %d ok, %d failed, %d skipped\n",
-                ok + failed + skipped, ok, failed, skipped);
-    return failed > 0 ? 1 : 0;
-  }
-
-  const std::vector<CampaignRun> simRuns = collectSimRuns(entries);
-  if (!simRuns.empty()) {
-    renderBandwidthTable(simRuns);
-    renderBestStrategyMatrix(simRuns);
-  }
-  std::printf("\nruns:\n");
-  for (const LedgerEntry& e : entries)
-    std::printf("  %s  rev %-12s exit %d  wall %8.3fs  %s\n", e.key.c_str(),
-                e.gitRev.c_str(), e.exitCode, e.wallSeconds,
-                runLabel(e).c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
   const char* diffPath = nullptr;
-  const char* baselinePath = nullptr;
-  double tolerance = 0.15;
-  bool toleranceGiven = false;
+  double tolerance = -1;
   double minSpeedup = 0;
   int bins = 60;
   int width = 72;
@@ -1204,8 +943,7 @@ int main(int argc, char** argv) {
     kCritPath,
     kTimeline,
     kWaterfall,
-    kRuntime,
-    kCampaign
+    kRuntime
   } mode = Mode::kSummary;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--bins") == 0 && i + 1 < argc) {
@@ -1227,14 +965,9 @@ int main(int argc, char** argv) {
       mode = Mode::kWaterfall;
     } else if (std::strcmp(argv[i], "--runtime") == 0) {
       mode = Mode::kRuntime;
-    } else if (std::strcmp(argv[i], "--campaign") == 0) {
-      mode = Mode::kCampaign;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baselinePath = argv[++i];
     } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
       tolerance = std::strtod(argv[++i], nullptr);
       if (!(tolerance >= 0)) return usage(argv[0]);
-      toleranceGiven = true;
     } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
       minSpeedup = std::strtod(argv[++i], nullptr);
       if (!(minSpeedup > 0)) return usage(argv[0]);
@@ -1250,11 +983,8 @@ int main(int argc, char** argv) {
   if (diffPath != nullptr && mode == Mode::kSummary) return usage(argv[0]);
   if (reqId >= 0 && (mode != Mode::kWaterfall || diffPath != nullptr))
     return usage(argv[0]);
-  if (baselinePath != nullptr &&
-      (mode != Mode::kCampaign || diffPath != nullptr))
-    return usage(argv[0]);
   // The runtime gate's bounds need a record to compare against.
-  if ((minSpeedup > 0 || (toleranceGiven && mode == Mode::kRuntime)) &&
+  if ((minSpeedup > 0 || tolerance >= 0) &&
       (mode != Mode::kRuntime || diffPath == nullptr))
     return usage(argv[0]);
   if (mode == Mode::kAttr) return runAttrMode(path, diffPath);
@@ -1263,10 +993,7 @@ int main(int argc, char** argv) {
   if (mode == Mode::kWaterfall)
     return runWaterfallMode(path, diffPath, reqId, width);
   if (mode == Mode::kRuntime)
-    return runRuntimeMode(path, diffPath, minSpeedup,
-                          toleranceGiven ? tolerance : -1.0);
-  if (mode == Mode::kCampaign)
-    return runCampaignMode(path, diffPath, baselinePath, tolerance);
+    return runRuntimeMode(path, diffPath, minSpeedup, tolerance);
 
   std::ifstream in(path);
   if (!in) {
