@@ -1,6 +1,9 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,12 +11,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "machine/bgp.hpp"
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flightrec.hpp"
@@ -42,41 +48,25 @@ std::string gObsDir;
 sim::SimCheckMode gSimCheckMode = sim::SimCheckMode::kAuto;
 unsigned gThreads = 1;
 int gStacksAttached = 0;
-// Guards the two attach registries below: prefetch workers attach
+// Guards the two attach registries below: simulate()'s workers attach
 // concurrently.
 std::mutex gAttachMu;
 // Keep attached recorders alive past their stacks so a SHAPE CHECK failure
 // at report time can still dump what each run was doing (the global
 // registry in obs/flightrec holds only weak references).
 std::vector<std::shared_ptr<obs::FlightRecorder>> gFlightRecorders;
-// Export path -> the flag that asked for it, so reportChecks can name the
-// flag of an export obs::failedWrites() lists.
+// Export path -> the flag that asked for it, so finish() can name the flag
+// of an export obs::failedWrites() lists.
 std::map<std::string, const char*> gExportFlags;
-
-/// Held only by the stack attachObs attached it to, so a live weak_ptr
-/// means a live stack: reportChecks finalizes the stacks a harness still
-/// holds, which writes their exports before it picks the exit code.
-class LiveStack final : public obs::TraceSink {
- public:
-  explicit LiveStack(iolib::SimStack& stack) : stack_(stack) {}
-  void event(const obs::TraceEvent&) override {}
-  unsigned layerMask() const override { return 0; }
-  void exportNow() { stack_.obs.finalize(stack_.sched.now()); }
-
- private:
-  iolib::SimStack& stack_;
-};
-std::vector<std::weak_ptr<LiveStack>> gLiveStacks;
 
 struct PerfEntry {
   std::string label;
   double wallSeconds = 0.0;
   std::uint64_t events = 0;
-  unsigned threads = 1;
 };
 std::vector<PerfEntry> gPerfEntries;
 
-/// One prefetchSims fan-out: wall time of the region and of each job, a job
+/// One simulate() fan-out: wall time of the region and of each job, a job
 /// timed from stack build through teardown.
 struct ParallelRegion {
   unsigned threads = 1;
@@ -84,19 +74,6 @@ struct ParallelRegion {
   std::vector<std::pair<std::string, double>> jobs;  // (label, wall seconds)
 };
 std::vector<ParallelRegion> gRegions;
-
-/// Completed-but-not-yet-consumed simulation points (see prefetchSims), in
-/// point order. Written single-threaded after the parallel phase, consumed
-/// by runSim. A run matches on its whole SimPoint, not on the describe()
-/// label, which omits hints and buffer sizes.
-struct CachedRun {
-  SimPoint point;
-  iolib::CheckpointResult result;
-  std::string label;
-  double wallSeconds = 0.0;
-  std::uint64_t events = 0;
-};
-std::vector<CachedRun> gSimCache;
 
 std::string jsonEscape(const std::string& s) {
   std::string out;
@@ -128,8 +105,11 @@ std::string jsonlTwin(const std::string& path) {
   return path + ".jsonl";
 }
 
-}  // namespace
-
+/// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
+/// and stores VALUE in `out` (advancing `i` past a separate value). A
+/// separate value that is missing or is itself a flag exits 2 with
+/// `error: NAME needs a value`: otherwise `--telemetry --optrace` would
+/// write a file named "--optrace" and never turn op tracing on.
 bool flagValue(int argc, char** argv, int& i, const char* name,
                std::string& out) {
   const char* a = argv[i];
@@ -150,15 +130,47 @@ bool flagValue(int argc, char** argv, int& i, const char* name,
   return true;
 }
 
-void obsInit(int argc, char** argv) {
+[[noreturn]] void notPositive(const char* flag, const char* what,
+                              const std::string& value) {
+  std::fprintf(stderr, "error: %s: not a positive %s: %s\n", flag, what,
+               value.c_str());
+  std::exit(2);
+}
+
+/// VALUE read whole as a positive int ("16k", "-4" and "abc" are not), or
+/// exit 2 naming the flag.
+int positiveInt(const char* flag, const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(value.c_str(), &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE || n <= 0 || n > INT_MAX)
+    notPositive(flag, "integer", value);
+  return static_cast<int>(n);
+}
+
+/// VALUE read whole as a positive finite number, or exit 2 naming the flag.
+double positiveNumber(const char* flag, const std::string& value) {
+  char* end = nullptr;
+  const double x = std::strtod(value.c_str(), &end);
+  if (!(std::isdigit(static_cast<unsigned char>(value[0])) ||
+        value[0] == '.') ||
+      *end != '\0' || !std::isfinite(x) || !(x > 0))
+    notPositive(flag, "number", value);
+  return x;
+}
+
+}  // namespace
+
+Flags parseFlags(int argc, char** argv) {
+  Flags flags;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    std::string threads;
+    std::string value;
     if (std::strncmp(a, "--telemetry=", 12) == 0) {
       // --telemetry=<dt> <file>: the value attached to the flag is the
       // bucket width in simulated seconds; the output path follows.
-      const double dt = std::strtod(a + 12, nullptr);
-      gTelemetryDt = dt > 0 ? dt : 0.0;
+      gTelemetryDt = positiveNumber("--telemetry", a + 12);
       flagValue(argc, argv, i, a, gTelemetryPath);
     } else if (flagValue(argc, argv, i, "--trace", gTracePath) ||
                flagValue(argc, argv, i, "--metrics", gMetricsPath) ||
@@ -168,9 +180,18 @@ void obsInit(int argc, char** argv) {
                flagValue(argc, argv, i, "--telemetry", gTelemetryPath) ||
                flagValue(argc, argv, i, "--obs-dir", gObsDir)) {
       continue;
-    } else if (flagValue(argc, argv, i, "--threads", threads)) {
-      const long n = std::strtol(threads.c_str(), nullptr, 10);
-      gThreads = n > 1 ? static_cast<unsigned>(n) : 1;
+    } else if (flagValue(argc, argv, i, "--threads", value)) {
+      gThreads = static_cast<unsigned>(positiveInt("--threads", value));
+    } else if (flagValue(argc, argv, i, "--max-np", value)) {
+      flags.maxNp = positiveInt("--max-np", value);
+    } else if (flagValue(argc, argv, i, "--np", value)) {
+      flags.np = positiveInt("--np", value);
+      try {
+        machine::intrepidMachine(flags.np);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "error: --np %d: %s\n", flags.np, e.what());
+        std::exit(2);
+      }
     } else if (std::strcmp(a, "--optrace") == 0) {
       gOpTraceEnabled = true;
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
@@ -179,21 +200,18 @@ void obsInit(int argc, char** argv) {
       // --optrace=RATE [file]: RATE > 1 means "every Nth request"; RATE in
       // (0, 1] is a sampling probability converted to the nearest 1-in-N.
       gOpTraceEnabled = true;
-      const double rate = std::strtod(a + 10, nullptr);
-      if (rate > 1.0) {
-        gOpTraceSampleEvery = static_cast<std::uint32_t>(std::lround(rate));
-      } else if (rate > 0.0) {
-        gOpTraceSampleEvery = static_cast<std::uint32_t>(
-            std::max(1.0, std::round(1.0 / rate)));
-      }
+      const double rate = positiveNumber("--optrace", a + 10);
+      const double every =
+          rate > 1.0 ? std::round(rate) : std::max(1.0, std::round(1.0 / rate));
+      gOpTraceSampleEvery = static_cast<std::uint32_t>(std::min(
+          every, double(std::numeric_limits<std::uint32_t>::max())));
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
         gOpTracePath = argv[++i];
     } else if (std::strcmp(a, "--flightrec") == 0) {
       gFlightRecEvents = obs::FlightRecorder::kDefaultEvents;
     } else if (std::strncmp(a, "--flightrec=", 12) == 0) {
-      const long n = std::strtol(a + 12, nullptr, 10);
-      gFlightRecEvents = n > 0 ? static_cast<std::size_t>(n)
-                               : obs::FlightRecorder::kDefaultEvents;
+      gFlightRecEvents =
+          static_cast<std::size_t>(positiveInt("--flightrec", a + 12));
     } else if (std::strcmp(a, "--simcheck") == 0) {
       gSimCheckMode = sim::SimCheckMode::kOn;
     } else if (std::strncmp(a, "--simcheck=", 11) == 0) {
@@ -205,6 +223,11 @@ void obsInit(int argc, char** argv) {
       } else {
         gSimCheckMode = sim::SimCheckMode::kOn;
       }
+    } else if (a[0] == '-') {
+      std::fprintf(stderr, "error: unknown flag %s\n", a);
+      std::exit(2);
+    } else {
+      flags.figures.emplace_back(a);
     }
   }
   if (!gObsDir.empty()) {
@@ -229,18 +252,21 @@ void obsInit(int argc, char** argv) {
     gOpTraceEnabled = true;
     derive(gOpTracePath, "optrace.json");
   }
+  return flags;
 }
 
 sim::SimCheckMode simCheckMode() { return gSimCheckMode; }
 
-unsigned benchThreads() { return gThreads; }
-
 void perfRecord(const std::string& label, double wallSeconds,
                 std::uint64_t events) {
   if (gPerfJsonPath.empty()) return;
-  gPerfEntries.push_back(PerfEntry{label, wallSeconds, events, gThreads});
+  gPerfEntries.push_back(PerfEntry{label, wallSeconds, events});
 }
 
+namespace {
+
+/// Write the --perf-json record, if requested. Returns false (and prints
+/// to stderr) if the file could not be written.
 bool perfFlush() {
   if (gPerfJsonPath.empty()) return true;
   std::FILE* f = std::fopen(gPerfJsonPath.c_str(), "w");
@@ -260,7 +286,7 @@ bool perfFlush() {
                  "    {\"label\": \"%s\", \"threads\": %u, "
                  "\"wall_seconds\": %.6f, "
                  "\"events\": %llu, \"events_per_second\": %.0f}%s\n",
-                 jsonEscape(e.label).c_str(), e.threads, e.wallSeconds,
+                 jsonEscape(e.label).c_str(), gThreads, e.wallSeconds,
                  static_cast<unsigned long long>(e.events), eps,
                  i + 1 < gPerfEntries.size() ? "," : "");
   }
@@ -294,17 +320,15 @@ bool perfFlush() {
   return true;
 }
 
-namespace {
-
 bool obsActive() {
   return !(gTracePath.empty() && gMetricsPath.empty() && gAttrPath.empty() &&
            gCritPathPath.empty() && gTelemetryPath.empty() &&
            !gOpTraceEnabled && gFlightRecEvents == 0);
 }
 
-/// attachObs with an explicit stack ordinal: prefetch workers pre-assign
-/// numbers in point order so the ".2"/".3" artifact suffixes are identical
-/// to a serial run whatever order the workers finish in.
+/// attachObs with an explicit stack ordinal: simulate() pre-assigns numbers
+/// in scenario order so the ".2"/".3" artifact suffixes are the same
+/// whatever order the workers finish in.
 void attachObsNumbered(iolib::SimStack& stack, int n) {
   const auto exportFlag = [](const std::string& path, const char* flag) {
     std::lock_guard<std::mutex> lock(gAttachMu);
@@ -376,8 +400,8 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
                  json.c_str());
   }
   if (gFlightRecEvents > 0) {
-    // Fresh-stack runSim already creates one via SimStackOptions; cover
-    // harnesses that build their own SimStack and only call attachObs.
+    // simulate() already creates one via SimStackOptions; cover figures
+    // that build their own SimStack and only call attachObs.
     if (!stack.flightRecorder) {
       stack.flightRecorder = obs::FlightRecorder::create(gFlightRecEvents);
       stack.obs.addSink(stack.flightRecorder);
@@ -391,13 +415,10 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
   }
 }
 
-/// Finalize every attached stack a harness still holds (the rest exported
-/// at teardown), then report each export that failed to write. Returns
-/// false if any did.
+/// Report each export that failed to write (every stack has been
+/// destroyed, so every export has been attempted). Returns false if any
+/// did.
 bool obsFlush() {
-  for (const auto& weak : gLiveStacks)
-    if (const auto live = weak.lock()) live->exportNow();
-  gLiveStacks.clear();
   bool ok = true;
   for (const std::string& path : obs::failedWrites()) {
     const auto it = gExportFlags.find(path);
@@ -409,163 +430,91 @@ bool obsFlush() {
   return ok;
 }
 
+std::string label(int np, const iolib::StrategyConfig& cfg) {
+  return "np=" + std::to_string(np) + " " + cfg.describe();
+}
+
 }  // namespace
 
 void attachObs(iolib::SimStack& stack) {
-  if (!obsActive()) return;
-  attachObsNumbered(stack, ++gStacksAttached);
-  auto live = std::make_shared<LiveStack>(stack);
-  gLiveStacks.push_back(live);
-  stack.obs.addSink(std::move(live));
+  if (obsActive()) attachObsNumbered(stack, ++gStacksAttached);
 }
 
-void banner(const std::string& artifact, const std::string& description) {
-  std::printf("\n====================================================================\n");
-  std::printf("%s\n", artifact.c_str());
-  std::printf("Fu, Min, Latham, Carothers - \"Parallel I/O Performance for\n");
-  std::printf("Application-Level Checkpointing on the Blue Gene/P System\" (2011)\n");
-  std::printf("%s\n", description.c_str());
-  std::printf("====================================================================\n");
-}
-
-int reportChecks(const std::vector<Check>& checks) {
+int finish(int failedChecks) {
   const bool perfWritten = perfFlush();
   if (!obsFlush() || !perfWritten) return 1;
-  int failures = 0;
-  std::printf("\n");
-  for (const auto& c : checks) {
-    std::printf("SHAPE CHECK [%s]: %s (%s)\n", c.pass ? "PASS" : "FAIL",
-                c.name.c_str(), c.detail.c_str());
-    if (!c.pass) ++failures;
-  }
-  std::printf("%d/%zu shape checks passed\n",
-              static_cast<int>(checks.size()) - failures, checks.size());
-  if (failures > 0 && !gFlightRecorders.empty()) {
+  if (failedChecks > 0 && !gFlightRecorders.empty()) {
     std::fprintf(stderr,
                  "[flightrec] %d shape check(s) failed; dumping the last "
                  "recorded events per stack\n",
-                 failures);
+                 failedChecks);
     obs::dumpFlightRecorders(std::cerr);
   }
-  return failures == 0 ? 0 : 1;
+  return failedChecks == 0 ? 0 : 1;
 }
 
-std::string gbs(double bytesPerSecond) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f GB/s", bytesPerSecond / 1e9);
-  return buf;
-}
-
-std::string secs(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f s", seconds);
-  return buf;
-}
-
-namespace {
-
-/// The measured core shared by the serial path and the prefetch workers:
-/// run the checkpoint, hand back wall time and event count without touching
-/// the (order-sensitive) perf record.
-iolib::CheckpointResult runMeasured(iolib::SimStack& stack, int np,
-                                    const iolib::StrategyConfig& cfg,
-                                    double& wallSeconds,
-                                    std::uint64_t& events) {
-  const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
-  const WallTimer wall;
-  const std::uint64_t events0 = stack.sched.eventsProcessed();
-  auto result = iolib::runCheckpoint(stack, spec, cfg);
-  wallSeconds = wall.seconds();
-  events = stack.sched.eventsProcessed() - events0;
-  return result;
-}
-
-}  // namespace
-
-void prefetchSims(const std::vector<SimPoint>& points) {
-  if (gThreads <= 1 || points.size() < 2) return;
+std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios) {
   const bool obs = obsActive();
   const int base = gStacksAttached;
-  // Reserve artifact ordinals in point order up front; any later
-  // non-prefetched attach continues after them.
-  if (obs) gStacksAttached = base + static_cast<int>(points.size());
-  struct Slot {
-    CachedRun run;
-    double jobSeconds = 0.0;  // stack build through teardown
+  // Reserve artifact ordinals in scenario order up front; the stacks
+  // figures build while rendering continue after them.
+  if (obs) gStacksAttached = base + static_cast<int>(scenarios.size());
+  struct Timing {
+    double wallSeconds = 0.0;  // the checkpoint alone
+    double jobSeconds = 0.0;   // stack build through teardown
+    std::uint64_t events = 0;
   };
-  std::vector<Slot> slots(points.size());
+  std::vector<Outcome> outcomes(scenarios.size());
+  std::vector<Timing> timings(scenarios.size());
   const WallTimer regionWall;
-  sim::parallelFor(points.size(), gThreads, [&](std::size_t i) {
+  sim::parallelFor(scenarios.size(), gThreads, [&](std::size_t i) {
     const WallTimer jobWall;
-    const SimPoint& p = points[i];
-    Slot& slot = slots[i];
+    const Scenario& s = scenarios[i];
     {
-      iolib::SimStackOptions opt;
-      opt.seed = p.seed;
+      iolib::SimStackOptions opt = s.stack;
       opt.simcheck = gSimCheckMode;
       opt.flightRecorderEvents = gFlightRecEvents;
-      iolib::SimStack stack(p.np, opt);
+      iolib::SimStack stack(s.np, opt);
       if (obs) attachObsNumbered(stack, base + static_cast<int>(i) + 1);
-      slot.run.point = p;
-      slot.run.label = "np=" + std::to_string(p.np) + " " + p.cfg.describe();
-      slot.run.result = runMeasured(stack, p.np, p.cfg, slot.run.wallSeconds,
-                                    slot.run.events);
+      const WallTimer wall;
+      const std::uint64_t events0 = stack.sched.eventsProcessed();
+      outcomes[i].result = iolib::runCheckpoint(stack, s.spec, s.strategy);
+      timings[i].wallSeconds = wall.seconds();
+      timings[i].events = stack.sched.eventsProcessed() - events0;
+      outcomes[i].revocations = stack.fsys.totalRevocations();
     }
-    slot.jobSeconds = jobWall.seconds();
+    timings[i].jobSeconds = jobWall.seconds();
   });
-  if (!gPerfJsonPath.empty()) {
-    ParallelRegion region;
-    region.threads = static_cast<unsigned>(
-        std::min<std::size_t>(gThreads, points.size()));
-    region.wallSeconds = regionWall.seconds();
-    for (const Slot& slot : slots)
-      region.jobs.emplace_back(slot.run.label, slot.jobSeconds);
-    gRegions.push_back(std::move(region));
+  ParallelRegion region{static_cast<unsigned>(std::min<std::size_t>(
+                            gThreads, scenarios.size())),
+                        regionWall.seconds(), {}};
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const std::string name = label(scenarios[i].np, scenarios[i].strategy);
+    perfRecord(name, timings[i].wallSeconds, timings[i].events);
+    region.jobs.emplace_back(name, timings[i].jobSeconds);
   }
-  for (Slot& slot : slots) gSimCache.push_back(std::move(slot.run));
+  if (gThreads > 1 && !scenarios.empty() && !gPerfJsonPath.empty())
+    gRegions.push_back(std::move(region));
+  return outcomes;
 }
 
-iolib::CheckpointResult runSim(int np, const iolib::StrategyConfig& cfg,
-                               std::uint64_t seed) {
-  const SimPoint point{np, cfg, seed};
-  const auto cached =
-      std::find_if(gSimCache.begin(), gSimCache.end(),
-                   [&](const CachedRun& run) { return run.point == point; });
-  if (cached != gSimCache.end()) {
-    CachedRun run = std::move(*cached);
-    gSimCache.erase(cached);
-    // Replayed at consumption time so the perf record keeps serial order.
-    perfRecord(run.label, run.wallSeconds, run.events);
-    return run.result;
-  }
-  iolib::SimStackOptions opt;
-  opt.seed = seed;
-  opt.simcheck = gSimCheckMode;
-  opt.flightRecorderEvents = gFlightRecEvents;
-  iolib::SimStack stack(np, opt);
-  attachObs(stack);
-  return runSim(stack, np, cfg);
+const Outcome& Results::outcome(const Scenario& s) const {
+  if (std::find(declared.begin(), declared.end(), s) == declared.end())
+    throw std::logic_error(figure + " reads a scenario it did not declare: " +
+                           label(s.np, s.strategy));
+  return outcomes[static_cast<std::size_t>(
+      std::find(simulated.begin(), simulated.end(), s) - simulated.begin())];
 }
 
 iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
                                const iolib::StrategyConfig& cfg) {
-  double wall = 0.0;
-  std::uint64_t events = 0;
-  auto result = runMeasured(stack, np, cfg, wall, events);
-  perfRecord("np=" + std::to_string(np) + " " + cfg.describe(), wall,
-             events);
+  const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
+  const WallTimer wall;
+  const std::uint64_t events0 = stack.sched.eventsProcessed();
+  auto result = iolib::runCheckpoint(stack, spec, cfg);
+  perfRecord(label(np, cfg), wall.seconds(),
+             stack.sched.eventsProcessed() - events0);
   return result;
-}
-
-std::vector<Approach> paperApproaches(int np) {
-  using iolib::StrategyConfig;
-  return {
-      {"1PFPP", StrategyConfig::onePfpp()},
-      {"coIO, nf=1", StrategyConfig::coIo(1)},
-      {"coIO, np:nf=64:1", StrategyConfig::coIo(np / 64)},
-      {"rbIO, 64:1, nf=1", StrategyConfig::rbIo(64, false)},
-      {"rbIO, 64:1, nf=ng", StrategyConfig::rbIo(64, true)},
-  };
 }
 
 }  // namespace bgckpt::bench

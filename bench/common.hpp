@@ -1,13 +1,13 @@
-// Shared plumbing for the figure/table reproduction harnesses.
+// Shared plumbing for the paper driver (bench/paper.cpp) and its figures.
 //
-// Every harness prints:
+// Every figure prints:
 //   1. a banner naming the paper artifact it regenerates,
 //   2. the measured series (plus the paper's approximate values where the
 //      text/figures state them),
 //   3. an ASCII rendering,
 //   4. SHAPE CHECK lines — the qualitative claims that must hold (who wins,
 //      by roughly what factor, where crossovers fall). A failed check makes
-//      the binary exit nonzero.
+//      the driver exit nonzero.
 #pragma once
 
 #include <chrono>
@@ -15,31 +15,14 @@
 #include <string>
 #include <vector>
 
-#include "analysis/ascii.hpp"
 #include "iolib/strategies.hpp"
 #include "simcore/simcheck.hpp"
 
 namespace bgckpt::bench {
 
-struct Check {
-  std::string name;
-  bool pass = false;
-  std::string detail;
-};
 
-void banner(const std::string& artifact, const std::string& description);
-
-/// Write the --perf-json record, finalize every attached stack the harness
-/// still holds (so its exports are written), and print all checks. Returns
-/// the process exit code: 0 iff every check passes, 1 if one fails or an
-/// export could not be written (`error: --FLAG: cannot write PATH`).
-int reportChecks(const std::vector<Check>& checks);
-
-/// Format helpers.
-std::string gbs(double bytesPerSecond);
-std::string secs(double seconds);
-
-/// Parse observability flags from the harness command line:
+/// The driver's command line: `paper [FIGURE...] [FLAG...]`. Positional
+/// arguments name figures (none = all). Flags:
 ///   --trace <file>     stream a Chrome trace_event JSON there (open the
 ///                      file in Perfetto / chrome://tracing), plus a
 ///                      <file>.jsonl event log for tools/trace_report
@@ -47,16 +30,17 @@ std::string secs(double seconds);
 ///   --perf-json <file> write a machine-readable perf record there (schema
 ///                      bgckpt-perf-1): one entry per simulated run (label,
 ///                      wall seconds, events processed, events/sec) and,
-///                      with --threads, the wall time of each prefetch
-///                      region and of its jobs. bench/golden/golden.py gates
-///                      its event counts; `trace_report --runtime` renders
-///                      one record, and `--runtime A --diff B` compares two
-///                      point by point (with --min-speedup or --tolerance,
-///                      as a gate on same-machine wall time).
+///                      with --threads, the wall time of the parallel
+///                      region and of each scenario in it.
+///                      bench/golden/golden.py gates its event counts;
+///                      `trace_report --runtime` renders one record, and
+///                      `--runtime A --diff B` compares two point by point
+///                      (with --min-speedup or --tolerance, as a gate on
+///                      same-machine wall time).
 ///   --simcheck[=MODE]  enable the runtime invariant checker on every
-///                      fresh-stack runSim (MODE: on [default], warn, off;
-///                      see simcore/simcheck.hpp). Harnesses that build
-///                      their own SimStack honour the SIM_CHECK environment
+///                      scenario's stack (MODE: on [default], warn, off;
+///                      see simcore/simcheck.hpp). Figures that build their
+///                      own SimStack honour the SIM_CHECK environment
 ///                      variable instead.
 ///   --attr <file>      export per-rank blocked-time attribution there as
 ///                      JSON (obs/attr.hpp)
@@ -64,10 +48,10 @@ std::string secs(double seconds);
 ///                      critical-path report there as JSON (obs/critpath.hpp)
 ///   --telemetry[=DT] <file>
 ///                      sample every registered telemetry probe into
-///                      DT-second buckets (default obs::Telemetry::
-///                      kDefaultDt) and write the timeseries there as JSON.
-///                      Feed it to `trace_report --timeline` for
-///                      utilization heatmaps and server-imbalance stats.
+///                      DT-second buckets (DT a positive number; default
+///                      obs::Telemetry::kDefaultDt) and write the timeseries
+///                      there as JSON. Feed it to `trace_report --timeline`
+///                      for utilization heatmaps and server-imbalance stats.
 ///   --optrace[=RATE] [file]
 ///                      per-request causal tracing (obs/optrace.hpp): every
 ///                      checkpoint write op carries a span context from the
@@ -84,33 +68,32 @@ std::string secs(double seconds);
 ///   --flightrec[=N]    keep a flight recorder of the last N (default 256)
 ///                      trace events per layer per stack; SimChecker
 ///                      violations and failed SHAPE CHECKs dump it to stderr
-///   --threads=N        simulate the harness's independent points on N
-///                      worker threads (default 1 = the serial reference).
-///                      Results, stdout, and every obs artifact are
-///                      byte-identical to the serial run: points are
-///                      prefetched into a cache and consumed in program
-///                      order (see prefetchSims). The perf record differs
-///                      only in wall times, thread counts and its
+///   --threads=N        simulate the scenarios on N worker threads (default
+///                      1). Stdout and every obs artifact are byte-identical
+///                      whatever N is: scenarios are simulated in one fixed
+///                      order with pre-assigned artifact ordinals, and
+///                      rendered after all of them finish. The perf record
+///                      differs only in wall times, thread counts and its
 ///                      parallel_regions.
+///   --max-np N         fig5_write_bandwidth only: run the scales up to N
+///                      (a smoke mode for slow builds; shape checks skipped)
+///   --np N             eq7_measured_vs_model only: ranks (default 4096;
+///                      must be an Intrepid partition)
 /// Every announce line ("[obs] ...", "[perf] ...") goes to stderr, so
-/// figure stdout is the same whichever flags are on. A path that cannot be
-/// opened exits 2 at startup; a file that cannot be written exits 1 at
-/// reportChecks. A flag that takes a separate value exits 2 when the value
-/// is missing or is itself a flag. Unknown arguments are ignored so
-/// harnesses stay forward-compatible.
-void obsInit(int argc, char** argv);
-
-/// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
-/// and stores VALUE in `out` (advancing `i` past a separate value). A
-/// separate value that is missing or is itself a flag exits 2 with
-/// `error: NAME needs a value`: otherwise `--telemetry --optrace` would
-/// write a file named "--optrace" and never turn op tracing on. Harnesses
-/// parse their own valued flags with it, so they share this contract.
-bool flagValue(int argc, char** argv, int& i, const char* name,
-               std::string& out);
-
-/// The worker-thread count requested with --threads (>= 1).
-unsigned benchThreads();
+/// figure stdout is the same whichever flags are on. Each stack's exports
+/// are numbered in simulation order (".2", ".3", ...): the scenarios first,
+/// then the stacks figures build while rendering. --threads, --max-np, --np
+/// and --flightrec=N take whole positive integers, --telemetry=DT and
+/// --optrace=RATE whole positive numbers. A bad value, a missing value, a
+/// value that is itself a flag, an unknown flag, an unknown figure name or
+/// a path that cannot be opened exits 2 before anything is simulated; a
+/// file that cannot be written exits 1 at the end.
+struct Flags {
+  std::vector<std::string> figures;  ///< positional arguments, in order
+  int maxNp = 65536;
+  int np = 4096;
+};
+Flags parseFlags(int argc, char** argv);
 
 /// Wall-clock stopwatch for benchmark harnesses. Lives in bench/common on
 /// purpose: srclint's wall-clock rule bans host clocks everywhere else in
@@ -120,8 +103,7 @@ unsigned benchThreads();
 class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-  /// Seconds elapsed since construction or the last reset().
+  /// Seconds elapsed since construction.
   double seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
@@ -133,69 +115,70 @@ class WallTimer {
 };
 
 /// Record one simulated run in the --perf-json report (no-op without the
-/// flag). The runSim overloads call this automatically; harnesses that
-/// drive runCheckpoint/runCampaign themselves can call it directly. The
-/// record carries the --threads value.
+/// flag). The driver records every scenario; figures that build their own
+/// stack record each run they make (runSim does it for them). The record
+/// carries the --threads value.
 void perfRecord(const std::string& label, double wallSeconds,
                 std::uint64_t events);
-
-/// Write the --perf-json record, if requested. Returns false (and prints
-/// to stderr) if the file could not be written. Called by reportChecks.
-bool perfFlush();
 
 /// The --simcheck mode requested on the command line (kAuto when absent).
 sim::SimCheckMode simCheckMode();
 
-/// Attach the requested trace/metrics sinks to a stack. Called by the
-/// fresh-stack runSim overload; harnesses that build their own SimStack
-/// (e.g. fig12) call it once per stack. Each attach after the first gets a
-/// numbered path suffix (".2", ".3", ...) so multi-stack harnesses emit one
-/// trace per stack. A stack writes its exports when it is destroyed, or at
-/// reportChecks if the harness still holds it. No-op when no observability
-/// flag was given.
+/// Attach the requested trace/metrics sinks to a stack a figure built
+/// itself. Each attach after the first gets a numbered path suffix (".2",
+/// ".3", ...), so every stack emits its own files. A stack writes its
+/// exports when it is destroyed. No-op when no observability flag was
+/// given.
 void attachObs(iolib::SimStack& stack);
 
-/// One independent simulation point: what the fresh-stack runSim overload
-/// takes. Harnesses that loop over scales and approaches list their points
-/// up front (in the exact order runSim will consume them) and hand them to
-/// prefetchSims.
-struct SimPoint {
-  int np = 0;
-  iolib::StrategyConfig cfg;
-  std::uint64_t seed = 2011;
-
-  bool operator==(const SimPoint&) const = default;
-};
-
-/// Simulate every point ahead of time on benchThreads() workers and cache
-/// the results (checkpoint result, wall time, event count, pre-assigned obs
-/// artifact numbers). A later fresh-stack runSim with matching (np, config,
-/// seed) consumes its cache entry in FIFO order — so a harness that
-/// prefetches its whole point list in call order produces byte-identical
-/// stdout and obs artifacts whatever the thread count, and the same perf
-/// run records apart from wall times. Each simulated point is itself a
-/// single-threaded discrete-event run (the points are independent;
-/// determinism is per point by construction). The region's wall time and
-/// each job's (stack build through teardown) go to the perf record's
-/// parallel_regions. No-op when --threads <= 1: the serial path stays
-/// exactly the reference.
-void prefetchSims(const std::vector<SimPoint>& points);
-
-/// Run one simulated checkpoint on a fresh Intrepid stack (paper noise
-/// conditions, fixed seed) and return the result. Consumes a prefetched
-/// cache entry when one matches (see prefetchSims).
-iolib::CheckpointResult runSim(int np, const iolib::StrategyConfig& cfg,
-                               std::uint64_t seed = 2011);
-
-/// Same, but also hand back the stack (for profile/fs inspection).
+/// Run the paper's weak-scaling checkpoint on a stack a figure built itself
+/// and record it in the perf report.
 iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
                                const iolib::StrategyConfig& cfg);
 
-/// The five approaches of Figs. 5-7, in the paper's legend order.
-struct Approach {
-  std::string name;
-  iolib::StrategyConfig cfg;
+/// One simulated checkpoint: `spec` written with `strategy` by `np` ranks
+/// on a fresh stack built with `stack`. Two figures that declare equal
+/// scenarios read one simulation. The driver fills in the stack's
+/// --simcheck and --flightrec settings, so figures leave those defaulted.
+struct Scenario {
+  int np = 0;
+  iolib::SimStackOptions stack;
+  iolib::CheckpointSpec spec;
+  iolib::StrategyConfig strategy;
+
+  bool operator==(const Scenario&) const = default;
 };
-std::vector<Approach> paperApproaches(int np);
+
+/// What a figure reads of one simulated scenario.
+struct Outcome {
+  iolib::CheckpointResult result;
+  /// fsys.totalRevocations() after the checkpoint.
+  std::uint64_t revocations = 0;
+};
+
+/// Simulate every scenario once, in order, on --threads workers, and
+/// record each in the perf report in that order (plus one parallel region
+/// under --threads > 1). Outcome i belongs to scenario i.
+std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios);
+
+/// What one figure's render reads: the outcomes of the scenarios it
+/// declared. Reading any other scenario throws std::logic_error naming
+/// it: a figure never re-simulates behind the table's back.
+struct Results {
+  std::string figure;
+  const std::vector<Scenario>& declared;
+  const std::vector<Scenario>& simulated;  ///< in simulate() order
+  const std::vector<Outcome>& outcomes;    ///< outcomes[i] of simulated[i]
+
+  const Outcome& outcome(const Scenario& s) const;
+  const iolib::CheckpointResult& at(const Scenario& s) const {
+    return outcome(s).result;
+  }
+};
+
+/// Write the perf record and report every export that failed to write;
+/// with failed checks, dump the flight recorders. Returns the exit code: 0
+/// iff no check failed and every file was written.
+int finish(int failedChecks);
 
 }  // namespace bgckpt::bench

@@ -4,15 +4,19 @@
     python3 bench/golden/golden.py --record --threads=4 --build build
     python3 bench/golden/golden.py --check --threads=4 --build build
 
-Runs every paper bench with --threads=N and --perf-json, the VARIANTS below
-(a bench at other arguments), plus the examples (the four simulated ones
-and the two that write real files). Every host timing goes to stderr, so
-each program's stdout is deterministic. For each it keeps, next to this
-script:
+Runs the paper driver (bench/paper: all 22 figures, each distinct scenario
+simulated once) with --threads=N and --perf-json, the VARIANTS below (the
+driver at other arguments) the same way, plus the examples (the four
+simulated ones and the two that write real files). Every host timing goes
+to stderr, so each program's stdout is deterministic. For each it keeps,
+next to this script:
 
   <name>.stdout  the program's stdout, byte for byte
   <name>.events  one "<events>\\t<label>" line per simulated run of the
-                 --perf-json record (benches only; examples have none)
+                 --perf-json record (the driver only; examples have none):
+                 for paper.events, one line per simulated scenario (largest
+                 np first), then the runs of the figures that build their
+                 own stacks, in simulation order
 
 --record overwrites those files. --check re-runs everything, prints the
 first line that differs in each differing file and exits 1; a program that
@@ -30,26 +34,12 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-BENCHES = (
-    "fig5_write_bandwidth", "fig6_checkpoint_time", "fig7_ckpt_compute_ratio",
-    "fig8_rbio_nf_sweep", "fig9_dist_1pfpp", "fig10_dist_coio",
-    "fig11_dist_rbio", "fig12_write_activity", "table1_perceived_bw",
-    "eq1_production_improvement", "eq27_speedup_model",
-    "eq7_measured_vs_model", "mesh_read_time", "ablation_pvfs",
-    "ablation_romio_knobs", "ablation_1pfpp_dirs", "production_campaign",
-    "extension_multilevel", "extension_131k_forecast",
-    "extension_optimal_cadence", "extension_strong_scaling", "nekcem_scaling",
-)
-# (golden name, bench, arguments): benches gated away from their defaults.
-# eq7's default is 4096 ranks; these are its four smaller scales.
-VARIANTS = (
-    ("eq7_measured_vs_model_np256", "eq7_measured_vs_model", ("--np", "256")),
-    ("eq7_measured_vs_model_np512", "eq7_measured_vs_model", ("--np", "512")),
-    ("eq7_measured_vs_model_np1024", "eq7_measured_vs_model",
-     ("--np", "1024")),
-    ("eq7_measured_vs_model_np2048", "eq7_measured_vs_model",
-     ("--np", "2048")),
-)
+# (golden name, program, arguments): the paper driver re-run away from its
+# defaults. eq7's default is 4096 ranks; these are its four smaller scales.
+VARIANTS = tuple(
+    ("eq7_measured_vs_model_np%d" % np, "paper",
+     ("eq7_measured_vs_model", "--np", str(np)))
+    for np in (256, 512, 1024, 2048))
 EXAMPLES = ("intrepid_campaign", "tuning_advisor", "darshan_report",
             "restart_reader", "quickstart", "waveguide_checkpoint")
 
@@ -111,7 +101,7 @@ def main():
         if not os.path.isdir(os.path.join(args.build, sub)):
             ap.error("%s has no %s/ directory; build the benches and "
                      "examples first" % (args.build, sub))
-    programs = ([(b, b, ()) for b in BENCHES] + list(VARIANTS) +
+    programs = ([("paper", "paper", ())] + list(VARIANTS) +
                 [(e, e, ()) for e in EXAMPLES])
 
     failures = 0

@@ -72,6 +72,8 @@ struct FsConfig {
 
   /// Client write-behind depth (1 = strictly synchronous block writes).
   int writeBehindDepth = 1;
+
+  bool operator==(const FsConfig&) const = default;
 };
 
 /// Intrepid GPFS defaults (values above).

@@ -38,6 +38,8 @@ struct CheckpointSpec {
   /// The paper's weak-scaling problem for `np` ranks: S = 39 GB at 16K,
   /// 78 GB at 32K, 156 GB at 64K (2.38 MB/rank, 10 blocks).
   static CheckpointSpec nekcemWeakScaling(int np);
+
+  bool operator==(const CheckpointSpec&) const = default;
 };
 
 struct StrategyConfig {

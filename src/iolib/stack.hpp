@@ -41,6 +41,8 @@ struct SimStackOptions {
   /// recording forces event construction on every instrumented site, which
   /// the no-sink fast path otherwise skips). Benches expose `--flightrec`.
   std::size_t flightRecorderEvents = 0;
+
+  bool operator==(const SimStackOptions&) const = default;
 };
 
 class SimStack {

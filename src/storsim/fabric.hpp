@@ -49,6 +49,8 @@ struct NoiseModel {
   static NoiseModel none() {
     return NoiseModel{0.0, 1.0, 0.0, 0.0, 1.0, 0.0};
   }
+
+  bool operator==(const NoiseModel&) const = default;
 };
 
 class StorageFabric {

@@ -1,6 +1,6 @@
 // The full figure-5 stack is deterministic: a 16K-rank rbIO nf=ng
 // checkpoint dispatches exactly the event count golden.py recorded for the
-// same point of the fig5 bench (bench/golden/fig5_write_bandwidth.events),
+// same scenario of the paper suite (bench/golden/paper.events),
 // and a repeat run reproduces every result bit for bit. Any drift here
 // means the event queue reordered equal-time events or a layer gained or
 // lost work, and every figure in the paper reproduction silently changed.
@@ -38,8 +38,8 @@ StackOutcome runFig5Stack(const iolib::StrategyConfig& cfg) {
           r.bandwidth, r.makespan};
 }
 
-/// The events golden.py recorded for `label` in `file` ("<events>\t<label>"
-/// lines), or 0 when no line carries that label.
+/// The events golden.py recorded for the first line labelled `label` in
+/// `file` ("<events>\t<label>" lines), or 0 when no line carries it.
 std::uint64_t goldenEvents(const char* file, const std::string& label) {
   std::ifstream in(std::string(BGCKPT_GOLDEN_DIR) + "/" + file);
   std::string line;
@@ -53,10 +53,11 @@ std::uint64_t goldenEvents(const char* file, const std::string& label) {
 
 TEST(Determinism, Fig5StackMatchesItsGoldenAndARepeatRun) {
   const auto cfg = iolib::StrategyConfig::rbIo(64, true);
-  // The label the fig5 bench gives this point in its --perf-json record.
+  // The label the paper driver gives this scenario in its --perf-json
+  // record. Its first line is the default stack's: scenarios are recorded
+  // in table order within each np, and Fig. 5 comes first.
   const std::string label = "np=" + std::to_string(kNp) + " " + cfg.describe();
-  const std::uint64_t golden =
-      goldenEvents("fig5_write_bandwidth.events", label);
+  const std::uint64_t golden = goldenEvents("paper.events", label);
   ASSERT_GT(golden, 0u) << "no golden line for \"" << label << "\"";
 
   const auto a = runFig5Stack(cfg);

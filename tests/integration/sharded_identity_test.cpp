@@ -1,16 +1,17 @@
-// Byte-identity gate for the parallel figure path: the figure benches
-// must produce the SAME bytes — stdout and every --telemetry/--attr export —
-// whether the simulation points run serially or prefetched on 8 threads.
-// This is the determinism contract of bench/common.cpp's prefetch cache
-// (FIFO consumption in program order, pre-assigned artifact ordinals,
-// replayed perf records) over sim::parallelFor. The --perf-json records
-// hold wall times, so they are written outside the compared directories
-// and checked for their schema and parallel regions instead.
+// Byte-identity gate for the parallel figure path: the paper driver must
+// produce the SAME bytes — stdout and every --telemetry/--attr export —
+// whether its scenarios run serially or on 8 threads. This is the
+// determinism contract of bench/common.cpp's simulate() (one fixed scenario
+// order, pre-assigned artifact ordinals, perf records in scenario order)
+// over sim::parallelFor. The --perf-json records hold wall times, so they
+// are written outside the compared directories and checked for their
+// schema, runs and parallel regions instead.
 //
-// The file also holds the bench command-line contracts that need a built
-// bench: a full disk fails every export flag, a valued flag rejects a flag
-// as its value, observability flags leave stdout unchanged, and --obs-dir
-// writes one file per artifact and stack.
+// The file also holds the driver's command-line contracts: a full disk
+// fails every export flag, a valued flag rejects a flag or a malformed
+// number as its value, an unknown figure exits 2, observability flags
+// leave stdout unchanged, and --obs-dir writes one file per artifact and
+// stack.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -37,7 +38,7 @@ struct RunResult {
   std::string output;
 };
 
-/// Runs a bench binary and captures stdout only, unless `withStderr`.
+/// Runs a command and captures stdout only, unless `withStderr`.
 /// stderr is discarded by default: the obs announce lines go there, and with
 /// --threads > 1 their interleaving with worker progress is not
 /// deterministic.
@@ -104,41 +105,47 @@ json::Value perfRecord(const fs::path& path) {
   return *doc;
 }
 
-/// Runs `bench` twice (serial, then 8 worker threads) with telemetry and
-/// attribution exports into separate directories, then requires stdout and
-/// every exported artifact to be byte-identical. Each directory must hold
-/// exactly one attr and one telemetry JSON per simulated stack, and
+/// The paper driver with `args`.
+std::string paper(const std::string& args) {
+  return std::string(BENCH_BIN_DIR) + "/paper " + args;
+}
+
+/// Runs `paper ARGS` twice (serial, then 8 worker threads) with telemetry
+/// and attribution exports into separate directories, then requires stdout
+/// and every exported artifact to be byte-identical. Each directory must
+/// hold exactly one attr and one telemetry JSON per simulated stack, and
 /// nothing else. Both runs also write --perf-json outside the compared
-/// directories: the 8-thread record of a bench that prefetches (`regions`
-/// = 1) holds one parallel region whose jobs are exactly its runs; a serial
-/// record, or one of a bench that never prefetches, holds none.
-void expectByteIdentical(const std::string& bench, const std::string& args,
-                         int stacks, int regions) {
+/// directories: both records hold `runs` runs with the same labels; the
+/// 8-thread record of a selection with scenarios (`regions` = 1) holds one
+/// parallel region whose jobs are exactly its runs; a serial record, or one
+/// of a selection without scenarios, holds none. Returns the serial stdout.
+std::string expectByteIdentical(const std::string& args, int stacks,
+                                std::size_t runs, int regions) {
   const TempDir tmp;
-  ASSERT_FALSE(tmp.path().empty());
+  EXPECT_FALSE(tmp.path().empty());
   const fs::path serialDir = tmp.path() / "serial";
   const fs::path threadedDir = tmp.path() / "threaded";
   fs::create_directories(serialDir);
   fs::create_directories(threadedDir);
 
-  const std::string bin = std::string(BENCH_BIN_DIR) + "/" + bench;
   const auto perfPath = [&](const char* threads) {
     return tmp.path() / (std::string("perf.") + threads + ".json");
   };
   const auto cmd = [&](const fs::path& dir, const char* threads) {
-    return bin + " " + args + " --threads=" + threads + " --telemetry " +
+    return paper(args) + " --threads=" + threads + " --telemetry " +
            (dir / "telemetry.json").string() + " --attr " +
            (dir / "attr.json").string() + " --perf-json " +
            perfPath(threads).string();
   };
 
   const RunResult serial = run(cmd(serialDir, "1"));
-  ASSERT_EQ(serial.exitCode, 0) << serial.output;
+  EXPECT_EQ(serial.exitCode, 0) << serial.output;
   const RunResult threaded = run(cmd(threadedDir, "8"));
-  ASSERT_EQ(threaded.exitCode, 0) << threaded.output;
+  EXPECT_EQ(threaded.exitCode, 0) << threaded.output;
+  if (serial.exitCode != 0 || threaded.exitCode != 0) return serial.output;
 
   EXPECT_EQ(serial.output, threaded.output)
-      << bench << ": stdout differs between --threads=1 and --threads=8";
+      << args << ": stdout differs between --threads=1 and --threads=8";
 
   std::vector<std::string> expected;
   for (int n = 1; n <= stacks; ++n) {
@@ -153,73 +160,94 @@ void expectByteIdentical(const std::string& bench, const std::string& args,
     expected.push_back("telemetry" + tag + ".json");
   }
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(fileNames(serialDir), expected) << bench;
-  ASSERT_EQ(fileNames(threadedDir), expected) << bench;
+  EXPECT_EQ(fileNames(serialDir), expected) << args;
+  EXPECT_EQ(fileNames(threadedDir), expected) << args;
   for (const auto& name : expected) {
     EXPECT_EQ(readFile(serialDir / name), readFile(threadedDir / name))
-        << bench << ": artifact " << name << " differs between thread counts";
+        << args << ": artifact " << name << " differs between thread counts";
   }
 
   const json::Value serialPerf = perfRecord(perfPath("1"));
   EXPECT_EQ(serialPerf.find("parallel_regions"), nullptr)
-      << bench << ": a serial run records no parallel region";
+      << args << ": a serial run records no parallel region";
   const json::Value threadedPerf = perfRecord(perfPath("8"));
-  const json::Value* runs = threadedPerf.find("runs");
+  const json::Value* threadedRuns = threadedPerf.find("runs");
   const json::Value* serialRuns = serialPerf.find("runs");
-  ASSERT_TRUE(runs != nullptr && serialRuns != nullptr) << bench;
-  EXPECT_EQ(labels(*runs), labels(*serialRuns)) << bench;
+  if (threadedRuns == nullptr || serialRuns == nullptr) {
+    ADD_FAILURE() << args << ": a perf record holds no runs";
+    return serial.output;
+  }
+  EXPECT_EQ(labels(*serialRuns).size(), runs) << args;
+  EXPECT_EQ(labels(*threadedRuns), labels(*serialRuns)) << args;
   const json::Value* found = threadedPerf.find("parallel_regions");
   if (regions == 0) {
-    EXPECT_EQ(found, nullptr) << bench << ": no prefetch, no region";
-    return;
+    EXPECT_EQ(found, nullptr) << args << ": no scenarios, no region";
+    return serial.output;
   }
-  ASSERT_TRUE(found != nullptr && found->isArray()) << bench;
-  ASSERT_EQ(found->array->size(), static_cast<std::size_t>(regions)) << bench;
+  if (found == nullptr || !found->isArray() ||
+      found->array->size() != static_cast<std::size_t>(regions)) {
+    ADD_FAILURE() << args << ": expected " << regions << " parallel region(s)";
+    return serial.output;
+  }
   const json::Value& region = found->array->front();
   const json::Value* jobs = region.find("jobs");
-  ASSERT_NE(jobs, nullptr) << bench;
-  EXPECT_EQ(labels(*jobs), labels(*runs))
-      << bench << ": the region's jobs are the prefetched points";
-  EXPECT_GT(region.numberOr("wall_seconds", 0), 0.0) << bench;
+  EXPECT_NE(jobs, nullptr) << args;
+  if (jobs != nullptr) {
+    EXPECT_EQ(labels(*jobs), labels(*threadedRuns))
+        << args << ": the region's jobs are the simulated scenarios";
+  }
+  EXPECT_GT(region.numberOr("wall_seconds", 0), 0.0) << args;
+  return serial.output;
 }
 
 }  // namespace
 
+// Two co-selected figures share scenarios but not output: the 16K fig5
+// matrix is five stacks, and ablation_1pfpp_dirs reads three scenarios of
+// which two (1PFPP in one shared directory, rbIO 64:1 nf=ng) are fig5's.
+// The pair simulates 6 stacks where the figures read 8 results, and its
+// stdout is each figure's solo stdout, in table order.
 TEST(ShardedIdentity, Fig5StdoutAndExportsMatchSerial) {
-  // Five approaches at 16K ranks: five stacks, all prefetched at once.
-  expectByteIdentical("fig5_write_bandwidth", "--max-np 16384", 5, 1);
+  const std::string both = expectByteIdentical(
+      "fig5_write_bandwidth ablation_1pfpp_dirs --max-np 16384", 6, 6, 1);
+  const RunResult fig5 =
+      run(paper("fig5_write_bandwidth --max-np 16384 --threads=8"));
+  ASSERT_EQ(fig5.exitCode, 0) << fig5.output;
+  const RunResult dirs = run(paper("ablation_1pfpp_dirs --threads=8"));
+  ASSERT_EQ(dirs.exitCode, 0) << dirs.output;
+  EXPECT_EQ(both, fig5.output + dirs.output);
 }
 
 TEST(ShardedIdentity, Fig9StdoutAndExportsMatchSerial) {
-  // One point on a stack fig9 builds itself: nothing to prefetch.
-  expectByteIdentical("fig9_dist_1pfpp", "", 1, 0);
+  // One run on a stack fig9 builds itself: no scenarios, no region.
+  expectByteIdentical("fig9_dist_1pfpp", 1, 1, 0);
 }
 
 // Every export writer must report a full disk: /dev/full accepts the open,
-// and the buffered file only fails when its close flushes the tail. fig9
-// holds its stack past reportChecks, so its exports must be written before
-// the exit code is chosen.
+// and the buffered file only fails when its close flushes the tail. The
+// exit code is chosen after fig9's stack has written its exports.
 TEST(ShardedIdentity, PerfJsonOnFullDiskExitsNonzero) {
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   for (const char* flag : {"--perf-json", "--metrics", "--attr", "--critpath",
                            "--telemetry", "--optrace"}) {
-    const RunResult r = run(std::string(BENCH_BIN_DIR) + "/fig9_dist_1pfpp " +
-                            flag + " /dev/full");
+    const RunResult r =
+        run(paper(std::string("fig9_dist_1pfpp ") + flag + " /dev/full"));
     EXPECT_EQ(r.exitCode, 1) << flag << "\n" << r.output;
   }
 }
 
 // A flag that takes a value must not swallow the next flag as its file
 // name: the run exits 2 and writes nothing named after the swallowed flag.
-// A bench's own valued flag follows the same contract: a missing value, or
-// one the simulated machine cannot run, exits 2 with an error instead of
-// running the default or aborting.
+// Numeric values parse whole: a trailing unit, a sign or a word is an
+// error, not a prefix or a default. A missing value, one the simulated
+// machine cannot run, or an unknown figure exits 2 with an error instead of
+// running anything.
 TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
   const TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
   const RunResult r =
-      run("cd " + tmp.path().string() + " && " + BENCH_BIN_DIR +
-          "/eq7_measured_vs_model --np 256 --telemetry --optrace");
+      run("cd " + tmp.path().string() + " && " +
+          paper("eq7_measured_vs_model --np 256 --telemetry --optrace"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
   for (const auto& e : fs::directory_iterator(tmp.path()))
     EXPECT_NE(e.path().filename().string().rfind("--optrace", 0), 0u)
@@ -229,11 +257,33 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
                                                "error: --np needs a value"},
            {"fig5_write_bandwidth --max-np", "error: --max-np needs a value"},
            {"eq7_measured_vs_model --np 192",
-            "error: --np 192: unsupported Intrepid partition"}}) {
-    const RunResult bad = run(std::string(BENCH_BIN_DIR) + "/" + args, true);
+            "error: --np 192: unsupported Intrepid partition"},
+           {"eq7_measured_vs_model --np 256x",
+            "error: --np: not a positive integer: 256x"},
+           {"eq7_measured_vs_model --np 256 --threads=abc",
+            "error: --threads: not a positive integer: abc"},
+           {"eq7_measured_vs_model --np 256 --threads=-4",
+            "error: --threads: not a positive integer: -4"},
+           {"eq7_measured_vs_model --np 256 --flightrec=abc",
+            "error: --flightrec: not a positive integer: abc"},
+           {"fig5_write_bandwidth --max-np 16k",
+            "error: --max-np: not a positive integer: 16k"},
+           {"fig5_write_bandwidth --max-np 100",
+            "error: --max-np 100 leaves no scales to run"},
+           {"eq7_measured_vs_model --np 256 --telemetry=abc t.json",
+            "error: --telemetry: not a positive number: abc"},
+           {"eq7_measured_vs_model --np 256 --optrace=abc",
+            "error: --optrace: not a positive number: abc"},
+           {"fig99", "error: unknown figure fig99"}}) {
+    const RunResult bad = run("cd " + tmp.path().string() + " && " +
+                                  paper(args),
+                              true);
     EXPECT_EQ(bad.exitCode, 2) << args << "\n" << bad.output;
     EXPECT_NE(bad.output.find(error), std::string::npos) << bad.output;
   }
+  // The unknown-figure error lists the figures.
+  EXPECT_NE(run(paper("fig99"), true).output.find("fig5_write_bandwidth"),
+            std::string::npos);
 }
 
 // Every announce line goes to stderr, so --trace and --metrics leave figure
@@ -241,8 +291,7 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
 TEST(ShardedIdentity, TraceAndMetricsLeaveStdoutUnchanged) {
   const TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
-  const std::string bench =
-      std::string(BENCH_BIN_DIR) + "/eq7_measured_vs_model --np 256";
+  const std::string bench = paper("eq7_measured_vs_model --np 256");
   const RunResult plain = run(bench);
   ASSERT_EQ(plain.exitCode, 0) << plain.output;
   const fs::path metrics = tmp.path() / "m.json";
@@ -262,9 +311,8 @@ TEST(ShardedIdentity, ObsDirWritesOneFilePerArtifactAndStack) {
   const TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
   const fs::path dir = tmp.path() / "obs";
-  const RunResult r = run(std::string(BENCH_BIN_DIR) +
-                          "/eq7_measured_vs_model --np 256 --obs-dir " +
-                          dir.string());
+  const RunResult r =
+      run(paper("eq7_measured_vs_model --np 256 --obs-dir " + dir.string()));
   ASSERT_EQ(r.exitCode, 0) << r.output;
   const std::vector<std::string> expected = {
       "attr.2.json",     "attr.json",      "critpath.2.json",

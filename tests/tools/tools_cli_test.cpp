@@ -245,6 +245,16 @@ TEST(TraceReportCli, WaterfallReqUsageErrors) {
                 " --diff " + fixture("optrace_coio.json") + " --req 3")
                 .exitCode,
             2);
+  // Numbers parse whole: a word or a trailing unit is a usage error, not
+  // request 0 or the numeric prefix.
+  EXPECT_EQ(run(traceReport() + " --waterfall " + fixture("optrace_rbio.json") +
+                " --req abc")
+                .exitCode,
+            2);
+  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.jsonl") +
+                " --bins 10x")
+                .exitCode,
+            2);
 }
 
 // perf_regions.json is a --threads=8 perf record: five fig5 points
@@ -391,6 +401,15 @@ TEST(RuntimeGateCli, UsageAndMissingFilesExitTwo) {
             2);
   EXPECT_EQ(run(traceReport() + " --runtime " + fixture("perf_base.json") +
                 " --diff /nonexistent.json --tolerance 0.5")
+                .exitCode,
+            2);
+  // A bound parses whole: "abc" is not a 0% tolerance, "2x" not 2.
+  EXPECT_EQ(run(runtimeGate("perf_serial.json", "perf_serial.json",
+                            "--tolerance abc"))
+                .exitCode,
+            2);
+  EXPECT_EQ(run(runtimeGate("perf_serial.json", "perf_serial.json",
+                            "--min-speedup 2x"))
                 .exitCode,
             2);
   // The first 400 bytes of perf_serial.json, cut mid-record. A record that

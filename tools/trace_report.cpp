@@ -31,8 +31,8 @@
 // waterfalls for the retained tail (the N slowest requests) or, with
 // --req ID, for one chosen request; --diff compares the hop-percentile
 // tables of two runs (e.g. rbIO vs coIO). --runtime renders the wall-clock
-// side of the perf record written by `<bench> --perf-json`: each --threads
-// prefetch region's jobs slowest first, with the serial-fraction /
+// side of the perf record written by `paper --perf-json`: each --threads
+// parallel region's jobs slowest first, with the serial-fraction /
 // Amdahl-ceiling analysis, then the per-point wall table; --diff compares
 // two records point by point. With --min-speedup X or --tolerance F the
 // diff is a gate (exit 1 on failure): both records must hold the same runs
@@ -47,7 +47,10 @@
 // The JSONL form keeps timestamps in simulated seconds, so nothing here
 // needs to undo the microsecond scaling of the Chrome stream.
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -91,6 +94,28 @@ int usage(const char* argv0) {
                " [--min-speedup X] [--tolerance F]]\n",
                argv0, argv0, argv0, argv0, argv0, argv0);
   return 2;
+}
+
+/// `s` read whole as an integer in [lo, hi]; false for anything else
+/// ("10x", "abc", "", out of range), so a typo is a usage error rather
+/// than its numeric prefix.
+bool wholeInt(const char* s, long long lo, long long hi, long long& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < lo || v > hi)
+    return false;
+  out = v;
+  return true;
+}
+
+/// `s` read whole as a finite number; false for anything else ("2x", "abc").
+bool wholeNumber(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
 }
 
 /// TraceEvent::name must outlive the emit; intern replayed names here.
@@ -779,8 +804,9 @@ const Value* perfRuns(const Value& doc) {
 
 /// Wall-clock seconds a perf record took end to end: each parallel
 /// region's wall, plus the wall of every run no region's jobs cover (the
-/// run record of a prefetched point repeats its job's label). Per-run walls
-/// of prefetched points overlap, so their sum is not the time taken.
+/// run record of a scenario in a region repeats its job's label). Per-run
+/// walls of scenarios simulated in parallel overlap, so their sum is not
+/// the time taken.
 double elapsedWall(const Value& doc) {
   std::map<std::string, int> covered;  // label -> region jobs not yet matched
   double wall = 0;
@@ -946,15 +972,15 @@ int main(int argc, char** argv) {
     kRuntime
   } mode = Mode::kSummary;
   for (int i = 1; i < argc; ++i) {
+    long long n = 0;
     if (std::strcmp(argv[i], "--bins") == 0 && i + 1 < argc) {
-      bins = std::atoi(argv[++i]);
-      if (bins < 1) return usage(argv[0]);
+      if (!wholeInt(argv[++i], 1, INT_MAX, n)) return usage(argv[0]);
+      bins = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--width") == 0 && i + 1 < argc) {
-      width = std::atoi(argv[++i]);
-      if (width < 1) return usage(argv[0]);
+      if (!wholeInt(argv[++i], 1, INT_MAX, n)) return usage(argv[0]);
+      width = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--req") == 0 && i + 1 < argc) {
-      reqId = std::atoll(argv[++i]);
-      if (reqId < 0) return usage(argv[0]);
+      if (!wholeInt(argv[++i], 0, LLONG_MAX, reqId)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--attr") == 0) {
       mode = Mode::kAttr;
     } else if (std::strcmp(argv[i], "--critpath") == 0) {
@@ -966,11 +992,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--runtime") == 0) {
       mode = Mode::kRuntime;
     } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::strtod(argv[++i], nullptr);
-      if (!(tolerance >= 0)) return usage(argv[0]);
+      if (!wholeNumber(argv[++i], tolerance) || tolerance < 0)
+        return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      minSpeedup = std::strtod(argv[++i], nullptr);
-      if (!(minSpeedup > 0)) return usage(argv[0]);
+      if (!wholeNumber(argv[++i], minSpeedup) || !(minSpeedup > 0))
+        return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--diff") == 0 && i + 1 < argc) {
       diffPath = argv[++i];
     } else if (argv[i][0] == '-') {
