@@ -86,11 +86,12 @@ void BM_ResourceContention(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceContention)->Arg(256)->Arg(2048);
 
-// Event-queue stress cases: timestamp distributions chosen to exercise each
-// tier of the ladder queue (see scheduler.hpp).
+// Event-queue stress cases: four timestamp shapes, three of them future
+// events in the (time, seq) heap and one all zero-delay (see scheduler.hpp).
 
 void BM_QueueUniform(benchmark::State& state) {
-  // Uniform spread: events flow far pool -> near ring -> dispatch.
+  // Every event queued up front at a time uniform over [0, 10) s, then
+  // drained.
   const auto n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
@@ -108,8 +109,8 @@ void BM_QueueUniform(benchmark::State& state) {
 BENCHMARK(BM_QueueUniform)->Arg(1 << 16);
 
 void BM_QueueBimodalNearFar(benchmark::State& state) {
-  // Dense near-cluster plus sparse far-cluster: repeated window reseeds and
-  // far-pool partition scans.
+  // Bimodal: four in five events in a dense cluster within 10 us, one in
+  // five spread over [60, 660) s, all queued up front.
   const auto n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
@@ -130,8 +131,8 @@ void BM_QueueBimodalNearFar(benchmark::State& state) {
 BENCHMARK(BM_QueueBimodalNearFar)->Arg(1 << 16);
 
 void BM_QueueSelfRescheduling(benchmark::State& state) {
-  // Fixed population, each process re-arms itself on dispatch: short delays
-  // land in the sorted active bucket (near-heap path) at steady state.
+  // Fixed population, each process re-arms itself on dispatch with a short,
+  // growing delay: the heap holds one event per process at steady state.
   const auto procs = static_cast<int>(state.range(0));
   constexpr int kRounds = 64;
   for (auto _ : state) {

@@ -8,14 +8,6 @@ namespace bgckpt::iolib {
 
 namespace {
 
-sim::Scheduler::Config schedConfig(int numRanks) {
-  // Steady state holds a few queued events per rank (a pending delay or
-  // wakeup each for the rank program, its sends, and the I/O path).
-  sim::Scheduler::Config cfg;
-  cfg.expectedEvents = static_cast<std::size_t>(numRanks) * 4 + 1024;
-  return cfg;
-}
-
 std::unique_ptr<sim::SimChecker> makeChecker(sim::SimCheckMode mode) {
   if (mode == sim::SimCheckMode::kAuto) mode = sim::simCheckModeFromEnv();
   if (mode == sim::SimCheckMode::kAuto) {
@@ -34,8 +26,7 @@ std::unique_ptr<sim::SimChecker> makeChecker(sim::SimCheckMode mode) {
 }  // namespace
 
 SimStack::SimStack(int numRanks, SimStackOptions options)
-    : sched(schedConfig(numRanks)),
-      checker(makeChecker(options.simcheck)),
+    : checker(makeChecker(options.simcheck)),
       mach(machine::intrepidMachine(numRanks)),
       torus(sched, mach, &obs),
       coll(mach),

@@ -1,6 +1,6 @@
 // Parallel execution of independent jobs: sim::parallelFor, the one
-// production parallel path (bench::prefetchSims runs one whole simulation
-// per job).
+// production parallel path (bench::simulate in bench/common.cpp runs one
+// whole simulation per job).
 //
 // simcore itself never reads a clock: the caller times its jobs.
 #pragma once

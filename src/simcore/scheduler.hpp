@@ -7,30 +7,17 @@
 // channel.hpp / resource.hpp, all of which route wakeups through this queue
 // so that execution order is deterministic: (time, insertion sequence).
 //
-// Event storage is tiered for throughput (the queue is the hot path that
-// bounds how large a machine the figure benches can afford):
-//
-//   tier 0  "now" FIFO     events at exactly the current time — the wakeups
-//                          scheduled by Resource::release, Channel::push,
-//                          Gate::fire and Barrier release. Pushed and popped
-//                          in O(1) with no comparisons.
-//   tier 1  near ring      a window of 256 time buckets. Events whose time
-//                          falls inside the window append in O(1); a bucket
-//                          is sorted once, when it becomes the active
-//                          (lowest) bucket — a simplified ladder queue.
-//   tier 2  far pool       an unsorted vector of 24-byte (time, seq, index)
-//                          keys for events beyond the window: O(1) push.
-//                          When the ring drains, one partition scan moves
-//                          everything inside a new window (sized from the
-//                          observed timestamp spread) into the buckets and
-//                          compacts the rest — amortized O(1) per event,
-//                          no heap sifting.
-//
-// Event payloads (coroutine handle / callback) live in a pooled free list,
-// so steady-state scheduling performs no allocation and heap sifts move
-// small PODs instead of whole events. All tiers pop in strict (time, seq)
-// order, so the dispatch sequence is the one any correct priority queue
-// keyed on (time, seq) gives.
+// The queue is a FIFO for events due now plus one binary min-heap on
+// (time, seq) for the future. The FIFO exists because every wakeup
+// (Resource::release, Channel::push, Gate::fire, Barrier release, MPI
+// delivery, spawn) is zero-delay: those events share time == now and arrive
+// in seq order, so they push and pop in O(1) with no comparisons. In the
+// model only `delay(dt > 0)` reaches the heap. Event payloads (coroutine
+// handle / callback) live in a recycled node pool, so steady-state
+// scheduling allocates nothing and heap sifts move 24-byte (time, seq,
+// index) keys instead of whole events. Dispatch takes the FIFO head unless
+// the heap top is earlier in (time, seq): the order any correct priority
+// queue keyed on (time, seq) gives.
 #pragma once
 
 #include <coroutine>
@@ -112,22 +99,12 @@ class SchedulerHooks {
 
 class Scheduler {
  public:
-  struct Config {
-    /// Pre-reserve pool/heap storage for roughly this many queued events.
-    std::size_t expectedEvents = 0;
-  };
-
-  Scheduler() : Scheduler(Config{}) {}
-  explicit Scheduler(const Config& config);
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Current simulated time in seconds.
   SimTime now() const { return now_; }
-
-  /// Pre-reserve queue storage for roughly `expectedEvents` queued events
-  /// (a capacity hint; the queue still grows on demand).
-  void reserve(std::size_t expectedEvents);
 
   /// Queue a coroutine resumption `delay` seconds from now. The defaulted
   /// source location attributes the scheduling site when a SimChecker is
@@ -216,7 +193,6 @@ class Scheduler {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr std::size_t kBuckets = 256;
 
   struct EventNode {
     SimTime time = 0.0;
@@ -225,21 +201,17 @@ class Scheduler {
     std::function<void()> callback;
     std::uint32_t nextFree = kNil;
   };
-  struct FarEntry {
+  /// A future event's heap key. The key carries its own (time, seq) so
+  /// sifts compare cache-local entries instead of gather-loading the pool.
+  struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t idx;
   };
-  struct FarLater {  // max-heap adaptor ordering -> min-(time, seq) heap
-    bool operator()(const FarEntry& a, const FarEntry& b) const {
+  struct Later {  // max-heap adaptor ordering -> min-(time, seq) heap
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
-    }
-  };
-  struct FarEarlier {
-    bool operator()(const FarEntry& a, const FarEntry& b) const {
-      if (a.time != b.time) return a.time < b.time;
-      return a.seq < b.seq;
     }
   };
 
@@ -258,18 +230,10 @@ class Scheduler {
   std::uint32_t allocNode();
   void freeNode(std::uint32_t idx);
   void pushIndex(std::uint32_t idx);
-  void pushRing(std::uint32_t idx, SimTime t);
   /// Pop the globally minimal (time, seq) event; requires size_ > 0.
   std::uint32_t popReady();
-  void popRing();
-  void popNear();
-  /// Make buckets_[activeBucket_] the sorted, non-empty lowest bucket.
-  /// Requires ringCount_ > 0.
-  void prepareActiveBucket();
-  /// Seed a fresh window from the far heap; requires !far_.empty().
-  void refillFromFar();
   /// Timestamp of the next event (infinity when empty).
-  SimTime nextEventTime();
+  SimTime nextEventTime() const;
   /// Dispatch one event; requires a non-empty queue.
   void step();
 
@@ -289,32 +253,12 @@ class Scheduler {
   std::vector<EventNode> pool_;
   std::uint32_t freeHead_ = kNil;
 
-  // Tier 0: events at exactly now_, FIFO (== seq) order.
+  // Events at exactly now_, FIFO (== seq) order.
   std::vector<std::uint32_t> nowQ_;
   std::size_t nowHead_ = 0;
 
-  // Tier 1: near-future ring. Bucket i covers
-  // [windowLo_ + i * bucketWidth_, windowLo_ + (i + 1) * bucketWidth_).
-  // Buckets carry (time, seq, idx) entries so activation sorts and head
-  // comparisons stay cache-local instead of gather-loading the pool.
-  // Events that land in the active bucket after it was sorted go to the
-  // small `near_` heap instead (a middle-insert into the sorted bucket is
-  // O(bucket) memmove, and short delays make it the common case).
-  std::vector<std::vector<FarEntry>> buckets_;
-  std::vector<FarEntry> near_;
-  double bucketWidth_ = 0.0;  // 0 until the first window is seeded
-  SimTime windowLo_ = 0.0;
-  SimTime windowEnd_ = 0.0;
-  std::size_t activeBucket_ = 0;
-  std::size_t drainPos_ = 0;
-  bool activeSorted_ = false;
-  std::size_t ringCount_ = 0;
-
-  // Tier 2: far-future pool, unsorted. farMin_/farMax_ are exact bounds,
-  // maintained on push and recomputed by the refill partition scan.
-  std::vector<FarEntry> far_;
-  SimTime farMin_ = 0.0;
-  SimTime farMax_ = 0.0;
+  // Future events: a binary min-heap on (time, seq).
+  std::vector<HeapEntry> heap_;
 
   std::size_t size_ = 0;
   SimTime now_ = 0.0;

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -176,14 +177,16 @@ TEST(Scheduler, DeadlockLeavesLiveRoots) {
   EXPECT_EQ(sched.liveRoots(), 1u);  // stuck process detected
 }
 
-// --- dispatch order across the tiered queue ------------------------------
+// --- dispatch order across the now-FIFO and the future heap ---------------
 
 /// An arbitrary schedule must dispatch in strictly increasing (time,
 /// insertion seq) order, each event once and at its scheduled time: with
 /// non-negative delays that is exactly the order any correct priority queue
-/// keyed on (time, seq) gives. A deterministic LCG spreads timestamps over
-/// many near-window reseeds, plus duplicate-time runs and far-tier outliers.
+/// keyed on (time, seq) gives. A deterministic LCG spreads timestamps
+/// uniformly over [0, 2148) s, plus duplicate-time runs and outliers 1e4
+/// times later.
 TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
+  constexpr int kTotal = 2150;  // 2000 up front, 100 nested, 50 zero-delay
   Scheduler sched;
   struct Dispatch {
     int id;
@@ -191,19 +194,29 @@ TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
     std::uint64_t seq;
   };
   std::vector<Dispatch> order;
-  std::vector<SimTime> due(2100);
+  std::vector<SimTime> due(kTotal);
   std::uint64_t lcg = 12345;
   auto next = [&lcg] {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
     return static_cast<double>(lcg >> 33);
   };
-  auto record = [&order, &sched](int id) {
+  // The first t=42 event to dispatch queues zero-delay events behind the
+  // t=42 events still in the heap: equal time, larger seq, so the FIFO
+  // must wait until the heap's t=42 run drains.
+  bool burstQueued = false;
+  std::function<void(int)> record = [&](int id) {
     order.push_back({id, sched.now(), sched.dispatchingSeq()});
+    if (sched.now() != 42.0 || burstQueued) return;
+    burstQueued = true;
+    for (int i = 2100; i < kTotal; ++i) {
+      due[static_cast<std::size_t>(i)] = 42.0;
+      sched.scheduleCall(0.0, [&record, i] { record(i); });
+    }
   };
   for (int i = 0; i < 2000; ++i) {
     double t = next() / 1e6;
     if (i % 7 == 0) t = 42.0;        // duplicate-time runs
-    if (i % 13 == 0) t = t * 1e4;    // far-tier outliers
+    if (i % 13 == 0) t = t * 1e4;    // outliers
     due[static_cast<std::size_t>(i)] = t;
     sched.scheduleCall(t, [&record, i] { record(i); });
   }
@@ -216,12 +229,13 @@ TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
     }
   });
   sched.run();
-  ASSERT_EQ(order.size(), 2100u);
-  std::vector<int> seen(2100, 0);
+  ASSERT_TRUE(burstQueued);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTotal));
+  std::vector<int> seen(kTotal, 0);
   for (std::size_t k = 0; k < order.size(); ++k) {
     const Dispatch& d = order[k];
     ASSERT_GE(d.id, 0);
-    ASSERT_LT(d.id, 2100);
+    ASSERT_LT(d.id, kTotal);
     ++seen[static_cast<std::size_t>(d.id)];
     EXPECT_EQ(d.now, due[static_cast<std::size_t>(d.id)]) << "event " << d.id;
     if (k > 0) {
@@ -231,13 +245,12 @@ TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
           << ") dispatched after (" << p.now << ", " << p.seq << ")";
     }
   }
-  EXPECT_EQ(seen, std::vector<int>(2100, 1));
+  EXPECT_EQ(seen, std::vector<int>(kTotal, 1));
 }
 
 TEST(Scheduler, RunUntilStopsAcrossQueueWindowBoundaries) {
-  // Timestamps spread over nine decades force multiple far-pool refills;
-  // runUntil must still stop exactly at the boundary regardless of which
-  // tier the next event sits in.
+  // Timestamps spread over nine decades; runUntil must stop exactly at the
+  // boundary, with later events still queued in the heap.
   Scheduler sched;
   int fired = 0;
   for (int i = 0; i < 200; ++i) {
@@ -265,20 +278,6 @@ TEST(Scheduler, EventPoolIsRecycledNotGrown) {
   sched.run();
   EXPECT_GE(sched.eventsProcessed(), 1000u);
   EXPECT_LE(sched.eventPoolSize(), 8u);
-}
-
-TEST(Scheduler, ReserveDoesNotChangeBehaviour) {
-  Scheduler sized(Scheduler::Config{1 << 16});
-  Scheduler unsized;
-  std::vector<int> a, b;
-  for (int i = 0; i < 100; ++i) {
-    sized.scheduleCall(static_cast<double>(100 - i), [&a, i] { a.push_back(i); });
-    unsized.scheduleCall(static_cast<double>(100 - i),
-                         [&b, i] { b.push_back(i); });
-  }
-  sized.run();
-  unsized.run();
-  EXPECT_EQ(a, b);
 }
 
 TEST(FrameArena, CoroutineFramesHitThePool) {

@@ -25,9 +25,10 @@ const std::vector<RuleInfo> kRules = {
      "allocator."},
     {"priority-queue", "hygiene",
      "std::priority_queue anywhere",
-     "The tiered ladder queue in src/simcore/scheduler.cpp is the one\n"
-     "dispatch structure. Any priority_queue is either a duplicate event\n"
-     "queue or an accidental O(log n) hot path."},
+     "The scheduler's now-FIFO plus (time, seq) min-heap in\n"
+     "src/simcore/scheduler.cpp is the one dispatch structure. Any\n"
+     "priority_queue is a second event queue beside it, with an order\n"
+     "scheduler_test does not check."},
     {"assert", "hygiene",
      "release-invisible assert() (or <cassert>) in src/",
      "assert() vanishes under NDEBUG, so a Release bench would publish\n"
