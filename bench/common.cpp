@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "machine/bgp.hpp"
+#include "netsim/torus.hpp"
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flightrec.hpp"
@@ -28,6 +29,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "simcore/parallel.hpp"
+#include "simcore/simcheck.hpp"
 
 namespace bgckpt::bench {
 
@@ -47,7 +49,6 @@ std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
 std::string gObsDir;
 sim::SimCheckMode gSimCheckMode = sim::SimCheckMode::kAuto;
 unsigned gThreads = 1;
-int gStacksAttached = 0;
 // Guards the two attach registries below: simulate()'s workers attach
 // concurrently.
 std::mutex gAttachMu;
@@ -215,13 +216,18 @@ Flags parseFlags(int argc, char** argv) {
     } else if (std::strcmp(a, "--simcheck") == 0) {
       gSimCheckMode = sim::SimCheckMode::kOn;
     } else if (std::strncmp(a, "--simcheck=", 11) == 0) {
-      const char* mode = a + 11;
-      if (std::strcmp(mode, "off") == 0) {
-        gSimCheckMode = sim::SimCheckMode::kOff;
-      } else if (std::strcmp(mode, "warn") == 0) {
-        gSimCheckMode = sim::SimCheckMode::kWarn;
-      } else {
+      const std::string mode = a + 11;
+      if (mode == "on") {
         gSimCheckMode = sim::SimCheckMode::kOn;
+      } else if (mode == "warn") {
+        gSimCheckMode = sim::SimCheckMode::kWarn;
+      } else if (mode == "off") {
+        gSimCheckMode = sim::SimCheckMode::kOff;
+      } else {
+        std::fprintf(stderr,
+                     "error: --simcheck: unknown mode %s (on, warn or off)\n",
+                     mode.c_str());
+        std::exit(2);
       }
     } else if (a[0] == '-') {
       std::fprintf(stderr, "error: unknown flag %s\n", a);
@@ -255,15 +261,15 @@ Flags parseFlags(int argc, char** argv) {
   return flags;
 }
 
-sim::SimCheckMode simCheckMode() { return gSimCheckMode; }
+namespace {
 
+/// Record one simulated run in the --perf-json report (no-op without the
+/// flag). The record carries the --threads value.
 void perfRecord(const std::string& label, double wallSeconds,
                 std::uint64_t events) {
   if (gPerfJsonPath.empty()) return;
   gPerfEntries.push_back(PerfEntry{label, wallSeconds, events});
 }
-
-namespace {
 
 /// Write the --perf-json record, if requested. Returns false (and prints
 /// to stderr) if the file could not be written.
@@ -326,10 +332,12 @@ bool obsActive() {
            !gOpTraceEnabled && gFlightRecEvents == 0);
 }
 
-/// attachObs with an explicit stack ordinal: simulate() pre-assigns numbers
-/// in scenario order so the ".2"/".3" artifact suffixes are the same
-/// whatever order the workers finish in.
-void attachObsNumbered(iolib::SimStack& stack, int n) {
+/// Attach the requested trace/metrics sinks to stack number `n`: every
+/// stack after the first gets a numbered path suffix (".2", ".3", ...), so
+/// each emits its own files, and simulate() pre-assigns the numbers in
+/// scenario order so they do not depend on which worker finishes first. A
+/// stack writes its exports when it is destroyed.
+void attachExports(iolib::SimStack& stack, int n) {
   const auto exportFlag = [](const std::string& path, const char* flag) {
     std::lock_guard<std::mutex> lock(gAttachMu);
     gExportFlags[path] = flag;
@@ -400,12 +408,8 @@ void attachObsNumbered(iolib::SimStack& stack, int n) {
                  json.c_str());
   }
   if (gFlightRecEvents > 0) {
-    // simulate() already creates one via SimStackOptions; cover figures
-    // that build their own SimStack and only call attachObs.
-    if (!stack.flightRecorder) {
-      stack.flightRecorder = obs::FlightRecorder::create(gFlightRecEvents);
-      stack.obs.addSink(stack.flightRecorder);
-    }
+    // The stack built its recorder from SimStackOptions; keep it alive for
+    // finish().
     {
       std::lock_guard<std::mutex> lock(gAttachMu);
       gFlightRecorders.push_back(stack.flightRecorder);
@@ -430,15 +434,79 @@ bool obsFlush() {
   return ok;
 }
 
-std::string label(int np, const iolib::StrategyConfig& cfg) {
-  return "np=" + std::to_string(np) + " " + cfg.describe();
+// Section III-B's mesh inputs: ASCII .rea + binary .map bytes per element
+// (coordinates of 8 vertices, curvature flags, processor mapping), and the
+// ASCII parsing throughput of one 850 MHz BG/P core.
+constexpr double kMeshBytesPerElement = 500.0;
+constexpr double kParseBytesPerSecond = 22e6;
+
+/// Rank 0 creates the global mesh file once out of band, then reads it
+/// back through the ION path, parses it and broadcasts it over the tree
+/// network. Returns the seconds from the open to the end of the broadcast.
+double runMeshRead(iolib::SimStack& stack, const MeshRead& mesh) {
+  const sim::Bytes meshBytes = static_cast<sim::Bytes>(
+      static_cast<double>(mesh.elements) * kMeshBytesPerElement);
+  double seconds = 0;
+  auto program = [&stack, meshBytes, &seconds]() -> sim::Task<> {
+    auto fh = co_await stack.fsys.create(0, "input/mesh.rea");
+    co_await stack.fsys.write(0, fh, 0, meshBytes);
+    co_await stack.fsys.close(0, fh);
+
+    const double t0 = stack.sched.now();
+    auto rfh = co_await stack.fsys.open(0, "input/mesh.rea");
+    co_await stack.fsys.read(0, rfh, 0, meshBytes);
+    co_await stack.fsys.close(0, rfh);
+    co_await stack.sched.delay(static_cast<double>(meshBytes) /
+                               kParseBytesPerSecond);
+    co_await stack.sched.delay(
+        stack.coll.broadcastCost(stack.mach.numRanks(), meshBytes));
+    seconds = stack.sched.now() - t0;
+  };
+  stack.sched.spawn(program());
+  stack.sched.run();
+  return seconds;
+}
+
+// One overload per alternative of Scenario::run: what its perf label names
+// and how it runs on a stack built for it.
+std::string describe(const iolib::StrategyConfig& cfg) {
+  return cfg.describe();
+}
+std::string describe(const iolib::CampaignConfig& cfg) {
+  return "campaign " + cfg.strategy.describe();
+}
+std::string describe(const iolib::MultilevelConfig& cfg) {
+  return "multilevel (local + partner, " + cfg.pfsStrategy.describe() +
+         " drain)";
+}
+std::string describe(const MeshRead& mesh) {
+  return "mesh read E=" + std::to_string(mesh.elements / 1000) + "K";
+}
+
+using Result = decltype(Outcome::result);
+Result execute(iolib::SimStack& stack, const iolib::CheckpointSpec& spec,
+               const iolib::StrategyConfig& cfg) {
+  return iolib::runCheckpoint(stack, spec, cfg);
+}
+Result execute(iolib::SimStack& stack, const iolib::CheckpointSpec& spec,
+               const iolib::CampaignConfig& cfg) {
+  return iolib::runCampaign(stack, spec, cfg);
+}
+Result execute(iolib::SimStack& stack, const iolib::CheckpointSpec& spec,
+               const iolib::MultilevelConfig& cfg) {
+  return iolib::runMultilevelCheckpoint(stack, spec, cfg);
+}
+Result execute(iolib::SimStack& stack, const iolib::CheckpointSpec&,
+               const MeshRead& mesh) {
+  return runMeshRead(stack, mesh);
+}
+
+std::string label(const Scenario& s) {
+  return "np=" + std::to_string(s.np) + " " +
+         std::visit([](const auto& run) { return describe(run); }, s.run);
 }
 
 }  // namespace
-
-void attachObs(iolib::SimStack& stack) {
-  if (obsActive()) attachObsNumbered(stack, ++gStacksAttached);
-}
 
 int finish(int failedChecks) {
   const bool perfWritten = perfFlush();
@@ -453,14 +521,11 @@ int finish(int failedChecks) {
   return failedChecks == 0 ? 0 : 1;
 }
 
-std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios) {
+std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios,
+                              const std::vector<unsigned>& keep) {
   const bool obs = obsActive();
-  const int base = gStacksAttached;
-  // Reserve artifact ordinals in scenario order up front; the stacks
-  // figures build while rendering continue after them.
-  if (obs) gStacksAttached = base + static_cast<int>(scenarios.size());
   struct Timing {
-    double wallSeconds = 0.0;  // the checkpoint alone
+    double wallSeconds = 0.0;  // the run alone
     double jobSeconds = 0.0;   // stack build through teardown
     std::uint64_t events = 0;
   };
@@ -470,26 +535,39 @@ std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios) {
   sim::parallelFor(scenarios.size(), gThreads, [&](std::size_t i) {
     const WallTimer jobWall;
     const Scenario& s = scenarios[i];
+    Outcome& out = outcomes[i];
+    std::shared_ptr<obs::AttributionSink> attr;
     {
       iolib::SimStackOptions opt = s.stack;
       opt.simcheck = gSimCheckMode;
       opt.flightRecorderEvents = gFlightRecEvents;
       iolib::SimStack stack(s.np, opt);
-      if (obs) attachObsNumbered(stack, base + static_cast<int>(i) + 1);
+      if (obs) attachExports(stack, static_cast<int>(i) + 1);
+      if (keep[i] & kKeepRecords) {
+        out.records.emplace();
+        stack.obs.addSink(std::make_shared<prof::IoProfileSink>(*out.records));
+      }
+      if (keep[i] & kKeepAttribution) {
+        attr = std::make_shared<obs::AttributionSink>();
+        stack.obs.addSink(attr);
+      }
       const WallTimer wall;
       const std::uint64_t events0 = stack.sched.eventsProcessed();
-      outcomes[i].result = iolib::runCheckpoint(stack, s.spec, s.strategy);
+      out.result = std::visit(
+          [&](const auto& run) { return execute(stack, s.spec, run); }, s.run);
       timings[i].wallSeconds = wall.seconds();
       timings[i].events = stack.sched.eventsProcessed() - events0;
-      outcomes[i].revocations = stack.fsys.totalRevocations();
-    }
+      out.revocations = stack.fsys.totalRevocations();
+      out.counts = stack.profile;
+    }  // teardown finalizes the stack's sinks and writes its exports
+    if (attr) out.attribution = attr->report();
     timings[i].jobSeconds = jobWall.seconds();
   });
   ParallelRegion region{static_cast<unsigned>(std::min<std::size_t>(
                             gThreads, scenarios.size())),
                         regionWall.seconds(), {}};
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const std::string name = label(scenarios[i].np, scenarios[i].strategy);
+    const std::string name = label(scenarios[i]);
     perfRecord(name, timings[i].wallSeconds, timings[i].events);
     region.jobs.emplace_back(name, timings[i].jobSeconds);
   }
@@ -501,20 +579,26 @@ std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios) {
 const Outcome& Results::outcome(const Scenario& s) const {
   if (std::find(declared.begin(), declared.end(), s) == declared.end())
     throw std::logic_error(figure + " reads a scenario it did not declare: " +
-                           label(s.np, s.strategy));
+                           label(s));
   return outcomes[static_cast<std::size_t>(
       std::find(simulated.begin(), simulated.end(), s) - simulated.begin())];
 }
 
-iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
-                               const iolib::StrategyConfig& cfg) {
-  const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
-  const WallTimer wall;
-  const std::uint64_t events0 = stack.sched.eventsProcessed();
-  auto result = iolib::runCheckpoint(stack, spec, cfg);
-  perfRecord(label(np, cfg), wall.seconds(),
-             stack.sched.eventsProcessed() - events0);
-  return result;
+const prof::IoProfile& Results::records(const Scenario& s) const {
+  const Outcome& o = outcome(s);
+  if (!o.records)
+    throw std::logic_error(figure + " reads op records no figure kept: " +
+                           label(s));
+  return *o.records;
+}
+
+const obs::AttributionEngine::Report& Results::attribution(
+    const Scenario& s) const {
+  const Outcome& o = outcome(s);
+  if (!o.attribution)
+    throw std::logic_error(
+        figure + " reads an attribution report no figure kept: " + label(s));
+  return *o.attribution;
 }
 
 }  // namespace bgckpt::bench

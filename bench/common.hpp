@@ -12,11 +12,16 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "iolib/campaign.hpp"
+#include "iolib/multilevel.hpp"
 #include "iolib/strategies.hpp"
-#include "simcore/simcheck.hpp"
+#include "obs/attr.hpp"
+#include "profiling/profile.hpp"
 
 namespace bgckpt::bench {
 
@@ -38,10 +43,8 @@ namespace bgckpt::bench {
 ///                      (with --min-speedup or --tolerance, as a gate on
 ///                      same-machine wall time).
 ///   --simcheck[=MODE]  enable the runtime invariant checker on every
-///                      scenario's stack (MODE: on [default], warn, off;
-///                      see simcore/simcheck.hpp). Figures that build their
-///                      own SimStack honour the SIM_CHECK environment
-///                      variable instead.
+///                      stack (MODE: on [default], warn, off; see
+///                      simcore/simcheck.hpp)
 ///   --attr <file>      export per-rank blocked-time attribution there as
 ///                      JSON (obs/attr.hpp)
 ///   --critpath <file>  record the causal event graph and write the
@@ -81,9 +84,8 @@ namespace bgckpt::bench {
 ///                      must be an Intrepid partition)
 /// Every announce line ("[obs] ...", "[perf] ...") goes to stderr, so
 /// figure stdout is the same whichever flags are on. Each stack's exports
-/// are numbered in simulation order (".2", ".3", ...): the scenarios first,
-/// then the stacks figures build while rendering. --threads, --max-np, --np
-/// and --flightrec=N take whole positive integers, --telemetry=DT and
+/// are numbered in simulation order (".2", ".3", ...). --threads, --max-np,
+/// --np and --flightrec=N take whole positive integers, --telemetry=DT and
 /// --optrace=RATE whole positive numbers. A bad value, a missing value, a
 /// value that is itself a flag, an unknown flag, an unknown figure name or
 /// a path that cannot be opened exits 2 before anything is simulated; a
@@ -114,56 +116,69 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Record one simulated run in the --perf-json report (no-op without the
-/// flag). The driver records every scenario; figures that build their own
-/// stack record each run they make (runSim does it for them). The record
-/// carries the --threads value.
-void perfRecord(const std::string& label, double wallSeconds,
-                std::uint64_t events);
+/// Section III-B's presetup: rank 0 reads the global mesh of `elements`
+/// spectral elements (*.rea and *.map), parses it and broadcasts it.
+struct MeshRead {
+  std::uint64_t elements = 0;
 
-/// The --simcheck mode requested on the command line (kAuto when absent).
-sim::SimCheckMode simCheckMode();
+  bool operator==(const MeshRead&) const = default;
+};
 
-/// Attach the requested trace/metrics sinks to a stack a figure built
-/// itself. Each attach after the first gets a numbered path suffix (".2",
-/// ".3", ...), so every stack emits its own files. A stack writes its
-/// exports when it is destroyed. No-op when no observability flag was
-/// given.
-void attachObs(iolib::SimStack& stack);
-
-/// Run the paper's weak-scaling checkpoint on a stack a figure built itself
-/// and record it in the perf report.
-iolib::CheckpointResult runSim(iolib::SimStack& stack, int np,
-                               const iolib::StrategyConfig& cfg);
-
-/// One simulated checkpoint: `spec` written with `strategy` by `np` ranks
-/// on a fresh stack built with `stack`. Two figures that declare equal
-/// scenarios read one simulation. The driver fills in the stack's
-/// --simcheck and --flightrec settings, so figures leave those defaulted.
+/// One simulated run on a fresh stack of `np` ranks built with `stack`:
+/// `spec` written as one checkpoint (a StrategyConfig), as a campaign or as
+/// a multilevel checkpoint, or a mesh read (which ignores `spec`). Two
+/// figures that declare equal scenarios read one simulation. The driver
+/// fills in the stack's --simcheck and --flightrec settings, so figures
+/// leave those defaulted.
 struct Scenario {
   int np = 0;
   iolib::SimStackOptions stack;
   iolib::CheckpointSpec spec;
-  iolib::StrategyConfig strategy;
+  std::variant<iolib::StrategyConfig, iolib::CampaignConfig,
+               iolib::MultilevelConfig, MeshRead>
+      run;
 
   bool operator==(const Scenario&) const = default;
 };
 
-/// What a figure reads of one simulated scenario.
-struct Outcome {
-  iolib::CheckpointResult result;
-  /// fsys.totalRevocations() after the checkpoint.
-  std::uint64_t revocations = 0;
+/// What a figure keeps of its scenarios beyond their Outcome's result,
+/// revocations and op counts (a mask on its table entry). Each grows with
+/// the run, so only the scenarios of figures that ask keep it.
+enum Keep : unsigned {
+  kKeepRecords = 1,      ///< every op record (Outcome::records)
+  kKeepAttribution = 2,  ///< the blocked-time report (Outcome::attribution)
 };
 
-/// Simulate every scenario once, in order, on --threads workers, and
-/// record each in the perf report in that order (plus one parallel region
-/// under --threads > 1). Outcome i belongs to scenario i.
-std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios);
+/// What a figure reads of one simulated scenario.
+struct Outcome {
+  /// The run's result, in the alternative of Scenario::run: a checkpoint's,
+  /// a campaign's, a multilevel checkpoint's, or the mesh read's seconds.
+  std::variant<iolib::CheckpointResult, iolib::CampaignResult,
+               iolib::MultilevelResult, double>
+      result;
+  /// fsys.totalRevocations() after the run.
+  std::uint64_t revocations = 0;
+  /// The stack's per-op counts after the run.
+  prof::IoCounts counts;
+  /// Every op record, if a figure keeps them (kKeepRecords).
+  std::optional<prof::IoProfile> records;
+  /// The attribution report, if a figure keeps it (kKeepAttribution).
+  std::optional<obs::AttributionEngine::Report> attribution;
+};
+
+/// Simulate every scenario once, in order, on --threads workers, keeping
+/// what keep[i] (a Keep mask) asks of scenario i, and record each in the
+/// perf report in that order (plus one parallel region under --threads >
+/// 1). Outcome i belongs to scenario i. The only place a SimStack is built,
+/// so called once per process: every stack gets --simcheck, --flightrec and
+/// the observability exports, stack i numbered i + 1.
+std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios,
+                              const std::vector<unsigned>& keep);
 
 /// What one figure's render reads: the outcomes of the scenarios it
-/// declared. Reading any other scenario throws std::logic_error naming
-/// it: a figure never re-simulates behind the table's back.
+/// declared. Reading any other scenario, or op records or an attribution
+/// report no figure kept, throws std::logic_error naming it: a figure never
+/// re-simulates behind the table's back.
 struct Results {
   std::string figure;
   const std::vector<Scenario>& declared;
@@ -171,9 +186,16 @@ struct Results {
   const std::vector<Outcome>& outcomes;    ///< outcomes[i] of simulated[i]
 
   const Outcome& outcome(const Scenario& s) const;
-  const iolib::CheckpointResult& at(const Scenario& s) const {
-    return outcome(s).result;
+  /// The result of `s`; R is the alternative its run produces.
+  template <typename R>
+  const R& get(const Scenario& s) const {
+    return std::get<R>(outcome(s).result);
   }
+  const iolib::CheckpointResult& at(const Scenario& s) const {
+    return get<iolib::CheckpointResult>(s);
+  }
+  const prof::IoProfile& records(const Scenario& s) const;
+  const obs::AttributionEngine::Report& attribution(const Scenario& s) const;
 };
 
 /// Write the perf record and report every export that failed to write;

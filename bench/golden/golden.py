@@ -14,9 +14,9 @@ next to this script:
   <name>.stdout  the program's stdout, byte for byte
   <name>.events  one "<events>\\t<label>" line per simulated run of the
                  --perf-json record (the driver only; examples have none):
-                 for paper.events, one line per simulated scenario (largest
-                 np first), then the runs of the figures that build their
-                 own stacks, in simulation order
+                 one line per distinct scenario, in simulation order
+                 (checkpoints, campaigns, multilevel checkpoints, mesh
+                 reads, each largest np first)
 
 --record overwrites those files. --check re-runs everything, prints the
 first line that differs in each differing file and exits 1; a program that

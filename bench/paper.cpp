@@ -3,18 +3,17 @@
 //
 //   paper [FIGURE...] [FLAG...]      (no FIGURE = all, in table order)
 //
-// A figure is the list of Scenarios (simulated checkpoints) it reads plus
-// a render function that prints its section and returns its SHAPE CHECKs.
-// Figs. 5-7 and several tables are views of the same checkpoints, so the
+// A figure is the list of Scenarios (simulated runs) it reads plus a render
+// function that prints its section and returns its SHAPE CHECKs. Figs. 5-7,
+// 9 and 12 and several tables are views of the same checkpoints, so the
 // driver unions the selected figures' scenarios, drops repeats, simulates
-// each distinct one once (largest np first, on --threads workers), then
-// renders every figure in table order. Flags are documented at
+// each distinct one once (kind by kind, largest np first, on --threads
+// workers), then renders every figure in table order. Flags are documented at
 // bench::Flags in common.hpp. Exits 1 if any SHAPE CHECK fails.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "iolib/multilevel.hpp"
 #include "nekcem/maxwell.hpp"
 #include "nekcem/perf_model.hpp"
-#include "netsim/torus.hpp"
 #include "obs/attr.hpp"
 #include "profiling/report.hpp"
 #include "simcore/stats.hpp"
@@ -422,17 +420,18 @@ std::vector<Scenario> scenarios(const Flags&) {
 // directory serialises ranks: some finish within seconds, others take more
 // than 300 seconds.
 namespace fig9 {
-std::vector<Check> render(const Flags&, const Results&) {
+constexpr int kNp = 16384;
+
+Scenario onePfpp() {
+  return weakScaling(kNp, iolib::StrategyConfig::onePfpp());
+}
+
+std::vector<Check> render(const Flags&, const Results& res) {
   banner("Figure 9 - I/O time distribution, 1PFPP, 16,384 processors",
          "Each point is one rank's wall-clock I/O time for one checkpoint.");
 
-  constexpr int kNp = 16384;
-  iolib::SimStackOptions opt;
-  iolib::SimStack stack(kNp, opt);
-  attachObs(stack);
-  prof::IoProfile profile;  // per-rank busy time needs the op records
-  stack.obs.addSink(std::make_shared<prof::IoProfileSink>(profile));
-  const auto r = runSim(stack, kNp, iolib::StrategyConfig::onePfpp());
+  const auto& r = res.at(onePfpp());
+  const prof::IoCounts& counts = res.outcome(onePfpp()).counts;
 
   sim::Sample sample;
   std::vector<double> xs, ys;
@@ -467,13 +466,15 @@ std::vector<Check> render(const Flags&, const Results&) {
                         sample.quantile(0.1) < 0.5 * sample.median(),
                     secs(sample.max()) + " vs median " +
                         secs(sample.median())});
+  const std::uint64_t creates = counts.opCount(prof::Op::kCreate);
   checks.push_back({"metadata creates dominate: mean create time > 1 s",
-                    stack.profile.opCount(prof::Op::kCreate) ==
-                            static_cast<std::uint64_t>(kNp) &&
-                        profile.perRankBusy(kNp)[100] > 1.0,
+                    creates == static_cast<std::uint64_t>(kNp) &&
+                        counts.busySeconds(prof::Op::kCreate) / creates > 1.0,
                     "16384 creates issued"});
   return checks;
 }
+
+std::vector<Scenario> scenarios(const Flags&) { return {onePfpp()}; }
 }  // namespace fig9
 
 // Figure 10: per-processor I/O time distribution for coIO (np:nf = 64:1)
@@ -606,38 +607,37 @@ std::vector<Scenario> scenarios(const Flags&) { return {rbIo64(kNp)}; }
 // writers stream continuously; coIO's field-synchronised rounds leave lock
 // and synchronisation gaps.
 namespace fig12 {
-std::vector<Check> render(const Flags&, const Results&) {
+constexpr int kNp = 32768;
+
+// The timelines need every write's interval, so the figure keeps both
+// runs' op records; the write counts and op table come from their counts.
+std::vector<Check> render(const Flags&, const Results& res) {
   banner("Figure 12 - write activity: rbIO (top) vs coIO 64:1 (bottom)",
          "32,768 processors; column shade = processes in a write call.");
 
-  constexpr int kNp = 32768;
-  // The timelines need every write's interval, so each stack feeds an
-  // IoProfile; the write counts and op table come from stack.profile.
-  prof::IoProfile rbProfile;
-  prof::IoProfile coProfile;
-  iolib::SimStack rbStack(kNp);
-  attachObs(rbStack);
-  rbStack.obs.addSink(std::make_shared<prof::IoProfileSink>(rbProfile));
-  const auto rb = runSim(rbStack, kNp, iolib::StrategyConfig::rbIo(64, true));
-  iolib::SimStack coStack(kNp);
-  attachObs(coStack);
-  coStack.obs.addSink(std::make_shared<prof::IoProfileSink>(coProfile));
-  const auto co = runSim(coStack, kNp, iolib::StrategyConfig::coIo(kNp / 64));
+  const Scenario rbRun = rbIo64(kNp);
+  const Scenario coRun = coIo64(kNp);
+  const auto& rb = res.at(rbRun);
+  const auto& co = res.at(coRun);
+  const prof::IoCounts& rbCounts = res.outcome(rbRun).counts;
+  const prof::IoCounts& coCounts = res.outcome(coRun).counts;
 
   const double horizon = std::max(rb.makespan, co.makespan);
   const int bins = 64;
   const double binW = horizon / bins;
-  auto rbLine = rbProfile.activityTimeline(prof::Op::kWrite, binW, horizon);
-  auto coLine = coProfile.activityTimeline(prof::Op::kWrite, binW, horizon);
+  auto rbLine =
+      res.records(rbRun).activityTimeline(prof::Op::kWrite, binW, horizon);
+  auto coLine =
+      res.records(coRun).activityTimeline(prof::Op::kWrite, binW, horizon);
 
   std::printf("rbIO nf=ng : makespan %s, %llu write calls\n",
               secs(rb.makespan).c_str(),
               static_cast<unsigned long long>(
-                  rbStack.profile.opCount(prof::Op::kWrite)));
+                  rbCounts.opCount(prof::Op::kWrite)));
   std::printf("coIO 64:1  : makespan %s, %llu write calls\n",
               secs(co.makespan).c_str(),
               static_cast<unsigned long long>(
-                  coStack.profile.opCount(prof::Op::kWrite)));
+                  coCounts.opCount(prof::Op::kWrite)));
   std::printf("%s", analysis::activityStrip({"rbIO nf=ng", "coIO 64:1 "},
                                             {rbLine, coLine}, binW)
                         .c_str());
@@ -658,7 +658,7 @@ std::vector<Check> render(const Flags&, const Results&) {
   };
   // The Darshan-style op summary for the rbIO run (what the paper's log
   // analysis looked at).
-  std::printf("\n%s", prof::renderOpTable(rbStack.profile).c_str());
+  std::printf("\n%s", prof::renderOpTable(rbCounts).c_str());
 
   const auto [rbUtil, rbConc] = stats(rbLine, rb.makespan);
   const auto [coUtil, coConc] = stats(coLine, co.makespan);
@@ -679,6 +679,10 @@ std::vector<Check> render(const Flags&, const Results&) {
                     coConc > 1.5 * rbConc,
                     std::to_string(coConc) + " vs " + std::to_string(rbConc)});
   return checks;
+}
+
+std::vector<Scenario> scenarios(const Flags&) {
+  return {rbIo64(kNp), coIo64(kNp)};
 }
 }  // namespace fig12
 
@@ -890,27 +894,6 @@ std::vector<Scenario> scenarios(const Flags&) {
 //   model   speedup   =  Eq. (2) exact, and its Eq. (7) limit
 //                        (np/ng) * BW_rbIO/BW_coIO     (from bandwidths)
 namespace eq7 {
-struct MeasuredRun {
-  iolib::CheckpointResult result;
-  obs::AttributionEngine::Report attr;
-};
-
-/// Run one checkpoint with an attribution sink attached and hand back both
-/// the classic result and the finalized per-rank phase partition.
-MeasuredRun runMeasured(int np, const iolib::StrategyConfig& cfg) {
-  iolib::SimStackOptions opt;
-  opt.simcheck = simCheckMode();
-  iolib::SimStack stack(np, opt);
-  attachObs(stack);
-  auto attr = std::make_shared<obs::AttributionSink>();
-  stack.obs.addSink(attr);
-  MeasuredRun run;
-  run.result = runSim(stack, np, cfg);
-  stack.obs.finalize(stack.sched.now());
-  run.attr = attr->report();
-  return run;
-}
-
 void printPhaseTable(const char* label,
                      const obs::AttributionEngine::Report& r) {
   std::printf("\n  %s: processor-seconds by phase (horizon %.3f s x %zu "
@@ -925,42 +908,48 @@ void printPhaseTable(const char* label,
   std::printf("    %-13s %14.3f\n", "blocked", r.blockedSeconds());
 }
 
-std::vector<Check> render(const Flags& flags, const Results&) {
+// The figure keeps both runs' attribution reports: the finalized per-rank
+// phase partition next to the classic result.
+std::vector<Check> render(const Flags& flags, const Results& res) {
   banner("Equation (7) - measured blocked time vs the analytical model",
          "Attribution-measured blocked processor-seconds, coIO vs rbIO.");
 
   const int np = flags.np;
   const int ng = np / 64;
-  const auto co = runMeasured(np, iolib::StrategyConfig::coIo(ng));
-  const auto rb = runMeasured(np, iolib::StrategyConfig::rbIo(64, true));
+  const Scenario coRun = coIo64(np);
+  const Scenario rbRun = rbIo64(np);
+  const auto& co = res.at(coRun);
+  const auto& rb = res.at(rbRun);
+  const auto& coAttr = res.attribution(coRun);
+  const auto& rbAttr = res.attribution(rbRun);
 
-  printPhaseTable("coIO, np:nf=64:1", co.attr);
-  printPhaseTable("rbIO, 64:1, nf=ng", rb.attr);
+  printPhaseTable("coIO, np:nf=64:1", coAttr);
+  printPhaseTable("rbIO, 64:1, nf=ng", rbAttr);
 
   // Measured side: blocked processor-seconds straight from the partition.
-  const double blockedCo = co.attr.blockedSeconds();
-  const double blockedRb = rb.attr.blockedSeconds();
+  const double blockedCo = coAttr.blockedSeconds();
+  const double blockedRb = rbAttr.blockedSeconds();
   const double measuredSpeedup = blockedCo / blockedRb;
 
   // Worker-only view of rbIO: everyone except the 64:1 writers.
   double workerBlocked = 0.0;
   int workers = 0;
-  for (const auto& slice : rb.attr.ranks) {
+  for (const auto& slice : rbAttr.ranks) {
     if (slice.rank % 64 == 0) continue;
     workerBlocked += slice.blocked();
     ++workers;
   }
   const double workerFrac =
-      workers > 0 ? workerBlocked / (workers * rb.attr.horizon) : 0.0;
+      workers > 0 ? workerBlocked / (workers * rbAttr.horizon) : 0.0;
 
   // Model side: Eqs. (3)/(4)/(2)/(7) fed with the measured bandwidths.
   analysis::SpeedupParams p;
   p.np = np;
   p.ng = ng;
-  p.fileBytes = static_cast<double>(rb.result.logicalBytes);
-  p.bwCoIo = co.result.bandwidth;
-  p.bwRbIo = rb.result.bandwidth;
-  p.bwPerceived = rb.result.perceivedBandwidth;
+  p.fileBytes = static_cast<double>(rb.logicalBytes);
+  p.bwCoIo = co.bandwidth;
+  p.bwRbIo = rb.bandwidth;
+  p.bwPerceived = rb.perceivedBandwidth;
   p.lambda = 0.0;
   const double modelCo = analysis::blockedTimeCoIo(p);
   const double modelRb = analysis::blockedTimeRbIo(p);
@@ -986,9 +975,9 @@ std::vector<Check> render(const Flags& flags, const Results&) {
 
   std::vector<Check> checks;
   const double defect =
-      std::max(co.attr.partitionDefect(), rb.attr.partitionDefect());
+      std::max(coAttr.partitionDefect(), rbAttr.partitionDefect());
   checks.push_back({"attribution phases partition [0, horizon] on every rank",
-                    defect < 1e-9 * std::max(1.0, co.attr.horizon),
+                    defect < 1e-9 * std::max(1.0, coAttr.horizon),
                     "max defect " + std::to_string(defect) + " s"});
   // Eq. (3) assumes every rank stays blocked for the full S/BW_coIO; with
   // nf=ng independent files the groups finish at different times, so the
@@ -1014,11 +1003,14 @@ std::vector<Check> render(const Flags& flags, const Results&) {
                     std::to_string(workerFrac * 100.0) + "%"});
   checks.push_back(
       {"coIO blocks the mean rank for most of its horizon (>60%)",
-       blockedCo > 0.60 * np * co.attr.horizon,
-       std::to_string(blockedCo / (np * co.attr.horizon) * 100.0) + "%"});
+       blockedCo > 0.60 * np * coAttr.horizon,
+       std::to_string(blockedCo / (np * coAttr.horizon) * 100.0) + "%"});
   return checks;
 }
 
+std::vector<Scenario> scenarios(const Flags& flags) {
+  return {coIo64(flags.np), rbIo64(flags.np)};
+}
 }  // namespace eq7
 
 // Section III-B: reading the global mesh inputs (*.rea and *.map) at the
@@ -1027,78 +1019,34 @@ std::vector<Check> render(const Flags& flags, const Results&) {
 // processors of BG/P." Rank 0 reads the global files through the
 // filesystem, parses them, and broadcasts over the collective network.
 namespace mesh {
-using sim::Task;
-
-// ASCII .rea + binary .map cost per element (coordinates of 8 vertices,
-// curvature flags, processor mapping).
-constexpr double kBytesPerElement = 500.0;
-// ASCII parsing throughput on one 850 MHz BG/P core.
-constexpr double kParseBytesPerSecond = 22e6;
-
-struct MeshReadResult {
-  double seconds = 0;
+struct Case {
+  int ranks;
+  std::uint64_t elements;
+  double paperSeconds;
 };
+// 131,072 ranks exceeds our largest prebuilt torus table only in name; the
+// Intrepid factory supports it directly.
+const std::vector<Case> kCases = {{32768, 136000, 7.5},
+                                  {131072, 546000, 28.0}};
 
-MeshReadResult simulateMeshRead(int ranks, std::uint64_t elements) {
-  iolib::SimStackOptions opt;
-  opt.noise = stor::NoiseModel::none();
-  iolib::SimStack stack(ranks, opt);
-  attachObs(stack);
-  const sim::Bytes meshBytes =
-      static_cast<sim::Bytes>(static_cast<double>(elements) *
-                              kBytesPerElement);
-  double done = 0;
-
-  auto program = [&stack, meshBytes, &done]() -> Task<> {
-    // Presetup: rank 0 creates (writes) the inputs once out-of-band, then
-    // the job reads them back through the ION path and broadcasts.
-    auto fh = co_await stack.fsys.create(0, "input/mesh.rea");
-    co_await stack.fsys.write(0, fh, 0, meshBytes);
-    co_await stack.fsys.close(0, fh);
-
-    const double t0 = stack.sched.now();
-    auto rfh = co_await stack.fsys.open(0, "input/mesh.rea");
-    co_await stack.fsys.read(0, rfh, 0, meshBytes);
-    co_await stack.fsys.close(0, rfh);
-    // Parse on rank 0 ...
-    co_await stack.sched.delay(static_cast<double>(meshBytes) /
-                               kParseBytesPerSecond);
-    // ... and distribute over the tree network.
-    co_await stack.sched.delay(
-        stack.coll.broadcastCost(stack.mach.numRanks(), meshBytes));
-    done = stack.sched.now() - t0;
-  };
-  const WallTimer wall;
-  stack.sched.spawn(program());
-  const std::uint64_t events = stack.sched.run();
-  perfRecord("np=" + std::to_string(ranks) + " mesh read E=" +
-                 std::to_string(elements / 1000) + "K",
-             wall.seconds(), events);
-  return {done};
+/// The read on a noise-free stack (the program is bench::MeshRead's).
+Scenario readMesh(const Case& c) {
+  Scenario s{c.ranks, {}, {}, MeshRead{c.elements}};
+  s.stack.noise = stor::NoiseModel::none();
+  return s;
 }
 
-std::vector<Check> render(const Flags&, const Results&) {
+std::vector<Check> render(const Flags&, const Results& res) {
   banner("Section III-B - global mesh read time at presetup",
          "Rank 0 reads, parses and broadcasts the global mesh files.");
 
-  struct Case {
-    int ranks;
-    std::uint64_t elements;
-    double paperSeconds;
-  };
-  // 131,072 ranks exceeds our largest prebuilt torus table only in name;
-  // the Intrepid factory supports it directly.
-  const std::vector<Case> cases = {{32768, 136000, 7.5},
-                                   {131072, 546000, 28.0}};
-
   std::vector<double> measured;
-  for (const auto& c : cases) {
-    const auto r = simulateMeshRead(c.ranks, c.elements);
-    measured.push_back(r.seconds);
+  for (const auto& c : kCases) {
+    const double seconds = res.get<double>(readMesh(c));
+    measured.push_back(seconds);
     std::printf("E=%6lluK on P=%6d: measured %6.1f s   (paper: %.1f s)\n",
                 static_cast<unsigned long long>(c.elements / 1000), c.ranks,
-                r.seconds, c.paperSeconds);
-    std::fflush(stdout);
+                seconds, c.paperSeconds);
   }
 
   std::vector<Check> checks;
@@ -1115,6 +1063,12 @@ std::vector<Check> render(const Flags&, const Results&) {
                     "(why the paper optimises writes)",
                     measured[0] < 20.0, secs(measured[0])});
   return checks;
+}
+
+std::vector<Scenario> scenarios(const Flags&) {
+  std::vector<Scenario> out;
+  for (const auto& c : kCases) out.push_back(readMesh(c));
+  return out;
 }
 }  // namespace mesh
 
@@ -1212,9 +1166,10 @@ const std::vector<int> kPerPset = {1, 2, 4, 8, 16, 32};
 /// coIO with `nf` files under `hints`. Noise-free: an ablation isolates
 /// one knob, so the background-load lottery is switched off.
 Scenario runHints(const io::Hints& hints, int nf) {
-  Scenario s = weakScaling(kNp, iolib::StrategyConfig::coIo(nf));
+  iolib::StrategyConfig cfg = iolib::StrategyConfig::coIo(nf);
+  cfg.hints = hints;
+  Scenario s = weakScaling(kNp, cfg);
   s.stack.noise = stor::NoiseModel::none();
-  s.strategy.hints = hints;
   return s;
 }
 
@@ -1223,14 +1178,19 @@ std::vector<Check> render(const Flags&, const Results& res) {
          "File-domain alignment, aggregators per pset, deferred open.");
 
   std::printf("\n(a) file-domain alignment, coIO nf=1:\n");
-  const auto& withAlign = res.outcome(runHints({}, 1));
-  const auto& noAlign = res.outcome(runHints({.alignFileDomains = false}, 1));
+  const Scenario aligned = runHints({}, 1);
+  const Scenario unaligned = runHints({.alignFileDomains = false}, 1);
+  const auto& withAlign = res.at(aligned);
+  const auto& noAlign = res.at(unaligned);
+  const std::uint64_t alignedRevocations = res.outcome(aligned).revocations;
+  const std::uint64_t unalignedRevocations =
+      res.outcome(unaligned).revocations;
   std::printf("    aligned  : %8s  %8llu revocations\n",
-              gbs(withAlign.result.bandwidth).c_str(),
-              static_cast<unsigned long long>(withAlign.revocations));
+              gbs(withAlign.bandwidth).c_str(),
+              static_cast<unsigned long long>(alignedRevocations));
   std::printf("    unaligned: %8s  %8llu revocations\n",
-              gbs(noAlign.result.bandwidth).c_str(),
-              static_cast<unsigned long long>(noAlign.revocations));
+              gbs(noAlign.bandwidth).c_str(),
+              static_cast<unsigned long long>(unalignedRevocations));
 
   std::printf("\n(b) bgp_nodes_pset (aggregators per pset), coIO nf=1:\n");
   std::vector<std::pair<int, double>> aggSweep;
@@ -1253,13 +1213,13 @@ std::vector<Check> render(const Flags&, const Results& res) {
   // Per-round domain migration legitimately renegotiates tokens either
   // way; alignment removes the *false sharing* of boundary blocks on top.
   checks.push_back({"alignment reduces lock revocations",
-                    withAlign.revocations < noAlign.revocations,
-                    std::to_string(withAlign.revocations) + " vs " +
-                        std::to_string(noAlign.revocations)});
+                    alignedRevocations < unalignedRevocations,
+                    std::to_string(alignedRevocations) + " vs " +
+                        std::to_string(unalignedRevocations)});
   checks.push_back({"alignment does not hurt bandwidth",
-                    withAlign.result.bandwidth > 0.9 * noAlign.result.bandwidth,
-                    gbs(withAlign.result.bandwidth) + " vs " +
-                        gbs(noAlign.result.bandwidth)});
+                    withAlign.bandwidth > 0.9 * noAlign.bandwidth,
+                    gbs(withAlign.bandwidth) + " vs " +
+                        gbs(noAlign.bandwidth)});
   // More aggregators help until system limits take over.
   checks.push_back({"1 aggregator/pset underperforms the default 8",
                     aggSweep[0].second < aggSweep[3].second,
@@ -1298,9 +1258,9 @@ constexpr int kNp = 16384;
 
 /// 1PFPP with every file in one shared directory, or one directory per rank.
 Scenario onePfpp(bool privateDirs) {
-  Scenario s = weakScaling(kNp, iolib::StrategyConfig::onePfpp());
-  s.strategy.onePfppPrivateDirs = privateDirs;
-  return s;
+  iolib::StrategyConfig cfg = iolib::StrategyConfig::onePfpp();
+  cfg.onePfppPrivateDirs = privateDirs;
+  return weakScaling(kNp, cfg);
 }
 
 std::vector<Check> render(const Flags&, const Results& res) {
@@ -1354,51 +1314,46 @@ std::vector<Scenario> scenarios(const Flags&) {
 // drain checkpoints concurrently with computation, so its I/O cost only
 // surfaces when the cadence outpaces the writers.
 namespace campaign {
-std::vector<Check> render(const Flags&, const Results&) {
-  const int np = 16384;
+constexpr int kNp = 16384;
+
+/// 60 compute steps, checkpointing every 20 with `strategy`.
+Scenario run(const iolib::StrategyConfig& strategy) {
+  iolib::CampaignConfig cfg;
+  cfg.steps = 60;
+  cfg.checkpointEvery = 20;
+  cfg.computeStepSeconds = nekcem::PerfModel().weakScalingStepSeconds();
+  cfg.strategy = strategy;
+  return {kNp, {}, iolib::CheckpointSpec::nekcemWeakScaling(kNp), cfg};
+}
+
+std::vector<Approach> strategies() {
+  return {
+      {"1PFPP", iolib::StrategyConfig::onePfpp()},
+      {"coIO 64:1", iolib::StrategyConfig::coIo(kNp / 64)},
+      {"rbIO 64:1 nf=ng", iolib::StrategyConfig::rbIo(64, true)},
+  };
+}
+
+std::vector<Check> render(const Flags&, const Results& res) {
   banner("Production campaign - end-to-end Eq. (1), measured directly",
          "60 compute steps, checkpoint every 20, 16,384 ranks.");
 
-  nekcem::PerfModel perf;
-  const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
-  iolib::CampaignConfig base;
-  base.steps = 60;
-  base.checkpointEvery = 20;
-  base.computeStepSeconds = perf.weakScalingStepSeconds();
-
-  struct Row {
-    const char* name;
-    iolib::StrategyConfig strategy;
-    iolib::CampaignResult result;
-  };
-  std::vector<Row> rows = {
-      {"1PFPP", iolib::StrategyConfig::onePfpp(), {}},
-      {"coIO 64:1", iolib::StrategyConfig::coIo(np / 64), {}},
-      {"rbIO 64:1 nf=ng", iolib::StrategyConfig::rbIo(64, true), {}},
-  };
+  const auto base = std::get<iolib::CampaignConfig>(run({}).run);
   std::printf("\ncompute-only time: %.1f s (%d steps x %.3f s)\n",
               base.steps * base.computeStepSeconds, base.steps,
               base.computeStepSeconds);
   std::printf("\n  %-16s | %10s | %12s | %10s\n", "strategy", "total",
               "I/O overhead", "% overhead");
-  for (auto& row : rows) {
-    iolib::CampaignConfig cfg = base;
-    cfg.strategy = row.strategy;
-    iolib::SimStack stack(np);
-    attachObs(stack);
-    WallTimer timer;
-    row.result = iolib::runCampaign(stack, spec, cfg);
-    perfRecord(std::string("np=") + std::to_string(np) + " campaign " +
-                   row.name,
-               timer.seconds(), stack.sched.eventsProcessed());
-    std::printf("  %-16s | %8.1f s | %10.1f s | %9.1f%%\n", row.name,
-                row.result.totalSeconds, row.result.ioOverheadSeconds,
-                100.0 * row.result.ioOverheadSeconds /
-                    row.result.totalSeconds);
-    std::fflush(stdout);
+  std::vector<iolib::CampaignResult> rows;
+  for (const Approach& a : strategies()) {
+    const auto& r =
+        rows.emplace_back(res.get<iolib::CampaignResult>(run(a.cfg)));
+    std::printf("  %-16s | %8.1f s | %10.1f s | %9.1f%%\n", a.name.c_str(),
+                r.totalSeconds, r.ioOverheadSeconds,
+                100.0 * r.ioOverheadSeconds / r.totalSeconds);
   }
-  const double vsPfpp = rows[2].result.improvementOver(rows[0].result);
-  const double vsCoIo = rows[2].result.improvementOver(rows[1].result);
+  const double vsPfpp = rows[2].improvementOver(rows[0]);
+  const double vsCoIo = rows[2].improvementOver(rows[1]);
   std::printf("\nrbIO end-to-end improvement: %.1fx over 1PFPP, %.2fx over "
               "coIO 64:1\n",
               vsPfpp, vsCoIo);
@@ -1410,17 +1365,14 @@ std::vector<Check> render(const Flags&, const Results&) {
   // between writes". The overhead must still be far below the blocking
   // strategies'.
   checks.push_back({"rbIO campaign overhead modest (<40%) and below coIO's",
-                    rows[2].result.ioOverheadSeconds <
-                            0.4 * rows[2].result.totalSeconds &&
-                        rows[2].result.ioOverheadSeconds <
-                            rows[1].result.ioOverheadSeconds,
-                    std::to_string(100.0 * rows[2].result.ioOverheadSeconds /
-                                   rows[2].result.totalSeconds) +
+                    rows[2].ioOverheadSeconds < 0.4 * rows[2].totalSeconds &&
+                        rows[2].ioOverheadSeconds < rows[1].ioOverheadSeconds,
+                    std::to_string(100.0 * rows[2].ioOverheadSeconds /
+                                   rows[2].totalSeconds) +
                         "%"});
   checks.push_back({"1PFPP campaign is dominated by I/O (>80% overhead)",
-                    rows[0].result.ioOverheadSeconds >
-                        0.8 * rows[0].result.totalSeconds,
-                    std::to_string(rows[0].result.ioOverheadSeconds) + " s"});
+                    rows[0].ioOverheadSeconds > 0.8 * rows[0].totalSeconds,
+                    std::to_string(rows[0].ioOverheadSeconds) + " s"});
   checks.push_back({"tens-of-x end-to-end improvement over 1PFPP "
                     "(paper: ~25x)",
                     vsPfpp > 10 && vsPfpp < 300,
@@ -1428,6 +1380,12 @@ std::vector<Check> render(const Flags&, const Results&) {
   checks.push_back({"rbIO also beats blocking coIO end to end",
                     vsCoIo > 1.0, std::to_string(vsCoIo) + "x"});
   return checks;
+}
+
+std::vector<Scenario> scenarios(const Flags&) {
+  std::vector<Scenario> out;
+  for (const Approach& a : strategies()) out.push_back(run(a.cfg));
+  return out;
 }
 }  // namespace campaign
 
@@ -1439,28 +1397,25 @@ std::vector<Check> render(const Flags&, const Results&) {
 // checkpoint speedups over a parallel filesystem for pF3D at up to 8K
 // cores — this harness shows where our simulated Intrepid lands.
 namespace multilevel {
-std::vector<Check> render(const Flags&, const Results&) {
+/// The weak-scaling checkpoint at `np` ranks under the default scheme:
+/// partner copy, every 4th checkpoint drained with rbIO 64:1 nf=ng.
+Scenario run(int np) {
+  return {np, {}, iolib::CheckpointSpec::nekcemWeakScaling(np),
+          iolib::MultilevelConfig{}};
+}
+
+std::vector<Check> render(const Flags&, const Results& res) {
   banner("Extension - SCR-style multilevel checkpointing",
          "Node-local RAM disk + partner mirror + periodic rbIO PFS drain.");
 
   std::vector<Check> checks;
   std::printf("\n  %8s | %12s | %12s | %14s | %10s\n", "np", "level 1",
               "PFS (rbIO)", "amortised (1:4)", "L1 speedup");
-  for (int np : {16384, 32768, 65536}) {
-    iolib::SimStack stack(np);
-    attachObs(stack);
-    const auto spec = iolib::CheckpointSpec::nekcemWeakScaling(np);
-    iolib::MultilevelConfig cfg;  // defaults: partner copy, pfsEvery = 4
-    const WallTimer wall;
-    const std::uint64_t events0 = stack.sched.eventsProcessed();
-    const auto r = runMultilevelCheckpoint(stack, spec, cfg);
-    perfRecord("np=" + std::to_string(np) + " multilevel (local + partner, " +
-                   cfg.pfsStrategy.describe() + " drain)",
-               wall.seconds(), stack.sched.eventsProcessed() - events0);
+  for (int np : kScales) {
+    const auto& r = res.get<iolib::MultilevelResult>(run(np));
     std::printf("  %8d | %10.4f s | %10.2f s | %12.2f s | %9.0fx\n", np,
                 r.localMakespan, r.pfsMakespan, r.amortizedSeconds,
                 r.level1Speedup);
-    std::fflush(stdout);
     if (np == 65536) {
       checks.push_back({"level-1 speedup in SCR's reported territory "
                         "(14x-234x ballpark, allowing our larger scale)",
@@ -1478,6 +1433,12 @@ std::vector<Check> render(const Flags&, const Results&) {
               "the partner mirror)\nsingle-node loss; only multi-node "
               "failures need the PFS generation.\n");
   return checks;
+}
+
+std::vector<Scenario> scenarios(const Flags&) {
+  std::vector<Scenario> out;
+  for (int np : kScales) out.push_back(run(np));
+  return out;
 }
 }  // namespace multilevel
 
@@ -1797,12 +1758,14 @@ std::vector<Check> render(const Flags&, const Results&) {
 }
 }  // namespace compute
 
-/// One figure: the scenarios it reads (none: it builds its own stacks in
-/// render) and the render that prints its section and returns its checks.
+/// One figure: the scenarios it reads (none: it simulates nothing), the
+/// render that prints its section and returns its checks, and what it keeps
+/// of its scenarios beyond their results (a Keep mask).
 struct Entry {
   const char* name;
   std::vector<Scenario> (*scenarios)(const Flags&);
   std::vector<Check> (*render)(const Flags&, const Results&);
+  unsigned keep = 0;
 };
 
 const Entry kFigures[] = {
@@ -1810,20 +1773,20 @@ const Entry kFigures[] = {
     {"fig6_checkpoint_time", fig6::scenarios, fig6::render},
     {"fig7_ckpt_compute_ratio", fig7::scenarios, fig7::render},
     {"fig8_rbio_nf_sweep", fig8::scenarios, fig8::render},
-    {"fig9_dist_1pfpp", nullptr, fig9::render},
+    {"fig9_dist_1pfpp", fig9::scenarios, fig9::render},
     {"fig10_dist_coio", fig10::scenarios, fig10::render},
     {"fig11_dist_rbio", fig11::scenarios, fig11::render},
-    {"fig12_write_activity", nullptr, fig12::render},
+    {"fig12_write_activity", fig12::scenarios, fig12::render, kKeepRecords},
     {"table1_perceived_bw", table1::scenarios, table1::render},
     {"eq1_production_improvement", eq1::scenarios, eq1::render},
     {"eq27_speedup_model", eq27::scenarios, eq27::render},
-    {"eq7_measured_vs_model", nullptr, eq7::render},
-    {"mesh_read_time", nullptr, mesh::render},
+    {"eq7_measured_vs_model", eq7::scenarios, eq7::render, kKeepAttribution},
+    {"mesh_read_time", mesh::scenarios, mesh::render},
     {"ablation_pvfs", pvfs::scenarios, pvfs::render},
     {"ablation_romio_knobs", romio::scenarios, romio::render},
     {"ablation_1pfpp_dirs", dirs::scenarios, dirs::render},
-    {"production_campaign", nullptr, campaign::render},
-    {"extension_multilevel", nullptr, multilevel::render},
+    {"production_campaign", campaign::scenarios, campaign::render},
+    {"extension_multilevel", multilevel::scenarios, multilevel::render},
     {"extension_131k_forecast", forecast::scenarios, forecast::render},
     {"extension_optimal_cadence", cadence::scenarios, cadence::render},
     {"extension_strong_scaling", strong::scenarios, strong::render},
@@ -1857,20 +1820,34 @@ int main(int argc, char** argv) {
                                    : std::vector<Scenario>{});
   }
 
-  // One simulation per distinct scenario, the largest first so the long
-  // ones start early; the order is fixed, so artifact numbering and perf
-  // records do not depend on --threads.
+  // One simulation per distinct scenario: checkpoints, then campaigns,
+  // multilevel checkpoints and mesh reads (Scenario::run's order), each kind
+  // largest np first so the long runs start early. A thread's frame arena
+  // never returns a slab, and the 64K multilevel run grows it by ~45 MB even
+  // after every checkpoint has run; kind by kind, those slabs arrive after
+  // the campaigns' heap peak instead of under it. The order is fixed, so
+  // artifact numbering and perf records do not depend on --threads.
   std::vector<Scenario> scenarios;
   for (const auto& list : declared)
     for (const Scenario& s : list)
       if (std::find(scenarios.begin(), scenarios.end(), s) == scenarios.end())
         scenarios.push_back(s);
-  std::stable_sort(
-      scenarios.begin(), scenarios.end(),
-      [](const Scenario& a, const Scenario& b) { return a.np > b.np; });
+  std::stable_sort(scenarios.begin(), scenarios.end(),
+                   [](const Scenario& a, const Scenario& b) {
+                     if (a.run.index() != b.run.index())
+                       return a.run.index() < b.run.index();
+                     return a.np > b.np;
+                   });
+  // A scenario keeps what any selected figure that declares it asks for.
+  std::vector<unsigned> keep(scenarios.size(), 0);
+  for (std::size_t i = 0; i < selected.size(); ++i)
+    for (const Scenario& s : declared[i])
+      keep[static_cast<std::size_t>(
+          std::find(scenarios.begin(), scenarios.end(), s) -
+          scenarios.begin())] |= selected[i]->keep;
   std::fprintf(stderr, "[paper] %zu figure(s), %zu scenario(s)\n",
                selected.size(), scenarios.size());
-  const std::vector<Outcome> outcomes = simulate(scenarios);
+  const std::vector<Outcome> outcomes = simulate(scenarios, keep);
 
   int failed = 0;
   for (std::size_t i = 0; i < selected.size(); ++i)

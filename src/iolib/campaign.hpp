@@ -19,6 +19,8 @@ struct CampaignConfig {
   int checkpointEvery = 20;     ///< nc: checkpoint cadence
   double computeStepSeconds = 0.22;
   StrategyConfig strategy;
+
+  bool operator==(const CampaignConfig&) const = default;
 };
 
 struct CampaignResult {

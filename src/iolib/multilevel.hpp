@@ -28,6 +28,8 @@ struct MultilevelConfig {
   /// Every Nth checkpoint also drains to the PFS (level 2).
   int pfsEvery = 4;
   StrategyConfig pfsStrategy = StrategyConfig::rbIo(64, true);
+
+  bool operator==(const MultilevelConfig&) const = default;
 };
 
 struct MultilevelResult {

@@ -9,9 +9,9 @@
 //
 // The file also holds the driver's command-line contracts: a full disk
 // fails every export flag, a valued flag rejects a flag or a malformed
-// number as its value, an unknown figure exits 2, observability flags
-// leave stdout unchanged, and --obs-dir writes one file per artifact and
-// stack.
+// number as its value, an unknown figure exits 2, --simcheck reaches every
+// stack, observability flags leave stdout unchanged, and --obs-dir writes
+// one file per artifact and stack.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -118,7 +118,8 @@ std::string paper(const std::string& args) {
 /// directories: both records hold `runs` runs with the same labels; the
 /// 8-thread record of a selection with scenarios (`regions` = 1) holds one
 /// parallel region whose jobs are exactly its runs; a serial record, or one
-/// of a selection without scenarios, holds none. Returns the serial stdout.
+/// of a selection without scenarios (`regions` = 0), holds none. Returns the
+/// serial stdout.
 std::string expectByteIdentical(const std::string& args, int stacks,
                                 std::size_t runs, int regions) {
   const TempDir tmp;
@@ -218,9 +219,16 @@ TEST(ShardedIdentity, Fig5StdoutAndExportsMatchSerial) {
   EXPECT_EQ(both, fig5.output + dirs.output);
 }
 
+// fig9 reads one scenario, fig5's 16K 1PFPP checkpoint: one job in one
+// parallel region.
 TEST(ShardedIdentity, Fig9StdoutAndExportsMatchSerial) {
-  // One run on a stack fig9 builds itself: no scenarios, no region.
-  expectByteIdentical("fig9_dist_1pfpp", 1, 1, 0);
+  expectByteIdentical("fig9_dist_1pfpp", 1, 1, 1);
+}
+
+// eq7 keeps each run's attribution report: the sink the driver attaches for
+// the figure must not change stdout or exports at --threads=8 either.
+TEST(ShardedIdentity, Eq7StdoutAndExportsMatchSerial) {
+  expectByteIdentical("eq7_measured_vs_model --np 256", 2, 2, 1);
 }
 
 // Every export writer must report a full disk: /dev/full accepts the open,
@@ -274,6 +282,8 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
             "error: --telemetry: not a positive number: abc"},
            {"eq7_measured_vs_model --np 256 --optrace=abc",
             "error: --optrace: not a positive number: abc"},
+           {"eq7_measured_vs_model --np 256 --simcheck=bogus",
+            "error: --simcheck: unknown mode bogus"},
            {"fig99", "error: unknown figure fig99"}}) {
     const RunResult bad = run("cd " + tmp.path().string() + " && " +
                                   paper(args),
@@ -284,6 +294,25 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
   // The unknown-figure error lists the figures.
   EXPECT_NE(run(paper("fig99"), true).output.find("fig5_write_bandwidth"),
             std::string::npos);
+}
+
+// --simcheck attaches the invariant checker to every stack the driver
+// builds, so each metrics export counts its violations. With SIM_CHECK
+// unset, a build with NDEBUG runs no checker unless asked for one.
+TEST(ShardedIdentity, SimcheckReachesEveryStack) {
+  const TempDir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  const fs::path metrics = tmp.path() / "m.json";
+  const RunResult r = run("env -u SIM_CHECK " +
+                          paper("mesh_read_time --simcheck --metrics " +
+                                metrics.string()));
+  ASSERT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_EQ(fileNames(tmp.path()),
+            (std::vector<std::string>{"m.2.json", "m.json"}));
+  for (const char* name : {"m.json", "m.2.json"})
+    EXPECT_NE(readFile(tmp.path() / name).find("\"simcheck.violations\""),
+              std::string::npos)
+        << name;
 }
 
 // Every announce line goes to stderr, so --trace and --metrics leave figure
