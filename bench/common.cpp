@@ -10,7 +10,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -23,7 +22,6 @@
 #include "netsim/torus.hpp"
 #include "obs/attr.hpp"
 #include "obs/critpath.hpp"
-#include "obs/flightrec.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
 #include "obs/telemetry.hpp"
@@ -42,20 +40,13 @@ std::string gAttrPath;
 std::string gCritPathPath;
 std::string gTelemetryPath;
 double gTelemetryDt = 0.0;  // 0 = Telemetry::kDefaultDt
-std::size_t gFlightRecEvents = 0;
-bool gOpTraceEnabled = false;
 std::string gOpTracePath;
 std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
 std::string gObsDir;
 sim::SimCheckMode gSimCheckMode = sim::SimCheckMode::kAuto;
 unsigned gThreads = 1;
-// Guards the two attach registries below: simulate()'s workers attach
-// concurrently.
+// Guards gExportFlags: simulate()'s workers attach concurrently.
 std::mutex gAttachMu;
-// Keep attached recorders alive past their stacks so a SHAPE CHECK failure
-// at report time can still dump what each run was doing (the global
-// registry in obs/flightrec holds only weak references).
-std::vector<std::shared_ptr<obs::FlightRecorder>> gFlightRecorders;
 // Export path -> the flag that asked for it, so finish() can name the flag
 // of an export obs::failedWrites() lists.
 std::map<std::string, const char*> gExportFlags;
@@ -98,12 +89,6 @@ std::string numbered(const std::string& path, int n) {
   if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
     return path + tag;
   return path.substr(0, dot) + tag + path.substr(dot);
-}
-
-std::string jsonlTwin(const std::string& path) {
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0)
-    return path + "l";
-  return path + ".jsonl";
 }
 
 /// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
@@ -173,12 +158,22 @@ Flags parseFlags(int argc, char** argv) {
       // bucket width in simulated seconds; the output path follows.
       gTelemetryDt = positiveNumber("--telemetry", a + 12);
       flagValue(argc, argv, i, a, gTelemetryPath);
+    } else if (std::strncmp(a, "--optrace=", 10) == 0) {
+      // --optrace=<rate> <file>: RATE > 1 means "every Nth request"; RATE
+      // in (0, 1] is a sampling probability converted to the nearest 1-in-N.
+      const double rate = positiveNumber("--optrace", a + 10);
+      const double every =
+          rate > 1.0 ? std::round(rate) : std::max(1.0, std::round(1.0 / rate));
+      gOpTraceSampleEvery = static_cast<std::uint32_t>(std::min(
+          every, double(std::numeric_limits<std::uint32_t>::max())));
+      flagValue(argc, argv, i, a, gOpTracePath);
     } else if (flagValue(argc, argv, i, "--trace", gTracePath) ||
                flagValue(argc, argv, i, "--metrics", gMetricsPath) ||
                flagValue(argc, argv, i, "--perf-json", gPerfJsonPath) ||
                flagValue(argc, argv, i, "--attr", gAttrPath) ||
                flagValue(argc, argv, i, "--critpath", gCritPathPath) ||
                flagValue(argc, argv, i, "--telemetry", gTelemetryPath) ||
+               flagValue(argc, argv, i, "--optrace", gOpTracePath) ||
                flagValue(argc, argv, i, "--obs-dir", gObsDir)) {
       continue;
     } else if (flagValue(argc, argv, i, "--threads", value)) {
@@ -193,26 +188,6 @@ Flags parseFlags(int argc, char** argv) {
         std::fprintf(stderr, "error: --np %d: %s\n", flags.np, e.what());
         std::exit(2);
       }
-    } else if (std::strcmp(a, "--optrace") == 0) {
-      gOpTraceEnabled = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        gOpTracePath = argv[++i];
-    } else if (std::strncmp(a, "--optrace=", 10) == 0) {
-      // --optrace=RATE [file]: RATE > 1 means "every Nth request"; RATE in
-      // (0, 1] is a sampling probability converted to the nearest 1-in-N.
-      gOpTraceEnabled = true;
-      const double rate = positiveNumber("--optrace", a + 10);
-      const double every =
-          rate > 1.0 ? std::round(rate) : std::max(1.0, std::round(1.0 / rate));
-      gOpTraceSampleEvery = static_cast<std::uint32_t>(std::min(
-          every, double(std::numeric_limits<std::uint32_t>::max())));
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        gOpTracePath = argv[++i];
-    } else if (std::strcmp(a, "--flightrec") == 0) {
-      gFlightRecEvents = obs::FlightRecorder::kDefaultEvents;
-    } else if (std::strncmp(a, "--flightrec=", 12) == 0) {
-      gFlightRecEvents =
-          static_cast<std::size_t>(positiveInt("--flightrec", a + 12));
     } else if (std::strcmp(a, "--simcheck") == 0) {
       gSimCheckMode = sim::SimCheckMode::kOn;
     } else if (std::strncmp(a, "--simcheck=", 11) == 0) {
@@ -255,7 +230,6 @@ Flags parseFlags(int argc, char** argv) {
     derive(gAttrPath, "attr.json");
     derive(gCritPathPath, "critpath.json");
     derive(gTelemetryPath, "telemetry.json");
-    gOpTraceEnabled = true;
     derive(gOpTracePath, "optrace.json");
   }
   return flags;
@@ -329,7 +303,7 @@ bool perfFlush() {
 bool obsActive() {
   return !(gTracePath.empty() && gMetricsPath.empty() && gAttrPath.empty() &&
            gCritPathPath.empty() && gTelemetryPath.empty() &&
-           !gOpTraceEnabled && gFlightRecEvents == 0);
+           gOpTracePath.empty());
 }
 
 /// Attach the requested trace/metrics sinks to stack number `n`: every
@@ -344,17 +318,15 @@ void attachExports(iolib::SimStack& stack, int n) {
   };
   if (!gTracePath.empty()) {
     const std::string chrome = numbered(gTracePath, n);
-    const std::string jsonl = jsonlTwin(chrome);
     try {
-      stack.obs.addSink(obs::ChromeTraceSink::toFiles(chrome, jsonl));
+      stack.obs.addSink(obs::ChromeTraceSink::toFile(chrome));
     } catch (const std::runtime_error& e) {
       std::fprintf(stderr, "error: --trace: %s\n", e.what());
       std::exit(2);
     }
     exportFlag(chrome, "--trace");
-    exportFlag(jsonl, "--trace");
-    std::fprintf(stderr, "[obs] streaming Chrome trace to %s (+ %s)\n",
-                 chrome.c_str(), jsonl.c_str());
+    std::fprintf(stderr, "[obs] streaming Chrome trace to %s\n",
+                 chrome.c_str());
   }
   if (!gMetricsPath.empty()) {
     const std::string json = numbered(gMetricsPath, n);
@@ -397,25 +369,12 @@ void attachExports(iolib::SimStack& stack, int n) {
     std::fprintf(stderr, "[obs] sampled telemetry (dt=%.3gs) to %s\n",
                  stack.obs.telemetry().bucketDt(), json.c_str());
   }
-  if (gOpTraceEnabled) {
-    const std::string json =
-        gOpTracePath.empty() ? std::string() : numbered(gOpTracePath, n);
-    if (!json.empty()) requireWritable("--optrace", json);
+  if (!gOpTracePath.empty()) {
+    const std::string json = numbered(gOpTracePath, n);
+    requireWritable("--optrace", json);
     stack.obs.attachOpTrace(gOpTraceSampleEvery, -1, json);
-    std::fprintf(stderr, "[obs] op tracing on (sampling 1 in %u)%s%s\n",
-                 stack.obs.opTracer()->sampleEvery(),
-                 json.empty() ? "" : ", report to ",
-                 json.c_str());
-  }
-  if (gFlightRecEvents > 0) {
-    // The stack built its recorder from SimStackOptions; keep it alive for
-    // finish().
-    {
-      std::lock_guard<std::mutex> lock(gAttachMu);
-      gFlightRecorders.push_back(stack.flightRecorder);
-    }
-    std::fprintf(stderr, "[obs] flight recorder armed (%zu events/layer)\n",
-                 gFlightRecEvents);
+    std::fprintf(stderr, "[obs] op tracing (sampling 1 in %u) to %s\n",
+                 stack.obs.opTracer()->sampleEvery(), json.c_str());
   }
 }
 
@@ -511,13 +470,6 @@ std::string label(const Scenario& s) {
 int finish(int failedChecks) {
   const bool perfWritten = perfFlush();
   if (!obsFlush() || !perfWritten) return 1;
-  if (failedChecks > 0 && !gFlightRecorders.empty()) {
-    std::fprintf(stderr,
-                 "[flightrec] %d shape check(s) failed; dumping the last "
-                 "recorded events per stack\n",
-                 failedChecks);
-    obs::dumpFlightRecorders(std::cerr);
-  }
   return failedChecks == 0 ? 0 : 1;
 }
 
@@ -540,7 +492,6 @@ std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios,
     {
       iolib::SimStackOptions opt = s.stack;
       opt.simcheck = gSimCheckMode;
-      opt.flightRecorderEvents = gFlightRecEvents;
       iolib::SimStack stack(s.np, opt);
       if (obs) attachExports(stack, static_cast<int>(i) + 1);
       if (keep[i] & kKeepRecords) {

@@ -28,9 +28,11 @@ namespace bgckpt::bench {
 
 /// The driver's command line: `paper [FIGURE...] [FLAG...]`. Positional
 /// arguments name figures (none = all). Flags:
-///   --trace <file>     stream a Chrome trace_event JSON there (open the
-///                      file in Perfetto / chrome://tracing), plus a
-///                      <file>.jsonl event log for tools/trace_report
+///   --trace <file>     stream a Chrome trace_event JSON there, one event
+///                      per line: open it in Perfetto / chrome://tracing,
+///                      or summarize it with tools/trace_report. A fatal
+///                      SimChecker violation leaves it holding every event
+///                      up to the violation (no closing `]`).
 ///   --metrics <file>   export the metrics registry as JSON there
 ///   --perf-json <file> write a machine-readable perf record there (schema
 ///                      bgckpt-perf-1): one entry per simulated run (label,
@@ -46,7 +48,8 @@ namespace bgckpt::bench {
 ///                      stack (MODE: on [default], warn, off; see
 ///                      simcore/simcheck.hpp)
 ///   --attr <file>      export per-rank blocked-time attribution there as
-///                      JSON (obs/attr.hpp)
+///                      JSON (obs/attr.hpp, schema bgckpt-attr-1) for
+///                      `trace_report --attr`
 ///   --critpath <file>  record the causal event graph and write the
 ///                      critical-path report there as JSON (obs/critpath.hpp)
 ///   --telemetry[=DT] <file>
@@ -55,22 +58,19 @@ namespace bgckpt::bench {
 ///                      obs::Telemetry::kDefaultDt) and write the timeseries
 ///                      there as JSON. Feed it to `trace_report --timeline`
 ///                      for utilization heatmaps and server-imbalance stats.
-///   --optrace[=RATE] [file]
+///   --optrace[=RATE] <file>
 ///                      per-request causal tracing (obs/optrace.hpp): every
 ///                      checkpoint write op carries a span context from the
 ///                      issuing rank down to the DDN commit. RATE > 1 keeps
 ///                      every RATE-th waterfall, RATE in (0,1] is a sampling
 ///                      probability (default 1 in 64; the slowest requests
-///                      are always kept). With a file, the hop-percentile
-///                      tables, lineage trees, and tail waterfalls are
-///                      exported as JSON for `trace_report --waterfall`.
+///                      are always kept). The hop-percentile tables, lineage
+///                      trees, and tail waterfalls are exported there as
+///                      JSON for `trace_report --waterfall`.
 ///   --obs-dir DIR      derive every observability artifact path not given
 ///                      explicitly (trace/metrics/attr/critpath/telemetry/
 ///                      optrace) as DIR/<artifact>.json, creating DIR
 ///                      first. Explicit flags win.
-///   --flightrec[=N]    keep a flight recorder of the last N (default 256)
-///                      trace events per layer per stack; SimChecker
-///                      violations and failed SHAPE CHECKs dump it to stderr
 ///   --threads=N        simulate the scenarios on N worker threads (default
 ///                      1). Stdout and every obs artifact are byte-identical
 ///                      whatever N is: scenarios are simulated in one fixed
@@ -84,12 +84,12 @@ namespace bgckpt::bench {
 ///                      must be an Intrepid partition)
 /// Every announce line ("[obs] ...", "[perf] ...") goes to stderr, so
 /// figure stdout is the same whichever flags are on. Each stack's exports
-/// are numbered in simulation order (".2", ".3", ...). --threads, --max-np,
-/// --np and --flightrec=N take whole positive integers, --telemetry=DT and
-/// --optrace=RATE whole positive numbers. A bad value, a missing value, a
-/// value that is itself a flag, an unknown flag, an unknown figure name or
-/// a path that cannot be opened exits 2 before anything is simulated; a
-/// file that cannot be written exits 1 at the end.
+/// are numbered in simulation order (".2", ".3", ...). --threads, --max-np
+/// and --np take whole positive integers, --telemetry=DT and --optrace=RATE
+/// whole positive numbers. A bad value, a missing value, a value that is
+/// itself a flag, an unknown flag, an unknown figure name or a path that
+/// cannot be opened exits 2 before anything is simulated; a file that
+/// cannot be written exits 1 at the end.
 struct Flags {
   std::vector<std::string> figures;  ///< positional arguments, in order
   int maxNp = 65536;
@@ -128,8 +128,8 @@ struct MeshRead {
 /// `spec` written as one checkpoint (a StrategyConfig), as a campaign or as
 /// a multilevel checkpoint, or a mesh read (which ignores `spec`). Two
 /// figures that declare equal scenarios read one simulation. The driver
-/// fills in the stack's --simcheck and --flightrec settings, so figures
-/// leave those defaulted.
+/// fills in the stack's --simcheck setting, so figures leave it
+/// defaulted.
 struct Scenario {
   int np = 0;
   iolib::SimStackOptions stack;
@@ -170,8 +170,8 @@ struct Outcome {
 /// what keep[i] (a Keep mask) asks of scenario i, and record each in the
 /// perf report in that order (plus one parallel region under --threads >
 /// 1). Outcome i belongs to scenario i. The only place a SimStack is built,
-/// so called once per process: every stack gets --simcheck, --flightrec and
-/// the observability exports, stack i numbered i + 1.
+/// so called once per process: every stack gets --simcheck and the
+/// observability exports, stack i numbered i + 1.
 std::vector<Outcome> simulate(const std::vector<Scenario>& scenarios,
                               const std::vector<unsigned>& keep);
 
@@ -198,9 +198,8 @@ struct Results {
   const obs::AttributionEngine::Report& attribution(const Scenario& s) const;
 };
 
-/// Write the perf record and report every export that failed to write;
-/// with failed checks, dump the flight recorders. Returns the exit code: 0
-/// iff no check failed and every file was written.
+/// Write the perf record and report every export that failed to write.
+/// Returns the exit code: 0 iff no check failed and every file was written.
 int finish(int failedChecks);
 
 }  // namespace bgckpt::bench

@@ -1,7 +1,6 @@
 #include "iolib/stack.hpp"
 
 #include <algorithm>
-#include <iostream>
 #include <stdexcept>
 
 namespace bgckpt::iolib {
@@ -40,23 +39,19 @@ SimStack::SimStack(int numRanks, SimStackOptions options)
   // strategy code records each op exactly once.
   obs.addSink(std::make_shared<prof::IoCountsSink>(profile));
   obs.observeScheduler(sched);
-  if (options.flightRecorderEvents > 0) {
-    flightRecorder = obs::FlightRecorder::create(options.flightRecorderEvents);
-    obs.addSink(flightRecorder);
-  }
   if (checker) {
     checker->attach(sched);
     // Mirror violations into the metrics registry and the scheduler-layer
     // counter stream so they land next to the run they corrupted in any
-    // exported trace. The stderr report still happens inside the checker.
-    // A violation also dumps the flight recorder(s): the last events per
-    // layer, attributed, right next to the report that aborts the run.
+    // exported trace, then flush every sink: a fatal violation aborts right
+    // after this, and the trace on disk must already end at it. The stderr
+    // report still happens inside the checker.
     auto& count = obs.metrics().counter("simcheck.violations");
     checker->setReportFn([this, &count](const sim::SimChecker::Violation& v) {
       count.add();
       obs.counterSample(obs::Layer::kScheduler, "simcheck.violation", v.time,
                         static_cast<double>(count.value()));
-      if (flightRecorder) flightRecorder->dump(std::cerr);
+      obs.flush();
     });
   }
 }

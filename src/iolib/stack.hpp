@@ -18,7 +18,6 @@
 #include "mpisim/comm.hpp"
 #include "netsim/ion.hpp"
 #include "netsim/torus.hpp"
-#include "obs/flightrec.hpp"
 #include "obs/obs.hpp"
 #include "profiling/profile.hpp"
 #include "simcore/scheduler.hpp"
@@ -35,12 +34,6 @@ struct SimStackOptions {
   /// the SIM_CHECK environment variable, then defaults to on in debug
   /// builds and off in release. Benches expose this as `--simcheck`.
   sim::SimCheckMode simcheck = sim::SimCheckMode::kAuto;
-  /// Keep a crash flight recorder (obs/flightrec.hpp) of the last N trace
-  /// events per layer; SimChecker violations dump it automatically, and
-  /// bench/common dumps it on SHAPE CHECK failures. 0 disables (default —
-  /// recording forces event construction on every instrumented site, which
-  /// the no-sink fast path otherwise skips). Benches expose `--flightrec`.
-  std::size_t flightRecorderEvents = 0;
 
   bool operator==(const SimStackOptions&) const = default;
 };
@@ -60,8 +53,9 @@ class SimStack {
   machine::Machine mach;
   /// Observability hub for the whole stack. Every layer below reports into
   /// it; `profile` is fed from its kIo event stream via prof::IoCountsSink.
-  /// Benches attach extra sinks (Chrome trace, JSONL, a prof::IoProfileSink
-  /// for per-op records) with obs.addSink().
+  /// Benches attach extra sinks (Chrome trace, a prof::IoProfileSink for
+  /// per-op records) with obs.addSink(). Each SimChecker violation flushes
+  /// them, so a trace file holds every event up to the one that aborts.
   /// Declared before the layers (they hold a pointer) and after sched (its
   /// destructor reads the scheduler clock for end-of-run exports).
   obs::Observability obs;
@@ -73,9 +67,6 @@ class SimStack {
   mpi::Runtime rt;
   /// Per-op counts, bytes and busy seconds: O(1) space, no per-op records.
   prof::IoCounts profile;
-  /// Present iff SimStackOptions::flightRecorderEvents > 0 (also reachable
-  /// through the global obs::dumpFlightRecorders registry).
-  std::shared_ptr<obs::FlightRecorder> flightRecorder;
   std::uint64_t seed;
 };
 

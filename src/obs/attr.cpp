@@ -225,13 +225,15 @@ AttributionEngine::Report AttributionEngine::compute(
 
 std::string AttributionEngine::Report::toJson() const {
   std::string out;
-  out.reserve(128 + ranks.size() * 256);
+  out.reserve(128 + ranks.size() * 400);
   char buf[64];
   auto num = [&](double v) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
     out += buf;
   };
-  out += "{\n  \"horizon_seconds\": ";
+  out += "{\n  \"schema\": \"";
+  out += kSchemaVersion;
+  out += "\",\n  \"horizon_seconds\": ";
   num(horizon);
   out += ",\n  \"totals\": {";
   for (int p = 0; p < kNumPhases; ++p) {

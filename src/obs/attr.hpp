@@ -26,9 +26,9 @@
 // partition [0, horizon] exactly (checked with a SIM_CHECK-style invariant
 // in AttributionSink::finalize).
 //
-// AttributionEngine is the pure computation (also reused offline by
-// tools/trace_report on JSONL logs); AttributionSink adapts it as a
-// TraceSink attached to a live Observability hub.
+// AttributionEngine is the pure computation; AttributionSink adapts it as
+// a TraceSink attached to a live Observability hub and writes the report
+// that `tools/trace_report --attr` renders and diffs.
 #pragma once
 
 #include <array>
@@ -56,6 +56,9 @@ const char* phaseName(Phase p);
 
 class AttributionEngine {
  public:
+  /// JSON schema tag of the exported report (Report::toJson).
+  static constexpr const char* kSchemaVersion = "bgckpt-attr-1";
+
   /// Layers the classification consumes; everything else is noise here.
   static constexpr unsigned kMask = layerBit(Layer::kApp) |
                                     layerBit(Layer::kIo) |
@@ -87,6 +90,8 @@ class AttributionEngine {
     /// Max |sum(phases) - horizon| across ranks — the partition defect.
     /// Exactly 0 by construction; exported so tests can assert it.
     double partitionDefect() const;
+    /// Every number round-trips: parsing the JSON gives back these doubles
+    /// bit for bit.
     std::string toJson() const;
   };
 

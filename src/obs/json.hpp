@@ -1,8 +1,8 @@
 // Minimal recursive-descent JSON parser.
 //
 // Just enough JSON for this repo's own emitters: tools/trace_report parses
-// the JSONL event log and the metrics JSON, and the obs tests validate that
-// ChromeTraceSink's output is well-formed. Supports objects, arrays,
+// the Chrome trace one event per line and every JSON export whole, and the
+// obs tests validate that ChromeTraceSink's output is well-formed. Supports objects, arrays,
 // strings (with the standard escapes; \uXXXX decodes the BMP, and
 // surrogate pairs decode to astral-plane code points), numbers, booleans,
 // and null. Not a general-purpose validator: it accepts some malformed

@@ -217,7 +217,7 @@ void Observability::finalize(sim::SimTime horizon) {
     // teardown, say): deriving again would divide busy-seconds by a new
     // horizon and double-count nothing but still overwrite — skip, just
     // re-flush so late events reach disk.
-    for (const auto& sink : sinks_) sink->flush();
+    flush();
     return;
   }
   finalized_ = true;
@@ -249,6 +249,10 @@ void Observability::finalize(sim::SimTime horizon) {
         telemetrySink_->crossCheckAttribution(attr->report());
     }
   }
+  flush();
+}
+
+void Observability::flush() {
   for (const auto& sink : sinks_) sink->flush();
 }
 

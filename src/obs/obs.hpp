@@ -153,6 +153,11 @@ class Observability {
   /// twice).
   void finalize(sim::SimTime horizon);
 
+  /// Flush every sink's buffered output, so a run about to abort (SimStack
+  /// calls this on each SimChecker violation) leaves its trace file holding
+  /// every event emitted so far.
+  void flush();
+
   /// Write the metrics JSON to `metricsJsonPath` at finalize; the destructor
   /// finalizes at scheduler.now() if nothing did earlier. Used by
   /// bench/common so every harness exports on exit without bespoke teardown

@@ -52,36 +52,22 @@ const char* layerName(Layer layer) {
   return "?";
 }
 
-ChromeTraceSink::ChromeTraceSink(std::ostream& chrome, std::ostream* jsonl)
-    : chrome_(&chrome), jsonl_(jsonl) {
+ChromeTraceSink::ChromeTraceSink(std::ostream& chrome) : chrome_(&chrome) {
   *chrome_ << "[\n";
 }
 
 ChromeTraceSink::ChromeTraceSink(std::unique_ptr<std::ostream> chrome,
-                                 std::unique_ptr<std::ostream> jsonl,
-                                 std::string chromePath, std::string jsonlPath)
-    : ownedChrome_(std::move(chrome)),
-      ownedJsonl_(std::move(jsonl)),
-      chrome_(ownedChrome_.get()),
-      jsonl_(ownedJsonl_.get()),
-      chromePath_(std::move(chromePath)),
-      jsonlPath_(std::move(jsonlPath)) {
+                                 std::string path)
+    : owned_(std::move(chrome)), chrome_(owned_.get()), path_(std::move(path)) {
   *chrome_ << "[\n";
 }
 
-std::unique_ptr<ChromeTraceSink> ChromeTraceSink::toFiles(
-    const std::string& chromePath, const std::string& jsonlPath) {
-  auto chrome = std::make_unique<std::ofstream>(chromePath);
-  if (!*chrome)
-    throw std::runtime_error("ChromeTraceSink: cannot open " + chromePath);
-  std::unique_ptr<std::ofstream> jsonl;
-  if (!jsonlPath.empty()) {
-    jsonl = std::make_unique<std::ofstream>(jsonlPath);
-    if (!*jsonl)
-      throw std::runtime_error("ChromeTraceSink: cannot open " + jsonlPath);
-  }
-  return std::unique_ptr<ChromeTraceSink>(new ChromeTraceSink(
-      std::move(chrome), std::move(jsonl), chromePath, jsonlPath));
+std::unique_ptr<ChromeTraceSink> ChromeTraceSink::toFile(
+    const std::string& path) {
+  auto chrome = std::make_unique<std::ofstream>(path);
+  if (!*chrome) throw std::runtime_error("ChromeTraceSink: cannot open " + path);
+  return std::unique_ptr<ChromeTraceSink>(
+      new ChromeTraceSink(std::move(chrome), path));
 }
 
 ChromeTraceSink::~ChromeTraceSink() { close(); }
@@ -91,27 +77,22 @@ void ChromeTraceSink::close() {
   closed_ = true;
   *chrome_ << "\n]\n";
   flush();
-  checkStreams();
+  checkStream();
 }
 
-void ChromeTraceSink::flush() {
-  chrome_->flush();
-  if (jsonl_) jsonl_->flush();
-}
+void ChromeTraceSink::flush() { chrome_->flush(); }
 
 void ChromeTraceSink::finalize(sim::SimTime /*horizon*/) {
   flush();
-  checkStreams();
+  checkStream();
 }
 
-void ChromeTraceSink::checkStreams() {
-  // Borrowed streams (no paths) are their owner's to check. A failed write
-  // or flush leaves the stream bad for good, so one report per sink.
-  if (failed_ || chromePath_.empty()) return;
-  const bool chromeBad = !*chrome_;
-  if (!chromeBad && (jsonl_ == nullptr || *jsonl_)) return;
+void ChromeTraceSink::checkStream() {
+  // A borrowed stream (no path) is its owner's to check. A failed write or
+  // flush leaves the stream bad for good, so one report per sink.
+  if (failed_ || path_.empty() || *chrome_) return;
   failed_ = true;
-  noteFailedWrite(chromeBad ? chromePath_ : jsonlPath_);
+  noteFailedWrite(path_);
 }
 
 void ChromeTraceSink::writeSeparator() {
@@ -144,7 +125,9 @@ void ChromeTraceSink::ensureMetadata(Layer layer, int tid) {
   }
 }
 
-void ChromeTraceSink::writeChrome(const TraceEvent& ev) {
+void ChromeTraceSink::event(const TraceEvent& ev) {
+  if (closed_) return;
+  ++eventsWritten_;
   ensureMetadata(ev.layer, ev.tid);
   writeSeparator();
   char buf[384];
@@ -181,33 +164,6 @@ void ChromeTraceSink::writeChrome(const TraceEvent& ev) {
   }
   std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n), "}");
   *chrome_ << buf;
-}
-
-void ChromeTraceSink::writeJsonl(const TraceEvent& ev) {
-  char buf[384];
-  int n = std::snprintf(
-      buf, sizeof(buf),
-      "{\"ph\":\"%c\",\"cat\":\"%s\",\"name\":\"%s\",\"tid\":%d,"
-      "\"ts\":%.9f,\"dur\":%.9f",
-      ev.phase, layerName(ev.layer), ev.name, ev.tid, ev.ts, ev.dur);
-  if (ev.hasBytes)
-    n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                       ",\"bytes\":%" PRIu64, ev.bytes);
-  if (ev.src >= 0)
-    n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                       ",\"src\":%d,\"dst\":%d", ev.src, ev.dst);
-  if (ev.hasValue)
-    n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                       ",\"value\":%.9g", ev.value);
-  std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n), "}");
-  *jsonl_ << buf << '\n';
-}
-
-void ChromeTraceSink::event(const TraceEvent& ev) {
-  if (closed_) return;
-  ++eventsWritten_;
-  writeChrome(ev);
-  if (jsonl_) writeJsonl(ev);
 }
 
 }  // namespace bgckpt::obs

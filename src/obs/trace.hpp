@@ -8,8 +8,8 @@
 //                      sink attached pays only a masked branch per site.
 //  * ChromeTraceSink - streams trace_event-format JSON (one "process" per
 //                      simulated layer, one "thread" per rank) loadable in
-//                      Perfetto / chrome://tracing, plus an optional JSONL
-//                      event log consumed by tools/trace_report.
+//                      Perfetto / chrome://tracing and read back, one event
+//                      per line, by tools/trace_report.
 //
 // Conventions: `ts`/`dur` are simulated seconds (the Chrome stream converts
 // to microseconds, as the trace_event spec requires); `tid` is the rank (or
@@ -84,7 +84,7 @@ class TraceSink {
   virtual void event(const TraceEvent& ev) = 0;
   virtual void flush() {}
   /// End of run: the horizon is the final simulated time. Sinks that
-  /// aggregate (attribution, flight recorder) finish their computation and
+  /// aggregate (attribution, critical path) finish their computation and
   /// write any requested exports here. Called exactly once, before the
   /// final flush(), by Observability::finalize.
   virtual void finalize(sim::SimTime /*horizon*/) {}
@@ -100,51 +100,41 @@ class NullSink final : public TraceSink {
   unsigned layerMask() const override { return 0; }
 };
 
-/// Streams Chrome trace_event JSON and (optionally) a JSONL event log.
-///
-/// The Chrome stream is a JSON array of trace_event objects with process /
-/// thread metadata emitted lazily the first time a layer or (layer, rank)
-/// appears. The JSONL stream holds one JSON object per line with timestamps
-/// kept in simulated seconds — the lossless form tools/trace_report reads.
+/// Streams Chrome trace_event JSON: an array with one trace_event object
+/// per line and process / thread metadata emitted lazily the first time a
+/// layer or (layer, rank) appears. A stream that ends before its closing
+/// `]` (a run aborted by a SimChecker violation) is still a valid trace:
+/// the trace_event format allows the missing bracket.
 class ChromeTraceSink final : public TraceSink {
  public:
-  /// Borrow streams owned by the caller (tests pass ostringstreams).
-  explicit ChromeTraceSink(std::ostream& chrome, std::ostream* jsonl = nullptr);
-  /// Own freshly opened file streams; throws std::runtime_error on failure.
-  /// An empty jsonlPath disables the JSONL log.
-  static std::unique_ptr<ChromeTraceSink> toFiles(const std::string& chromePath,
-                                                  const std::string& jsonlPath);
+  /// Borrow a stream owned by the caller (tests pass ostringstreams).
+  explicit ChromeTraceSink(std::ostream& chrome);
+  /// Own a freshly opened file stream; throws std::runtime_error on failure.
+  static std::unique_ptr<ChromeTraceSink> toFile(const std::string& path);
   ~ChromeTraceSink() override;
 
   void event(const TraceEvent& ev) override;
   void flush() override;
-  /// Flush and check the streams, so a stack finalized before its harness
+  /// Flush and check the stream, so a stack finalized before its harness
   /// exits reports a failed trace through failedWrites() in time.
   void finalize(sim::SimTime horizon) override;
-  /// Terminate the Chrome JSON array and check the streams. Idempotent;
-  /// called by the destructor.
+  /// Terminate the JSON array and check the stream. Idempotent; called by
+  /// the destructor.
   void close();
 
   std::uint64_t eventsWritten() const { return eventsWritten_; }
 
  private:
-  ChromeTraceSink(std::unique_ptr<std::ostream> chrome,
-                  std::unique_ptr<std::ostream> jsonl, std::string chromePath,
-                  std::string jsonlPath);
-  /// Record the first bad file stream in failedWrites(), once per sink.
-  void checkStreams();
-  void writeChrome(const TraceEvent& ev);
-  void writeJsonl(const TraceEvent& ev);
+  ChromeTraceSink(std::unique_ptr<std::ostream> chrome, std::string path);
+  /// Record a bad file stream in failedWrites(), once per sink.
+  void checkStream();
   void ensureMetadata(Layer layer, int tid);
   void writeSeparator();
 
-  std::unique_ptr<std::ostream> ownedChrome_;
-  std::unique_ptr<std::ostream> ownedJsonl_;
+  std::unique_ptr<std::ostream> owned_;
   std::ostream* chrome_ = nullptr;
-  std::ostream* jsonl_ = nullptr;
-  // File paths when the sink owns its streams (toFiles); empty otherwise.
-  std::string chromePath_;
-  std::string jsonlPath_;
+  // File path when the sink owns its stream (toFile); empty otherwise.
+  std::string path_;
   bool failed_ = false;
   bool anyWritten_ = false;
   bool closed_ = false;

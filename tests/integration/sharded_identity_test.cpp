@@ -273,7 +273,9 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
            {"eq7_measured_vs_model --np 256 --threads=-4",
             "error: --threads: not a positive integer: -4"},
            {"eq7_measured_vs_model --np 256 --flightrec=abc",
-            "error: --flightrec: not a positive integer: abc"},
+            "error: unknown flag --flightrec=abc"},
+           {"eq7_measured_vs_model --np 256 --optrace",
+            "error: --optrace needs a value"},
            {"fig5_write_bandwidth --max-np 16k",
             "error: --max-np: not a positive integer: 16k"},
            {"fig5_write_bandwidth --max-np 100",
@@ -334,8 +336,8 @@ TEST(ShardedIdentity, TraceAndMetricsLeaveStdoutUnchanged) {
             std::string::npos);
 }
 
-// --obs-dir writes each observation once: one JSON per artifact per stack,
-// plus the trace's JSONL event log. eq7 at 256 ranks runs two stacks.
+// --obs-dir writes each observation once: one JSON per artifact per stack.
+// eq7 at 256 ranks runs two stacks.
 TEST(ShardedIdentity, ObsDirWritesOneFilePerArtifactAndStack) {
   const TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
@@ -347,7 +349,6 @@ TEST(ShardedIdentity, ObsDirWritesOneFilePerArtifactAndStack) {
       "attr.2.json",     "attr.json",      "critpath.2.json",
       "critpath.json",   "metrics.2.json", "metrics.json",
       "optrace.2.json",  "optrace.json",   "telemetry.2.json",
-      "telemetry.json",  "trace.2.json",   "trace.2.jsonl",
-      "trace.json",      "trace.jsonl"};
+      "telemetry.json",  "trace.2.json",   "trace.json"};
   EXPECT_EQ(fileNames(dir), expected);
 }

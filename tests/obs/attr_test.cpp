@@ -1,13 +1,15 @@
-// Blocked-time attribution, critical-path recorder and flight recorder.
+// Blocked-time attribution and the critical-path recorder.
 #include "obs/attr.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
-#include <sstream>
 
 #include "obs/critpath.hpp"
-#include "obs/flightrec.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/scheduler.hpp"
@@ -118,6 +120,47 @@ TEST(Attribution, ReportExportsJson) {
   EXPECT_NE(json.find("\"handoff_send\": 0.25"), std::string::npos);
 }
 
+// trace_report --attr renders the export, so the export must carry the
+// report exactly: every double parses back bit for bit, under the schema
+// tag trace_report gates on.
+TEST(Attribution, ReportJsonRoundTripsBitForBit) {
+  AttributionEngine::Report r;
+  r.horizon = 390.72612345678912;
+  for (int rank : {0, 7}) {
+    AttributionEngine::RankSlice slice;
+    slice.rank = rank;
+    for (int p = 0; p < kNumPhases; ++p)
+      slice.seconds[static_cast<std::size_t>(p)] =
+          r.horizon / (3.0 + p + rank) + 1e-13 * p;
+    r.ranks.push_back(slice);
+  }
+  r.totals = {2267484.9461234567, 0.1 + 0.2, 1.0 / 3.0, 0, 1e-300,
+              std::nextafter(1.0, 2.0), 4123655.9721, 10101.197, 410.476};
+  const auto doc = json::parse(r.toJson());
+  ASSERT_TRUE(doc.has_value()) << r.toJson();
+  EXPECT_EQ(doc->stringOr("schema", ""), AttributionEngine::kSchemaVersion);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(doc->numberOr("horizon_seconds", -1)), bits(r.horizon));
+  const json::Value* totals = doc->find("totals");
+  ASSERT_NE(totals, nullptr);
+  for (int p = 0; p < kNumPhases; ++p)
+    EXPECT_EQ(bits(totals->numberOr(phaseName(static_cast<Phase>(p)), -1)),
+              bits(r.totals[static_cast<std::size_t>(p)]))
+        << phaseName(static_cast<Phase>(p));
+  const json::Value* ranks = doc->find("ranks");
+  ASSERT_TRUE(ranks != nullptr && ranks->isArray());
+  ASSERT_EQ(ranks->array->size(), r.ranks.size());
+  for (std::size_t i = 0; i < r.ranks.size(); ++i) {
+    const json::Value& rv = (*ranks->array)[i];
+    EXPECT_EQ(rv.numberOr("rank", -1), r.ranks[i].rank);
+    for (int p = 0; p < kNumPhases; ++p)
+      EXPECT_EQ(bits(rv.numberOr(phaseName(static_cast<Phase>(p)), -1)),
+                bits(r.ranks[i].seconds[static_cast<std::size_t>(p)]))
+          << "rank " << r.ranks[i].rank << " "
+          << phaseName(static_cast<Phase>(p));
+  }
+}
+
 TEST(CritPath, WalksPredecessorChainAndBuckets) {
   CritPathRecorder rec;
   const auto none = sim::SchedulerHooks::kNoParent;
@@ -170,32 +213,6 @@ TEST(CritPath, RecordsALiveSchedulerThroughAttachCritPath) {
   bool sawDisk = false;
   for (const auto& b : path.byLabel) sawDisk |= b.label == "disk";
   EXPECT_TRUE(sawDisk);
-}
-
-TEST(FlightRecorder, KeepsOnlyTheMostRecentEventsPerLayer) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 10; ++i)
-    rec.event(mk(Layer::kIo, 'X', i, i < 6 ? "write" : "close",
-                 static_cast<double>(i), 0.5));
-  EXPECT_EQ(rec.eventsSeen(), 10u);
-  std::ostringstream os;
-  rec.dump(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("close"), std::string::npos);     // newest retained
-  EXPECT_NE(out.find("tid=9"), std::string::npos);
-  EXPECT_EQ(out.find("tid=5"), std::string::npos);     // oldest evicted
-  EXPECT_NE(out.find("phase=close"), std::string::npos);  // attributed
-}
-
-TEST(FlightRecorder, RegistryDumpsLiveRecordersAndPrunesDead) {
-  auto rec = FlightRecorder::create(8);
-  rec->event(mk(Layer::kMpi, 'X', 2, "barrier", 1.0, 0.1));
-  std::ostringstream os;
-  EXPECT_GE(dumpFlightRecorders(os), 1u);
-  EXPECT_NE(os.str().find("barrier"), std::string::npos);
-  rec.reset();
-  std::ostringstream empty;
-  EXPECT_EQ(dumpFlightRecorders(empty), 0u);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // layer and the expected ranks actually appear.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <source_location>
 #include <sstream>
 #include <string>
 
@@ -12,6 +15,7 @@
 #include "iolib/strategies.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "simcore/simcheck.hpp"
 
 namespace bgckpt {
 namespace {
@@ -143,6 +147,44 @@ TEST(StackTrace, UntracedStackStillFillsProfileAndMetrics) {
   EXPECT_GT(stack.obs.metrics().counter("fs.token.acquires").value(), 0u);
   EXPECT_GT(stack.obs.metrics().counter("stor.requests").value(), 0u);
   EXPECT_GT(stack.obs.metrics().counter("sched.events").value(), 0u);
+}
+
+// A fatal SimChecker violation aborts the process right after its report,
+// so the report flushes every sink first: with the sink still open, the
+// trace file on disk already holds every event, ending with the violation's
+// own counter sample, and reads as a trace with no closing "]". Warn mode
+// reports the same way without aborting, so the test can read the file.
+TEST(StackTrace, ViolationFlushesTheTraceFile) {
+  const std::string path = ::testing::TempDir() + "stack_trace_violation.json";
+  iolib::SimStackOptions opt = quiet();
+  opt.simcheck = sim::SimCheckMode::kWarn;
+  iolib::SimStack stack(256, opt);
+  std::shared_ptr<obs::ChromeTraceSink> sink =
+      obs::ChromeTraceSink::toFile(path);
+  stack.obs.addSink(sink);
+  iolib::runCheckpoint(stack, smallSpec(), iolib::StrategyConfig::coIo(4));
+  ASSERT_NE(stack.checker, nullptr);
+  stack.checker->onResourceOverRelease("test.resource", 2, 1,
+                                       std::source_location::current());
+  ASSERT_EQ(stack.checker->violationCount(), 1u);
+
+  std::ifstream in(path);
+  std::string line;
+  std::string last;
+  std::uint64_t events = 0;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == ',') line.pop_back();
+    if (line == "[") continue;
+    const auto ev = obs::json::parse(line);
+    ASSERT_TRUE(ev.has_value()) << line;
+    if (ev->stringOr("ph", "") == "M") continue;
+    ++events;
+    last = ev->stringOr("name", "");
+  }
+  EXPECT_EQ(events, sink->eventsWritten());
+  EXPECT_EQ(last, "simcheck.violation");
+  sink->close();
+  std::remove(path.c_str());
 }
 
 }  // namespace

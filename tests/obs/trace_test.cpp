@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -51,9 +50,8 @@ TEST(Observability, MaskGatesEmission) {
 
 TEST(ChromeTraceSink, OutputIsValidJsonWithBalancedSpans) {
   std::ostringstream chrome;
-  std::ostringstream jsonl;
   {
-    ChromeTraceSink sink(chrome, &jsonl);
+    ChromeTraceSink sink(chrome);
     sink.event(span(Layer::kIo, 'B', 3, "commit", 1.0));
     TraceEvent write = span(Layer::kIo, 'X', 3, "write", 1.25);
     write.dur = 0.5;
@@ -92,31 +90,6 @@ TEST(ChromeTraceSink, OutputIsValidJsonWithBalancedSpans) {
   }
 }
 
-TEST(ChromeTraceSink, JsonlKeepsSecondsOnePerLine) {
-  std::ostringstream chrome;
-  std::ostringstream jsonl;
-  {
-    ChromeTraceSink sink(chrome, &jsonl);
-    TraceEvent write = span(Layer::kFilesystem, 'X', 7, "write", 0.125);
-    write.dur = 0.25;
-    write.hasBytes = true;
-    write.bytes = 42;
-    sink.event(write);
-  }
-  std::istringstream lines(jsonl.str());
-  std::string line;
-  int parsed = 0;
-  while (std::getline(lines, line)) {
-    const auto ev = json::parse(line);
-    ASSERT_TRUE(ev.has_value()) << line;
-    EXPECT_EQ(ev->stringOr("cat", ""), "filesystem");
-    EXPECT_DOUBLE_EQ(ev->numberOr("ts", 0), 0.125);  // seconds, not us
-    EXPECT_DOUBLE_EQ(ev->numberOr("bytes", 0), 42.0);
-    ++parsed;
-  }
-  EXPECT_EQ(parsed, 1);
-}
-
 TEST(ChromeTraceSink, CloseIsIdempotent) {
   std::ostringstream chrome;
   ChromeTraceSink sink(chrome);
@@ -135,14 +108,12 @@ TEST(ExportWrites, FullDiskIsListedInFailedWrites) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   EXPECT_FALSE(writeArtifact("/dev/full", "{}\n"));
 
-  const std::string jsonl = ::testing::TempDir() + "full_disk_trace.jsonl";
-  auto sink = ChromeTraceSink::toFiles("/dev/full", jsonl);
+  auto sink = ChromeTraceSink::toFile("/dev/full");
   sink->event(span(Layer::kApp, 'X', 0, "checkpoint", 0));
   sink->finalize(1.0);
   sink->close();
   const auto failed = failedWrites();
   EXPECT_EQ(std::count(failed.begin(), failed.end(), "/dev/full"), 2);
-  std::remove(jsonl.c_str());
 }
 
 TEST(MetricsRegistry, JsonExportRoundTrip) {

@@ -7,6 +7,8 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #ifndef TOOLS_BIN_DIR
@@ -41,8 +43,11 @@ std::string fixture(const char* name) {
   return std::string(TOOLS_FIXTURE_DIR) + "/" + name;
 }
 
+// trace_coio.json is a two-rank coIO Chrome trace; attr_coio.json and
+// attr_rbio.json are the --attr exports of the same coIO events and of a
+// two-rank rbIO run.
 TEST(TraceReportCli, SummaryModeReportsLayersAndBalance) {
-  const auto r = run(traceReport() + " " + fixture("trace_coio.jsonl"));
+  const auto r = run(traceReport() + " " + fixture("trace_coio.json"));
   EXPECT_EQ(r.exitCode, 0) << r.output;
   EXPECT_NE(r.output.find("span balance: OK"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("io"), std::string::npos);
@@ -50,8 +55,28 @@ TEST(TraceReportCli, SummaryModeReportsLayersAndBalance) {
   EXPECT_NE(r.output.find("horizon 1.800 s"), std::string::npos) << r.output;
 }
 
+// A run aborted by a SimChecker violation leaves its trace without the
+// closing "]"; the summary reads it all the same.
+TEST(TraceReportCli, SummaryModeReadsATraceCutBeforeItsClosingBracket) {
+  std::ifstream in(fixture("trace_coio.json"));
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const auto bracket = text.rfind("\n]");
+  ASSERT_NE(bracket, std::string::npos);
+  text.erase(bracket + 1);
+  const std::string cut = ::testing::TempDir() + "trace_coio_cut.json";
+  std::ofstream(cut) << text;
+  const auto r = run(traceReport() + " " + cut);
+  std::remove(cut.c_str());
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_NE(r.output.find("13 events on 5 layers, horizon 1.800 s"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("span balance: OK"), std::string::npos) << r.output;
+}
+
 TEST(TraceReportCli, AttrModePartitionsPhases) {
-  const auto r = run(traceReport() + " --attr " + fixture("trace_coio.jsonl"));
+  const auto r = run(traceReport() + " --attr " + fixture("attr_coio.json"));
   EXPECT_EQ(r.exitCode, 0) << r.output;
   EXPECT_NE(r.output.find("blocked-time attribution"), std::string::npos);
   // rank0 collective 0.6 minus the 0.1 token wait, plus rank1's 0.7.
@@ -62,8 +87,8 @@ TEST(TraceReportCli, AttrModePartitionsPhases) {
 }
 
 TEST(TraceReportCli, AttrDiffComparesTwoRuns) {
-  const auto r = run(traceReport() + " --attr " + fixture("trace_coio.jsonl") +
-                     " --diff " + fixture("trace_rbio.jsonl"));
+  const auto r = run(traceReport() + " --attr " + fixture("attr_coio.json") +
+                     " --diff " + fixture("attr_rbio.json"));
   EXPECT_EQ(r.exitCode, 0) << r.output;
   EXPECT_NE(r.output.find("diff against"), std::string::npos);
   EXPECT_NE(r.output.find("A-B"), std::string::npos);
@@ -105,12 +130,25 @@ TEST(TraceReportCli, CritPathRejectsWrongSchemaVersion) {
       << r.output;
 }
 
+// --attr takes the attribution export, gated on its schema like every other
+// JSON artifact.
+TEST(TraceReportCli, AttrRejectsWrongSchemaVersion) {
+  const auto r =
+      run(traceReport() + " --attr " + fixture("telemetry_1pfpp.json"));
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  EXPECT_NE(r.output.find("attr schema \"bgckpt-telemetry-1\" not "
+                          "supported"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(TraceReportCli, ErrorsAreUsageExitCode) {
   EXPECT_EQ(run(traceReport()).exitCode, 2);
-  EXPECT_EQ(run(traceReport() + " --attr /nonexistent.jsonl").exitCode, 2);
-  // --diff only makes sense with --attr/--critpath.
-  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.jsonl") +
-                " --diff " + fixture("trace_rbio.jsonl"))
+  EXPECT_EQ(run(traceReport() + " --attr /nonexistent.json").exitCode, 2);
+  // The summary of one trace has nothing to --diff against; every other
+  // mode does.
+  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.json") +
+                " --diff " + fixture("trace_coio.json"))
                 .exitCode,
             2);
 }
@@ -238,7 +276,7 @@ TEST(TraceReportCli, WaterfallRejectsWrongSchemaVersion) {
 
 TEST(TraceReportCli, WaterfallReqUsageErrors) {
   // --req only makes sense with --waterfall, and not alongside --diff.
-  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.jsonl") + " --req 3")
+  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.json") + " --req 3")
                 .exitCode,
             2);
   EXPECT_EQ(run(traceReport() + " --waterfall " + fixture("optrace_rbio.json") +
@@ -251,7 +289,7 @@ TEST(TraceReportCli, WaterfallReqUsageErrors) {
                 " --req abc")
                 .exitCode,
             2);
-  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.jsonl") +
+  EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.json") +
                 " --bins 10x")
                 .exitCode,
             2);

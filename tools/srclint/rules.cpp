@@ -34,7 +34,7 @@ const std::vector<RuleInfo> kRules = {
      "assert() vanishes under NDEBUG, so a Release bench would publish\n"
      "corrupted figures instead of aborting. Simulation-state invariants\n"
      "must use SIM_CHECK/SIM_DCHECK (simcore/simcheck.hpp), which stay\n"
-     "armed in Release and dump the flight recorder on failure."},
+     "armed in Release."},
     {"wall-clock", "determinism",
      "host clocks / libc randomness in src/ or bench/ (allowlist: "
      "bench/common.*)",
@@ -61,8 +61,7 @@ const std::vector<RuleInfo> kRules = {
      "Trace events flow through the Observability helpers (begin / end /\n"
      "complete / message / counterSample) and sinks register via\n"
      "Observability::addSink; hand-rolled emit calls bypass the layer-mask\n"
-     "fast path and the sink registry the flight recorder and attribution\n"
-     "rely on."},
+     "fast path and the sink registry the trace and attribution rely on."},
     {"telemetry-probe", "hygiene",
      "probe() not resolved from the Telemetry registry on the same line",
      "Sampled series come from the shared registry\n"

@@ -1,24 +1,24 @@
-// trace_report: offline analysis of a JSONL trace event log.
+// trace_report: offline analysis of a bench's observability exports.
 //
-// Usage:  trace_report <events.jsonl> [--bins N]
-//         trace_report --attr <events.jsonl> [--diff <other.jsonl>]
+// Usage:  trace_report <trace.json> [--bins N]
+//         trace_report --attr <attr.json> [--diff <other.json>]
 //         trace_report --critpath <run.json> [--diff <other.json>]
 //         trace_report --timeline <telemetry.json> [--diff <other.json>]
 //         trace_report --waterfall <optrace.json> [--req ID | --diff <other>]
 //         trace_report --runtime <perf.json> [--diff <other.json>
 //                      [--min-speedup X] [--tolerance F]]
 //
-// Default mode reads the event log written alongside a Chrome trace by
-// `<bench> --trace <file>` (the `<file>.jsonl` twin), rebuilds the I/O
-// profile from the kIo event stream, and prints:
+// Default mode reads the Chrome trace written by `<bench> --trace <file>`
+// one event per line (a trace cut off before its closing `]` reads the
+// same), rebuilds the I/O profile from the kIo event stream, and prints:
 //
 //   1. per-layer event/byte totals,
 //   2. a span-balance check (every 'B' must have a matching 'E'),
 //   3. the Darshan-style job summary (prof::renderReport),
 //   4. a write/handoff activity timeline (the Fig. 12 view of the run).
 //
-// --attr replays the same log through the blocked-time attribution engine
-// (obs/attr.hpp) and prints the exclusive per-phase partition; with --diff
+// --attr renders the blocked-time attribution written by `<bench> --attr
+// <file>` (obs/attr.hpp): the exclusive per-phase partition; with --diff
 // it compares two runs (e.g. rbIO vs coIO) phase by phase. --critpath
 // renders the JSON written by `<bench> --critpath <file>`, with the same
 // A/B diff option. --timeline renders the sampled-telemetry JSON written
@@ -41,11 +41,9 @@
 // region's wall plus the runs no region covers, so a --threads record is
 // timed by its regions, not by per-run walls that overlap.
 //
-// Every JSON artifact a mode reads must carry this build's version in its
-// "schema" field, else exit 2.
-//
-// The JSONL form keeps timestamps in simulated seconds, so nothing here
-// needs to undo the microsecond scaling of the Chrome stream.
+// Every JSON export the --attr, --critpath, --timeline, --waterfall and
+// --runtime modes read must carry this build's version in its "schema"
+// field, else exit 2.
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
@@ -57,7 +55,6 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/ascii.hpp"
@@ -67,7 +64,6 @@
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "profiling/profile.hpp"
 #include "profiling/report.hpp"
 
@@ -83,8 +79,8 @@ struct LayerTotals {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s <events.jsonl> [--bins N]\n"
-               "       %s --attr <events.jsonl> [--diff <other.jsonl>]\n"
+               "usage: %s <trace.json> [--bins N]\n"
+               "       %s --attr <attr.json> [--diff <other.json>]\n"
                "       %s --critpath <run.json> [--diff <other.json>]\n"
                "       %s --timeline <telemetry.json> [--diff <other.json>]"
                " [--width N]\n"
@@ -118,105 +114,6 @@ bool wholeNumber(const char* s, double& out) {
   return true;
 }
 
-/// TraceEvent::name must outlive the emit; intern replayed names here.
-const char* internName(const std::string& name) {
-  static std::unordered_set<std::string> pool;
-  return pool.insert(name).first->c_str();
-}
-
-bool layerFromName(const std::string& cat, bgckpt::obs::Layer* layer) {
-  using bgckpt::obs::Layer;
-  for (int i = 0; i < bgckpt::obs::kNumLayers; ++i) {
-    const Layer l = static_cast<Layer>(i);
-    if (cat == bgckpt::obs::layerName(l)) {
-      *layer = l;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Replay a JSONL event log through the attribution engine. Returns false
-/// (with a message on stderr) when the file cannot be read or parsed.
-bool loadAttribution(const char* path,
-                     bgckpt::obs::AttributionEngine::Report* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "trace_report: cannot open %s\n", path);
-    return false;
-  }
-  bgckpt::obs::AttributionEngine engine;
-  double horizon = 0;
-  std::uint64_t parseErrors = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto doc = bgckpt::obs::json::parse(line);
-    if (!doc || !doc->isObject()) {
-      ++parseErrors;
-      continue;
-    }
-    bgckpt::obs::TraceEvent ev;
-    if (!layerFromName(doc->stringOr("cat", "?"), &ev.layer)) continue;
-    const std::string ph = doc->stringOr("ph", "X");
-    ev.phase = ph.empty() ? 'X' : ph[0];
-    ev.tid = static_cast<int>(doc->numberOr("tid", 0));
-    ev.name = internName(doc->stringOr("name", "?"));
-    ev.ts = doc->numberOr("ts", 0);
-    ev.dur = doc->numberOr("dur", 0);
-    horizon = std::max(horizon, ev.ts + ev.dur);
-    engine.addEvent(ev);
-  }
-  if (parseErrors)
-    std::fprintf(stderr, "trace_report: %s: %" PRIu64 " unparseable lines\n",
-                 path, parseErrors);
-  *out = engine.compute(horizon);
-  return true;
-}
-
-int runAttrMode(const char* pathA, const char* pathB) {
-  using bgckpt::obs::AttributionEngine;
-  using bgckpt::obs::Phase;
-  using bgckpt::obs::phaseName;
-  AttributionEngine::Report a;
-  if (!loadAttribution(pathA, &a)) return 2;
-  std::printf("blocked-time attribution: %s\n", pathA);
-  std::printf("%zu ranks, horizon %.3f s, partition defect %.3g s\n",
-              a.ranks.size(), a.horizon, a.partitionDefect());
-  if (pathB == nullptr) {
-    const double total = a.horizon * static_cast<double>(a.ranks.size());
-    std::printf("\n%-13s %16s %9s\n", "phase", "proc-seconds", "share");
-    for (int p = 0; p < bgckpt::obs::kNumPhases; ++p) {
-      const double s = a.totals[static_cast<std::size_t>(p)];
-      if (s <= 0.0) continue;
-      std::printf("%-13s %16.3f %8.2f%%\n", phaseName(static_cast<Phase>(p)),
-                  s, total > 0 ? s / total * 100.0 : 0.0);
-    }
-    std::printf("%-13s %16.3f %8.2f%%\n", "blocked", a.blockedSeconds(),
-                total > 0 ? a.blockedSeconds() / total * 100.0 : 0.0);
-    return 0;
-  }
-  AttributionEngine::Report b;
-  if (!loadAttribution(pathB, &b)) return 2;
-  std::printf("diff against: %s (%zu ranks, horizon %.3f s)\n", pathB,
-              b.ranks.size(), b.horizon);
-  std::printf("\n%-13s %16s %16s %16s\n", "phase", "A proc-sec", "B proc-sec",
-              "A-B");
-  for (int p = 0; p < bgckpt::obs::kNumPhases; ++p) {
-    const double sa = a.totals[static_cast<std::size_t>(p)];
-    const double sb = b.totals[static_cast<std::size_t>(p)];
-    if (sa <= 0.0 && sb <= 0.0) continue;
-    std::printf("%-13s %16.3f %16.3f %+16.3f\n",
-                phaseName(static_cast<Phase>(p)), sa, sb, sa - sb);
-  }
-  std::printf("%-13s %16.3f %16.3f %+16.3f\n", "blocked", a.blockedSeconds(),
-              b.blockedSeconds(), a.blockedSeconds() - b.blockedSeconds());
-  if (b.blockedSeconds() > 0)
-    std::printf("\nblocked-time ratio A/B: %.2fx\n",
-                a.blockedSeconds() / b.blockedSeconds());
-  return 0;
-}
-
 bool loadJsonFile(const char* path, Value* out) {
   std::ifstream in(path);
   if (!in) {
@@ -238,8 +135,8 @@ bool loadJsonFile(const char* path, Value* out) {
 
 /// Load one artifact JSON behind the shared schema gate: the document's
 /// "schema" field must be exactly `expectedSchema`. Every JSON-artifact
-/// mode (--critpath, --timeline, --waterfall, --runtime) funnels through
-/// here, and every failure funnels to the same caller exit-2 path.
+/// mode (--attr, --critpath, --timeline, --waterfall, --runtime) funnels
+/// through here, and every failure funnels to the same caller exit-2 path.
 bool loadGatedArtifact(const char* path, const char* kind,
                        const char* expectedSchema, Value* out) {
   if (!loadJsonFile(path, out)) return false;
@@ -252,6 +149,81 @@ bool loadGatedArtifact(const char* path, const char* kind,
     return false;
   }
   return true;
+}
+
+/// Load one `--attr` export behind the schema gate into the report it was
+/// written from (the export round-trips every number exactly).
+bool readAttribution(const char* path,
+                     bgckpt::obs::AttributionEngine::Report* out) {
+  using bgckpt::obs::Phase;
+  using bgckpt::obs::phaseName;
+  Value doc;
+  if (!loadGatedArtifact(path, "attr",
+                         bgckpt::obs::AttributionEngine::kSchemaVersion, &doc))
+    return false;
+  out->horizon = doc.numberOr("horizon_seconds", 0);
+  const Value* totals = doc.find("totals");
+  const Value* ranks = doc.find("ranks");
+  if (totals == nullptr || ranks == nullptr || !ranks->isArray()) {
+    std::fprintf(stderr, "trace_report: %s: no \"totals\" or \"ranks\"\n",
+                 path);
+    return false;
+  }
+  for (int p = 0; p < bgckpt::obs::kNumPhases; ++p)
+    out->totals[static_cast<std::size_t>(p)] =
+        totals->numberOr(phaseName(static_cast<Phase>(p)), 0);
+  for (const Value& rv : *ranks->array) {
+    bgckpt::obs::AttributionEngine::RankSlice slice;
+    slice.rank = static_cast<int>(rv.numberOr("rank", 0));
+    for (int p = 0; p < bgckpt::obs::kNumPhases; ++p)
+      slice.seconds[static_cast<std::size_t>(p)] =
+          rv.numberOr(phaseName(static_cast<Phase>(p)), 0);
+    out->ranks.push_back(slice);
+  }
+  return true;
+}
+
+int runAttrMode(const char* pathA, const char* pathB) {
+  using bgckpt::obs::AttributionEngine;
+  using bgckpt::obs::Phase;
+  using bgckpt::obs::phaseName;
+  AttributionEngine::Report a;
+  if (!readAttribution(pathA, &a)) return 2;
+  std::printf("blocked-time attribution: %s\n", pathA);
+  std::printf("%zu ranks, horizon %.3f s, partition defect %.3g s\n",
+              a.ranks.size(), a.horizon, a.partitionDefect());
+  if (pathB == nullptr) {
+    const double total = a.horizon * static_cast<double>(a.ranks.size());
+    std::printf("\n%-13s %16s %9s\n", "phase", "proc-seconds", "share");
+    for (int p = 0; p < bgckpt::obs::kNumPhases; ++p) {
+      const double s = a.totals[static_cast<std::size_t>(p)];
+      if (s <= 0.0) continue;
+      std::printf("%-13s %16.3f %8.2f%%\n", phaseName(static_cast<Phase>(p)),
+                  s, total > 0 ? s / total * 100.0 : 0.0);
+    }
+    std::printf("%-13s %16.3f %8.2f%%\n", "blocked", a.blockedSeconds(),
+                total > 0 ? a.blockedSeconds() / total * 100.0 : 0.0);
+    return 0;
+  }
+  AttributionEngine::Report b;
+  if (!readAttribution(pathB, &b)) return 2;
+  std::printf("diff against: %s (%zu ranks, horizon %.3f s)\n", pathB,
+              b.ranks.size(), b.horizon);
+  std::printf("\n%-13s %16s %16s %16s\n", "phase", "A proc-sec", "B proc-sec",
+              "A-B");
+  for (int p = 0; p < bgckpt::obs::kNumPhases; ++p) {
+    const double sa = a.totals[static_cast<std::size_t>(p)];
+    const double sb = b.totals[static_cast<std::size_t>(p)];
+    if (sa <= 0.0 && sb <= 0.0) continue;
+    std::printf("%-13s %16.3f %16.3f %+16.3f\n",
+                phaseName(static_cast<Phase>(p)), sa, sb, sa - sb);
+  }
+  std::printf("%-13s %16.3f %16.3f %+16.3f\n", "blocked", a.blockedSeconds(),
+              b.blockedSeconds(), a.blockedSeconds() - b.blockedSeconds());
+  if (b.blockedSeconds() > 0)
+    std::printf("\nblocked-time ratio A/B: %.2fx\n",
+                a.blockedSeconds() / b.blockedSeconds());
+  return 0;
 }
 
 bool loadCritPath(const char* path, Value* out) {
@@ -1030,28 +1002,34 @@ int main(int argc, char** argv) {
   std::map<std::string, LayerTotals> layers;
   // Open 'B' spans per (layer, tid, name); drained by matching 'E's.
   std::map<std::string, std::uint64_t> openSpans;
-  std::uint64_t parseErrors = 0, lines = 0, unmatchedEnds = 0;
+  std::uint64_t parseErrors = 0, events = 0, unmatchedEnds = 0;
   bgckpt::prof::IoProfile profile;
   double horizon = 0;
   int maxRank = -1;
 
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
+    // One trace_event object per line, each but the last followed by a
+    // comma, between "[" and "]" (absent when a violation aborted the run).
+    if (!line.empty() && line.back() == ',') line.pop_back();
+    if (line.empty() || line == "[" || line == "]") continue;
     std::string err;
     const auto doc = bgckpt::obs::json::parse(line, &err);
     if (!doc || !doc->isObject()) {
       ++parseErrors;
       continue;
     }
+    const std::string ph = doc->stringOr("ph", "X");
+    if (ph == "M") continue;  // process / thread names
+    ++events;
     const std::string cat = doc->stringOr("cat", "?");
     const std::string name = doc->stringOr("name", "?");
-    const std::string ph = doc->stringOr("ph", "X");
-    const double ts = doc->numberOr("ts", 0);
-    const double dur = doc->numberOr("dur", 0);
-    const auto bytes =
-        static_cast<std::uint64_t>(doc->numberOr("bytes", 0));
+    // The Chrome stream counts microseconds; everything below is seconds.
+    const double ts = doc->numberOr("ts", 0) / 1e6;
+    const double dur = doc->numberOr("dur", 0) / 1e6;
+    const Value* args = doc->find("args");
+    const auto bytes = static_cast<std::uint64_t>(
+        args != nullptr ? args->numberOr("bytes", 0) : 0);
     const int tid = static_cast<int>(doc->numberOr("tid", 0));
 
     auto& lt = layers[cat];
@@ -1086,7 +1064,7 @@ int main(int argc, char** argv) {
 
   std::printf("trace_report: %s\n", path);
   std::printf("%" PRIu64 " events on %zu layers, horizon %.3f s\n",
-              static_cast<std::uint64_t>(lines), layers.size(), horizon);
+              events, layers.size(), horizon);
   if (parseErrors)
     std::printf("WARNING: %" PRIu64 " unparseable lines\n", parseErrors);
 
