@@ -24,7 +24,6 @@
 #include "obs/critpath.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "simcore/parallel.hpp"
 #include "simcore/simcheck.hpp"
@@ -38,8 +37,6 @@ std::string gMetricsPath;
 std::string gPerfJsonPath;
 std::string gAttrPath;
 std::string gCritPathPath;
-std::string gTelemetryPath;
-double gTelemetryDt = 0.0;  // 0 = Telemetry::kDefaultDt
 std::string gOpTracePath;
 std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
 std::string gObsDir;
@@ -94,8 +91,8 @@ std::string numbered(const std::string& path, int n) {
 /// Matches `name` at argv[i], given as `name=VALUE` or as `name VALUE`,
 /// and stores VALUE in `out` (advancing `i` past a separate value). A
 /// separate value that is missing or is itself a flag exits 2 with
-/// `error: NAME needs a value`: otherwise `--telemetry --optrace` would
-/// write a file named "--optrace" and never turn op tracing on.
+/// `error: NAME needs a value`: otherwise `--attr --optrace` would write a
+/// file named "--optrace" and never turn op tracing on.
 bool flagValue(int argc, char** argv, int& i, const char* name,
                std::string& out) {
   const char* a = argv[i];
@@ -153,12 +150,7 @@ Flags parseFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     std::string value;
-    if (std::strncmp(a, "--telemetry=", 12) == 0) {
-      // --telemetry=<dt> <file>: the value attached to the flag is the
-      // bucket width in simulated seconds; the output path follows.
-      gTelemetryDt = positiveNumber("--telemetry", a + 12);
-      flagValue(argc, argv, i, a, gTelemetryPath);
-    } else if (std::strncmp(a, "--optrace=", 10) == 0) {
+    if (std::strncmp(a, "--optrace=", 10) == 0) {
       // --optrace=<rate> <file>: RATE > 1 means "every Nth request"; RATE
       // in (0, 1] is a sampling probability converted to the nearest 1-in-N.
       const double rate = positiveNumber("--optrace", a + 10);
@@ -172,7 +164,6 @@ Flags parseFlags(int argc, char** argv) {
                flagValue(argc, argv, i, "--perf-json", gPerfJsonPath) ||
                flagValue(argc, argv, i, "--attr", gAttrPath) ||
                flagValue(argc, argv, i, "--critpath", gCritPathPath) ||
-               flagValue(argc, argv, i, "--telemetry", gTelemetryPath) ||
                flagValue(argc, argv, i, "--optrace", gOpTracePath) ||
                flagValue(argc, argv, i, "--obs-dir", gObsDir)) {
       continue;
@@ -229,7 +220,6 @@ Flags parseFlags(int argc, char** argv) {
     derive(gMetricsPath, "metrics.json");
     derive(gAttrPath, "attr.json");
     derive(gCritPathPath, "critpath.json");
-    derive(gTelemetryPath, "telemetry.json");
     derive(gOpTracePath, "optrace.json");
   }
   return flags;
@@ -302,8 +292,7 @@ bool perfFlush() {
 
 bool obsActive() {
   return !(gTracePath.empty() && gMetricsPath.empty() && gAttrPath.empty() &&
-           gCritPathPath.empty() && gTelemetryPath.empty() &&
-           gOpTracePath.empty());
+           gCritPathPath.empty() && gOpTracePath.empty());
 }
 
 /// Attach the requested trace/metrics sinks to stack number `n`: every
@@ -362,17 +351,10 @@ void attachExports(iolib::SimStack& stack, int n) {
     stack.obs.attachCritPath(stack.sched, json);
     std::fprintf(stderr, "[obs] critical-path report to %s\n", json.c_str());
   }
-  if (!gTelemetryPath.empty()) {
-    const std::string json = numbered(gTelemetryPath, n);
-    requireWritable("--telemetry", json);
-    stack.obs.attachTelemetry(stack.sched, gTelemetryDt, json);
-    std::fprintf(stderr, "[obs] sampled telemetry (dt=%.3gs) to %s\n",
-                 stack.obs.telemetry().bucketDt(), json.c_str());
-  }
   if (!gOpTracePath.empty()) {
     const std::string json = numbered(gOpTracePath, n);
     requireWritable("--optrace", json);
-    stack.obs.attachOpTrace(gOpTraceSampleEvery, -1, json);
+    stack.obs.attachOpTrace(gOpTraceSampleEvery, json);
     std::fprintf(stderr, "[obs] op tracing (sampling 1 in %u) to %s\n",
                  stack.obs.opTracer()->sampleEvery(), json.c_str());
   }

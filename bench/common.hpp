@@ -52,12 +52,6 @@ namespace bgckpt::bench {
 ///                      `trace_report --attr`
 ///   --critpath <file>  record the causal event graph and write the
 ///                      critical-path report there as JSON (obs/critpath.hpp)
-///   --telemetry[=DT] <file>
-///                      sample every registered telemetry probe into
-///                      DT-second buckets (DT a positive number; default
-///                      obs::Telemetry::kDefaultDt) and write the timeseries
-///                      there as JSON. Feed it to `trace_report --timeline`
-///                      for utilization heatmaps and server-imbalance stats.
 ///   --optrace[=RATE] <file>
 ///                      per-request causal tracing (obs/optrace.hpp): every
 ///                      checkpoint write op carries a span context from the
@@ -68,9 +62,9 @@ namespace bgckpt::bench {
 ///                      trees, and tail waterfalls are exported there as
 ///                      JSON for `trace_report --waterfall`.
 ///   --obs-dir DIR      derive every observability artifact path not given
-///                      explicitly (trace/metrics/attr/critpath/telemetry/
-///                      optrace) as DIR/<artifact>.json, creating DIR
-///                      first. Explicit flags win.
+///                      explicitly (trace/metrics/attr/critpath/optrace)
+///                      as DIR/<artifact>.json, creating DIR first.
+///                      Explicit flags win.
 ///   --threads=N        simulate the scenarios on N worker threads (default
 ///                      1). Stdout and every obs artifact are byte-identical
 ///                      whatever N is: scenarios are simulated in one fixed
@@ -85,11 +79,11 @@ namespace bgckpt::bench {
 /// Every announce line ("[obs] ...", "[perf] ...") goes to stderr, so
 /// figure stdout is the same whichever flags are on. Each stack's exports
 /// are numbered in simulation order (".2", ".3", ...). --threads, --max-np
-/// and --np take whole positive integers, --telemetry=DT and --optrace=RATE
-/// whole positive numbers. A bad value, a missing value, a value that is
-/// itself a flag, an unknown flag, an unknown figure name or a path that
-/// cannot be opened exits 2 before anything is simulated; a file that
-/// cannot be written exits 1 at the end.
+/// and --np take whole positive integers, --optrace=RATE a whole positive
+/// number. A bad value, a missing value, a value that is itself a flag, an
+/// unknown flag, an unknown figure name or a path that cannot be opened
+/// exits 2 before anything is simulated; a file that cannot be written
+/// exits 1 at the end.
 struct Flags {
   std::vector<std::string> figures;  ///< positional arguments, in order
   int maxNp = 65536;

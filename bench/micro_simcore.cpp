@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "obs/obs.hpp"
-#include "obs/telemetry.hpp"
 #include "simcore/channel.hpp"
 #include "simcore/random.hpp"
 #include "simcore/resource.hpp"
@@ -182,39 +180,5 @@ void BM_RngStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngStream);
-
-// Zero-overhead-when-off guard: an instrumented layer's probe update must
-// compile down to a predictable branch on the cached `live` flag when no
-// --telemetry sink is attached. If this benchmark regresses to more than a
-// few ns/op, a probe stopped being dormant-by-default.
-void BM_TelemetryProbeDisabled(benchmark::State& state) {
-  bgckpt::obs::Observability obs;
-  auto& probe = obs.telemetry().probe("bench.gauge",
-                                      bgckpt::obs::ProbeKind::kGauge, 8);
-  double v = 0;
-  for (auto _ : state) {
-    probe.add(3, 1.0);
-    probe.add(3, -1.0);
-    benchmark::DoNotOptimize(v += 1.0);
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_TelemetryProbeDisabled);
-
-// The enabled path pays bucket integration; this bounds the --telemetry
-// run-time tax per probe update.
-void BM_TelemetryProbeEnabled(benchmark::State& state) {
-  Scheduler sched;
-  bgckpt::obs::Observability obs;
-  obs.telemetry().enable(sched, 0.25);
-  auto& probe = obs.telemetry().probe("bench.gauge",
-                                      bgckpt::obs::ProbeKind::kGauge, 8);
-  for (auto _ : state) {
-    probe.add(3, 1.0);
-    probe.add(3, -1.0);
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_TelemetryProbeEnabled);
 
 }  // namespace

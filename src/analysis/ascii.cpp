@@ -100,56 +100,6 @@ std::string activityStrip(const std::vector<std::string>& names,
   return out.str();
 }
 
-std::string heatmap(const std::vector<std::string>& rowLabels,
-                    const std::vector<std::vector<double>>& rows,
-                    double binSeconds, const std::string& valueLabel,
-                    int width) {
-  static const char kShades[] = " .:-=+*#%@";
-  if (rows.empty()) return "(no data)\n";
-  std::size_t bins = 0;
-  double maxVal = 0;
-  for (const auto& r : rows) {
-    bins = std::max(bins, r.size());
-    for (double v : r) maxVal = std::max(maxVal, v);
-  }
-  if (bins == 0) return "(no data)\n";
-  const auto cols = std::min<std::size_t>(static_cast<std::size_t>(width), bins);
-  const double binsPerCol = static_cast<double>(bins) / static_cast<double>(cols);
-  std::size_t labelWidth = 0;
-  for (const auto& l : rowLabels) labelWidth = std::max(labelWidth, l.size());
-
-  std::ostringstream out;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::string& label = r < rowLabels.size() ? rowLabels[r] : "";
-    out << "  " << label << std::string(labelWidth - label.size(), ' ')
-        << " |";
-    for (std::size_t c = 0; c < cols; ++c) {
-      // Average the source bins covered by this display column.
-      const auto b0 = static_cast<std::size_t>(
-          static_cast<double>(c) * binsPerCol);
-      auto b1 = static_cast<std::size_t>(
-          static_cast<double>(c + 1) * binsPerCol);
-      b1 = std::max(b1, b0 + 1);
-      double sum = 0;
-      for (std::size_t b = b0; b < b1 && b < rows[r].size(); ++b)
-        sum += rows[r][b];
-      const double v = sum / static_cast<double>(b1 - b0);
-      const int shade =
-          maxVal <= 0 || v <= 0
-              ? 0
-              : 1 + static_cast<int>(8.0 * std::min(1.0, v / maxVal));
-      out << kShades[std::clamp(shade, 0, 9)];
-    }
-    out << "|\n";
-  }
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "  (each column = %.3g s; shade = %s, max %.6g)\n",
-                binSeconds * binsPerCol, valueLabel.c_str(), maxVal);
-  out << buf;
-  return out.str();
-}
-
 std::string waterfall(const std::vector<WaterfallSpan>& spans, double t0,
                       double t1, int width) {
   if (spans.empty()) return "  (no spans)\n";

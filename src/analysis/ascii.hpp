@@ -31,17 +31,6 @@ std::string activityStrip(const std::vector<std::string>& names,
                           const std::vector<std::vector<int>>& series,
                           double binSeconds);
 
-/// Generic utilization heatmap (trace_report --timeline): one row per
-/// resource instance, shade = the row's value in that time bin relative to
-/// the maximum across the whole grid. Rows wider than `width` columns are
-/// resampled by averaging; `binSeconds` is the bin width BEFORE resampling
-/// (the footer reports the effective per-column span). `valueLabel` names
-/// the quantity (e.g. "mean queue depth").
-std::string heatmap(const std::vector<std::string>& rowLabels,
-                    const std::vector<std::vector<double>>& rows,
-                    double binSeconds, const std::string& valueLabel,
-                    int width = 72);
-
 /// One span row of a request waterfall (trace_report --waterfall).
 struct WaterfallSpan {
   std::string label;

@@ -79,17 +79,6 @@ ParallelFsSim::ParallelFsSim(sim::Scheduler& sched,
     mTokenAcquires_ = &m.counter("fs.token.acquires");
     mTokenRevocations_ = &m.counter("fs.token.revocations");
     mSizeTokenBounces_ = &m.counter("fs.token.size_bounces");
-    tTokenQueue_ = &obs_->telemetry().probe("fs.token.queue",
-                                            obs::ProbeKind::kGauge);
-    tTokenHoldings_ = &obs_->telemetry().probe("fs.token.holdings",
-                                               obs::ProbeKind::kGauge);
-    tTokenGrants_ = &obs_->telemetry().probe("fs.token.grants",
-                                             obs::ProbeKind::kRate);
-    tRevocations_ = &obs_->telemetry().probe("fs.token.revocations",
-                                             obs::ProbeKind::kRate);
-    tDirQueue_ = &obs_->telemetry().probe("fs.dir.queue",
-                                          obs::ProbeKind::kGauge);
-    tCreates_ = &obs_->telemetry().probe("fs.creates", obs::ProbeKind::kRate);
   }
 }
 
@@ -103,9 +92,7 @@ sim::Task<FileHandle> ParallelFsSim::create(int rank, std::string path,
   auto& dir = directoryOf(path);
   // Function-ship the request to the ION, then serialise on the directory.
   co_await sched_.delay(ion_.requestOverhead());
-  if (tDirQueue_) tDirQueue_->add(1.0);
   co_await dir.queue.acquire();
-  if (tDirQueue_) tDirQueue_->add(-1.0);
   {
     sim::ScopedTokens hold(dir.queue, 1);
     // Directory-block contention grows with the pending-creator crowd even
@@ -137,7 +124,6 @@ sim::Task<FileHandle> ParallelFsSim::create(int rank, std::string path,
   ++creates_;
   otc.hop(obs::Hop::kFsCreate, opStart, sched_.now());
   if (obs_) {
-    if (tCreates_) tCreates_->add(1.0);
     mCreateLatency_->add(sched_.now() - opStart);
     if (obs_->tracing(obs::Layer::kFilesystem))
       obs_->complete(obs::Layer::kFilesystem, rank, "create", opStart,
@@ -185,27 +171,17 @@ sim::Task<> ParallelFsSim::write(int rank, const FileHandle& fh,
                             (offset + len - 1) / config_.blockSize + 1};
     if (!state->tokens.holds(rank, blocks)) {
       const sim::SimTime tokenStart = sched_.now();
-      if (tTokenQueue_) tTokenQueue_->add(1.0);
       co_await state->tokenServer.acquire();
-      if (tTokenQueue_) tTokenQueue_->add(-1.0);
       {
         sim::ScopedTokens hold(state->tokenServer, 1);
         // Ascending-writer heuristic: desire everything from here up, settle
         // for what conflicts least (see RangeTokenManager::acquire).
-        const auto h0 = state->tokens.holdingCount();
         const auto result = state->tokens.acquire(
             rank, blocks,
             BlockRange{blocks.lo, std::numeric_limits<std::uint64_t>::max()});
         if (obs_) {
           mTokenAcquires_->add();
           mTokenRevocations_->add(result.revocations);
-          if (tTokenHoldings_)
-            tTokenHoldings_->add(
-                static_cast<double>(state->tokens.holdingCount()) -
-                static_cast<double>(h0));
-          if (tTokenGrants_ && !result.alreadyHeld) tTokenGrants_->add(1.0);
-          if (tRevocations_ && result.revocations > 0)
-            tRevocations_->add(static_cast<double>(result.revocations));
         }
         co_await sched_.delay(
             config_.tokenOpCost +
@@ -305,13 +281,7 @@ sim::Task<> ParallelFsSim::close(int rank, const FileHandle& fh,
   if (!fh || !fh->state_) co_return;
   auto state = fh->state_;
   const sim::SimTime opStart = sched_.now();
-  if (config_.usesTokens) {
-    const auto h0 = state->tokens.holdingCount();
-    state->tokens.releaseClient(rank);
-    if (tTokenHoldings_)
-      tTokenHoldings_->add(static_cast<double>(state->tokens.holdingCount()) -
-                           static_cast<double>(h0));
-  }
+  if (config_.usesTokens) state->tokens.releaseClient(rank);
   co_await state->metanode.acquire();
   {
     sim::ScopedTokens hold(state->metanode, 1);

@@ -33,7 +33,6 @@
 #include "machine/bgp.hpp"
 #include "netsim/ion.hpp"
 #include "obs/optrace.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/obs.hpp"
 #include "simcore/random.hpp"
 #include "simcore/resource.hpp"
@@ -171,14 +170,6 @@ class ParallelFsSim {
   obs::Counter* mTokenRevocations_ = nullptr;
   obs::Counter* mTokenAcquires_ = nullptr;
   obs::Counter* mSizeTokenBounces_ = nullptr;
-  // Sampled telemetry: lock-manager pressure over time (aggregate across
-  // files — the per-file managers share the simulated token server role).
-  obs::Probe* tTokenQueue_ = nullptr;    // writers queued on a token server
-  obs::Probe* tTokenHoldings_ = nullptr; // distinct live byte-range tokens
-  obs::Probe* tTokenGrants_ = nullptr;   // negotiated grants (rate)
-  obs::Probe* tRevocations_ = nullptr;   // revocation round trips (rate)
-  obs::Probe* tDirQueue_ = nullptr;      // creators queued on a directory
-  obs::Probe* tCreates_ = nullptr;       // completed creates (rate)
 };
 
 }  // namespace bgckpt::fs

@@ -62,7 +62,7 @@ class RangeTokenManager {
   std::uint64_t totalRevocations() const { return totalRevocations_; }
 
   /// Grants that needed token traffic (acquires not already satisfied by a
-  /// held range); feeds the fs.token.grants telemetry rate.
+  /// held range).
   std::uint64_t totalGrants() const { return totalGrants_; }
 
  private:

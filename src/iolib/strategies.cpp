@@ -44,6 +44,11 @@ class TracedOp {
         start_(stack.sched.now()),
         trace_(obs::mintOpTrace(stack.obs.opTracer(), rank, name, offset,
                                 bytes, start_)) {}
+  /// The kIo span alone, for an op whose bytes ride another request (the
+  /// rbIO ops, which the writer's commit request covers end to end).
+  TracedOp(SimStack& stack, int rank, const char* name, sim::Bytes bytes)
+      : stack_(stack), rank_(rank), name_(name), bytes_(bytes),
+        start_(stack.sched.now()) {}
   TracedOp(const TracedOp&) = delete;
   TracedOp& operator=(const TracedOp&) = delete;
   ~TracedOp() {
@@ -80,12 +85,6 @@ struct RunState {
       gens.push_back(spec);
       gens.back().step = spec.step + k;
     }
-    if (cfg.strategy.kind == StrategyKind::kRbIo) {
-      tHandoff = &s.obs.telemetry().probe("io.rbio.handoff_inflight",
-                                          obs::ProbeKind::kGauge);
-      tAggBuffer = &s.obs.telemetry().probe("io.rbio.agg_buffer_bytes",
-                                            obs::ProbeKind::kGauge);
-    }
   }
 
   SimStack* stack;
@@ -95,10 +94,6 @@ struct RunState {
   std::vector<CheckpointSpec> gens;
   std::vector<double> perRank;  // coordinated start to the rank's last op
   double maxIsend = 0;          // slowest rbIO worker handoff
-  // Sampled-telemetry probes (aggregate across the run's writers): dormant
-  // handles unless --telemetry enabled the registry.
-  obs::Probe* tHandoff = nullptr;    // worker packages sent, not yet received
-  obs::Probe* tAggBuffer = nullptr;  // bytes parked in writer agg buffers
 };
 
 /// Generations never mix at an rbIO writer: each has its own message tag.
@@ -236,12 +231,12 @@ Task<> rbIoWorker(Comm world, RunState& st, int gen) {
   // The worker's entire blocking I/O cost: one nonblocking send.
   obs->begin(obs::Layer::kIo, rank, "handoff", sched.now());
   const double t0 = sched.now();
-  st.tHandoff->add(1.0);
-  obs::IoOpSpan sendOp(obs, sched, rank, "send");
-  mpi::Request req = co_await world.isend(st.plan.writerOf(rank),
-                                          packageTag(gen), std::move(package));
-  (void)req;  // fire and forget: the writer's receive loop bounds delivery
-  sendOp.stop(spec.bytesPerRank());
+  {
+    TracedOp op(*st.stack, rank, "send", spec.bytesPerRank());
+    mpi::Request req = co_await world.isend(
+        st.plan.writerOf(rank), packageTag(gen), std::move(package));
+    (void)req;  // fire and forget: the writer's receive loop bounds delivery
+  }
   st.maxIsend = std::max(st.maxIsend, sched.now() - t0);
   obs->end(obs::Layer::kIo, rank, "handoff", sched.now());
 }
@@ -280,18 +275,15 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st, int gen) {
     packages[rank] = std::make_shared<const std::vector<std::byte>>(
         makeRankPayload(spec, world.globalRank(rank)));
   obs->begin(obs::Layer::kIo, rank, "aggregate", sched.now());
-  st.tAggBuffer->add(static_cast<double>(spec.bytesPerRank()));
   {
-    obs::IoOpSpan op(obs, sched, rank, "recv");
+    TracedOp op(*st.stack, rank, "recv",
+                static_cast<sim::Bytes>(g - 1) * spec.bytesPerRank());
     for (int i = 1; i < g; ++i) {
       Message msg = co_await world.recv(mpi::kAnySource, packageTag(gen));
       commitOtc.link(msg.trace);
-      st.tHandoff->add(-1.0);
-      st.tAggBuffer->add(static_cast<double>(spec.bytesPerRank()));
       if (spec.carryPayload)
         packages[static_cast<int>(msg.meta)] = msg.payload;
     }
-    op.stop(static_cast<sim::Bytes>(g - 1) * spec.bytesPerRank());
   }
 
   // Reorder the group's blocks into field-major file order (a local copy).
@@ -323,33 +315,30 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st, int gen) {
     // MPI_COMM_SELF, realised directly on the filesystem. The writer's
     // buffer lets it batch multiple fields per flush.
     const std::string path = partPath(spec.directory, spec.step, part);
-    obs::IoOpSpan createOp(obs, sched, rank, "create");
-    auto fh = co_await fsys.create(client, path, commitOtc);
-    createOp.stop();
+    fs::FileHandle fh;
+    {
+      TracedOp op(*st.stack, rank, "create", 0);
+      fh = co_await fsys.create(client, path, commitOtc);
+    }
 
     const sim::Bytes total = partLayout.fileBytes();
     std::uint64_t cursor = 0;
-    double buffered = static_cast<double>(groupBytes);
     while (cursor < total) {
       const sim::Bytes chunk =
           std::min<sim::Bytes>(st.run.strategy.writerBuffer, total - cursor);
-      obs::IoOpSpan op(obs, sched, rank, "write");
-      co_await fsys.write(client, fh, cursor, chunk,
-                          spec.carryPayload
-                              ? slice(fileBytes, cursor, chunk)
-                              : std::span<const std::byte>(),
-                          commitOtc);
-      op.stop(chunk);
+      {
+        TracedOp op(*st.stack, rank, "write", chunk);
+        co_await fsys.write(client, fh, cursor, chunk,
+                            spec.carryPayload
+                                ? slice(fileBytes, cursor, chunk)
+                                : std::span<const std::byte>(),
+                            commitOtc);
+      }
       cursor += chunk;
-      const double drained = std::min(buffered, static_cast<double>(chunk));
-      st.tAggBuffer->add(-drained);
-      buffered -= drained;
     }
-    st.tAggBuffer->add(-buffered);
 
-    obs::IoOpSpan closeOp(obs, sched, rank, "close");
+    TracedOp op(*st.stack, rank, "close", 0);
     co_await fsys.close(client, fh, commitOtc);
-    closeOp.stop();
   } else {
     // nf == 1: writers jointly commit one shared file with collective
     // nonblocking writes; each field must land before the next starts.
@@ -360,16 +349,14 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st, int gen) {
     if (spec.carryPayload) header = makeHeaderPayload(spec, part);
     {
       const bool isRoot = writerComm.rank() == 0;
-      obs::IoOpSpan op(obs, sched, rank, "write");
+      TracedOp op(*st.stack, rank, "write", isRoot ? spec.headerBytes : 0);
       co_await file.writeAtAll(0, isRoot ? spec.headerBytes : 0,
                                (isRoot && spec.carryPayload)
                                    ? std::span<const std::byte>(header)
                                    : std::span<const std::byte>(),
                                commitOtc);
-      op.stop(isRoot ? spec.headerBytes : 0);
     }
     std::vector<std::byte> section;
-    double buffered = static_cast<double>(groupBytes);
     for (int f = 0; f < spec.numFields; ++f) {
       const sim::Bytes sectionBytes =
           static_cast<sim::Bytes>(g) * spec.fieldBytesPerRank;
@@ -379,22 +366,15 @@ Task<> rbIoWriter(Comm world, Comm writerComm, RunState& st, int gen) {
           std::ranges::copy(fieldOf(*packages.at(member), spec, f),
                             std::back_inserter(section));
       }
-      obs::IoOpSpan op(obs, sched, rank, "write");
+      TracedOp op(*st.stack, rank, "write", sectionBytes);
       co_await file.writeAtAll(
           partLayout.fieldOffset(f, st.plan.slotOf(rank)), sectionBytes,
           spec.carryPayload ? std::span<const std::byte>(section)
                             : std::span<const std::byte>(),
           commitOtc);
-      op.stop(sectionBytes);
-      const double drained =
-          std::min(buffered, static_cast<double>(sectionBytes));
-      st.tAggBuffer->add(-drained);
-      buffered -= drained;
     }
-    st.tAggBuffer->add(-buffered);
-    obs::IoOpSpan closeOp(obs, sched, rank, "close");
+    TracedOp op(*st.stack, rank, "close", 0);
     co_await file.close(commitOtc);
-    closeOp.stop();
   }
   obs->end(obs::Layer::kIo, rank, "commit", sched.now());
   // Completes the whole lineage: the 63 handed-off blocks (plus the

@@ -13,26 +13,16 @@ IonForwarding::IonForwarding(sim::Scheduler& sched,
     mBytes_ = &m.counter("net.ion.bytes");
     mBusy_ = &m.gauge("net.ion.busy_seconds");
     m.gauge("net.ion.links").set(static_cast<double>(mach.numPsets()));
-    tQueue_ = &obs_->telemetry().probe("net.ion.queue", obs::ProbeKind::kGauge,
-                                       mach.numPsets());
-    tBusy_ = &obs_->telemetry().probe("net.ion.busy", obs::ProbeKind::kGauge,
-                                      mach.numPsets());
-    tBytes_ = &obs_->telemetry().probe("net.ion.bytes", obs::ProbeKind::kRate,
-                                       mach.numPsets());
   }
 }
 
 sim::Task<> IonForwarding::forward(int rank, sim::Bytes bytes,
                                    obs::OpTraceContext otc) {
   const auto pset = static_cast<std::size_t>(mach_.psetOfRank(rank));
-  const int psetIdx = static_cast<int>(pset);
   const sim::SimTime queueStart = sched_.now();
-  if (tQueue_) tQueue_->add(psetIdx, 1.0);
   {
     auto link = co_await sim::ScopedTokens::take(uplink_[pset], 1);
-    if (tQueue_) tQueue_->add(psetIdx, -1.0);
     otc.hop(obs::Hop::kIonQueue, queueStart, sched_.now());
-    if (tBusy_) tBusy_->add(psetIdx, 1.0);
     const sim::Duration busy =
         mach_.io().forwardingOverhead +
         sim::transferTime(bytes, mach_.io().ionUplinkBandwidth);
@@ -43,12 +33,10 @@ sim::Task<> IonForwarding::forward(int rank, sim::Bytes bytes,
       mRequests_->add();
       mBytes_->add(bytes);
       mBusy_->add(busy);
-      if (tBytes_) tBytes_->add(psetIdx, static_cast<double>(bytes));
       if (obs_->tracing(obs::Layer::kNetwork))
         obs_->completeBytes(obs::Layer::kNetwork, rank, "ion.forward", start,
                             sched_.now(), bytes);
     }
-    if (tBusy_) tBusy_->add(psetIdx, -1.0);
   }
   ++requests_;
   bytes_ += bytes;

@@ -13,7 +13,6 @@
 #include "machine/bgp.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
-#include "obs/telemetry.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/scheduler.hpp"
 #include "simcore/task.hpp"
@@ -51,10 +50,6 @@ class IonForwarding {
   obs::Counter* mRequests_ = nullptr;
   obs::Counter* mBytes_ = nullptr;
   obs::Gauge* mBusy_ = nullptr;
-  // Per-pset sampled series (one instance per ION uplink).
-  obs::Probe* tQueue_ = nullptr;  // requests waiting for the uplink
-  obs::Probe* tBusy_ = nullptr;   // uplink currently shipping (0/1)
-  obs::Probe* tBytes_ = nullptr;  // forwarded bytes (rate)
 };
 
 }  // namespace bgckpt::net

@@ -25,16 +25,6 @@ TorusNetwork::TorusNetwork(sim::Scheduler& sched,
     mBytes_ = &m.counter("net.torus.bytes");
     mBusy_ = &m.gauge("net.torus.busy_seconds");
     m.gauge("net.torus.links").set(static_cast<double>(mach.numNodes()));
-    tInjectBusy_ = &obs_->telemetry().probe("net.torus.inject.busy_links",
-                                            obs::ProbeKind::kGauge);
-    tInjectQueue_ = &obs_->telemetry().probe("net.torus.inject.queue",
-                                             obs::ProbeKind::kGauge);
-    tEjectBusy_ = &obs_->telemetry().probe("net.torus.eject.busy_links",
-                                           obs::ProbeKind::kGauge);
-    tEjectQueue_ = &obs_->telemetry().probe("net.torus.eject.queue",
-                                            obs::ProbeKind::kGauge);
-    tBytes_ = &obs_->telemetry().probe("net.torus.bytes",
-                                       obs::ProbeKind::kRate);
   }
 }
 
@@ -66,17 +56,13 @@ sim::Task<> TorusNetwork::transfer(int srcRank, int dstRank,
     // transfer is costed in closed form as serialisation + hops * hopLatency,
     // so a handoff of any size is O(1) events. torus_test's
     // TransferEventCostIsConstantInMessageSize regression locks this in.
-    if (tInjectQueue_) tInjectQueue_->add(1.0);
     co_await injection_[static_cast<std::size_t>(srcNode)].acquire();
-    if (tInjectQueue_) tInjectQueue_->add(-1.0);
     {
       sim::ScopedTokens nic(injection_[static_cast<std::size_t>(srcNode)], 1);
-      if (tInjectBusy_) tInjectBusy_->add(1.0);
       const sim::Duration busy =
           cc.mpiOverhead + sim::transferTime(bytes, cc.torusLinkBandwidth);
       co_await sched_.delay(busy);
       if (mBusy_) mBusy_->add(busy);
-      if (tInjectBusy_) tInjectBusy_->add(-1.0);
     }
     otc.hop(obs::Hop::kNetInject, start, sched_.now(), bytes);
     // Flight time across the fabric.
@@ -86,14 +72,10 @@ sim::Task<> TorusNetwork::transfer(int srcRank, int dstRank,
     otc.hop(obs::Hop::kNetFlight, flightStart, sched_.now());
     // Receiver drain at the destination.
     const sim::SimTime ejectStart = sched_.now();
-    if (tEjectQueue_) tEjectQueue_->add(1.0);
     co_await ejection_[static_cast<std::size_t>(dstNode)].acquire();
-    if (tEjectQueue_) tEjectQueue_->add(-1.0);
     {
       sim::ScopedTokens port(ejection_[static_cast<std::size_t>(dstNode)], 1);
-      if (tEjectBusy_) tEjectBusy_->add(1.0);
       co_await sched_.delay(sim::transferTime(bytes, drainBandwidth_));
-      if (tEjectBusy_) tEjectBusy_->add(-1.0);
     }
     otc.hop(obs::Hop::kNetEject, ejectStart, sched_.now(), bytes);
   }
@@ -104,7 +86,6 @@ sim::Task<> TorusNetwork::transfer(int srcRank, int dstRank,
   if (obs_) {
     mMessages_->add();
     mBytes_->add(bytes);
-    if (tBytes_) tBytes_->add(static_cast<double>(bytes));
   }
 }
 

@@ -15,7 +15,6 @@
 #include "machine/bgp.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
-#include "obs/telemetry.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/scheduler.hpp"
 #include "simcore/stats.hpp"
@@ -70,13 +69,6 @@ class TorusNetwork {
   obs::Counter* mMessages_ = nullptr;
   obs::Counter* mBytes_ = nullptr;
   obs::Gauge* mBusy_ = nullptr;  // injection-link busy seconds
-  // Sampled telemetry (aggregate across nodes; per-node series at 16K-64K
-  // nodes would dwarf the simulation itself). Dormant until --telemetry.
-  obs::Probe* tInjectBusy_ = nullptr;   // links currently serialising
-  obs::Probe* tInjectQueue_ = nullptr;  // transfers waiting for a NIC token
-  obs::Probe* tEjectBusy_ = nullptr;    // links currently draining
-  obs::Probe* tEjectQueue_ = nullptr;   // transfers waiting for a drain port
-  obs::Probe* tBytes_ = nullptr;        // delivered bytes (rate)
 };
 
 /// Cost model for the dedicated collective (tree) and barrier networks.

@@ -1,9 +1,7 @@
 #include "obs/obs.hpp"
 
-#include "obs/attr.hpp"
 #include "obs/critpath.hpp"
 #include "obs/optrace.hpp"
-#include "obs/telemetry.hpp"
 
 namespace bgckpt::obs {
 
@@ -13,10 +11,9 @@ SchedulerProbe::SchedulerProbe(Observability& obs)
       roots_(obs.metrics().counter("sched.roots")),
       queueDepthMax_(obs.metrics().gauge("sched.queue_depth.max")) {}
 
-void SchedulerProbe::onDispatch(sim::SimTime now, std::size_t queueDepth) {
+void SchedulerProbe::onDispatch(std::size_t queueDepth) {
   events_.add();
   queueDepthMax_.setMax(static_cast<double>(queueDepth));
-  if (telemetry_ != nullptr) telemetry_->tick(now, queueDepth);
 }
 
 void SchedulerProbe::onRootSpawned(std::uint64_t rootId, sim::SimTime now) {
@@ -157,39 +154,15 @@ void Observability::releaseScheduler() {
     observedSched_->setHooks(nullptr);
     observedSched_ = nullptr;
   }
-  if (schedProbe_) {
-    schedProbe_->setCritPath(nullptr);
-    schedProbe_->setTelemetry(nullptr);
-  }
+  if (schedProbe_) schedProbe_->setCritPath(nullptr);
   schedProbe_.reset();
 }
 
-Telemetry& Observability::telemetry() {
-  if (!telemetry_) telemetry_ = std::make_unique<Telemetry>();
-  return *telemetry_;
-}
-
-TelemetrySink& Observability::attachTelemetry(sim::Scheduler& sched,
-                                              double bucketDt,
-                                              std::string jsonPath) {
-  if (!telemetrySink_) {
-    Telemetry& reg = telemetry();
-    reg.enable(sched, bucketDt);
-    observeScheduler(sched);
-    schedProbe_->setTelemetry(&reg);
-    telemetrySink_ = std::make_shared<TelemetrySink>(reg);
-    addSink(telemetrySink_);
-  }
-  if (!jsonPath.empty()) telemetrySink_->exportTo(std::move(jsonPath));
-  return *telemetrySink_;
-}
-
 OpTraceSink& Observability::attachOpTrace(std::uint32_t sampleEvery,
-                                          int tailN, std::string jsonPath) {
+                                          std::string jsonPath) {
   if (!opTracer_) {
     opTracer_ = std::make_unique<OpTracer>(
-        sampleEvery > 0 ? sampleEvery : OpTracer::kDefaultSampleEvery,
-        tailN >= 0 ? tailN : OpTracer::kDefaultTailN);
+        sampleEvery > 0 ? sampleEvery : OpTracer::kDefaultSampleEvery);
     opTraceSink_ = std::make_shared<OpTraceSink>(*opTracer_);
     addSink(opTraceSink_);
   }
@@ -240,15 +213,6 @@ void Observability::finalize(sim::SimTime horizon) {
   if (!metricsJsonPath_.empty())
     writeArtifact(metricsJsonPath_, metrics_.toJson());
   for (const auto& sink : sinks_) sink->finalize(horizon);
-  // Tie the sampled view to the exact event view: whenever both sinks are
-  // attached, their independently integrated busy times must agree.
-  if (telemetrySink_ && telemetrySink_->finalized()) {
-    for (const auto& sink : sinks_) {
-      const auto* attr = dynamic_cast<const AttributionSink*>(sink.get());
-      if (attr != nullptr && attr->finalized())
-        telemetrySink_->crossCheckAttribution(attr->report());
-    }
-  }
   flush();
 }
 

@@ -25,8 +25,6 @@ namespace bgckpt::obs {
 
 class Observability;
 class CritPathRecorder;
-class Telemetry;
-class TelemetrySink;
 class OpTracer;
 class OpTraceSink;
 
@@ -43,7 +41,7 @@ inline constexpr const char* kPerfSchemaVersion = "bgckpt-perf-1";
 class SchedulerProbe final : public sim::SchedulerHooks {
  public:
   explicit SchedulerProbe(Observability& obs);
-  void onDispatch(sim::SimTime now, std::size_t queueDepth) override;
+  void onDispatch(std::size_t queueDepth) override;
   void onRootSpawned(std::uint64_t rootId, sim::SimTime now) override;
   void onRootDone(std::uint64_t rootId, sim::SimTime now) override;
   bool wantsScheduleEvents() const override { return critPath_ != nullptr; }
@@ -52,10 +50,6 @@ class SchedulerProbe final : public sim::SchedulerHooks {
                         const char* label) override;
 
   void setCritPath(CritPathRecorder* critPath) { critPath_ = critPath; }
-  /// Hand the probe a live Telemetry registry: every dispatch then drives
-  /// the sampling cadence (queue-depth gauge + bucket close-out). Nullptr
-  /// (the default) keeps dispatch at one extra branch.
-  void setTelemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
  private:
   Observability& obs_;
@@ -63,7 +57,6 @@ class SchedulerProbe final : public sim::SchedulerHooks {
   Counter& roots_;
   Gauge& queueDepthMax_;
   CritPathRecorder* critPath_ = nullptr;
-  Telemetry* telemetry_ = nullptr;
 };
 
 class Observability {
@@ -116,28 +109,13 @@ class Observability {
                                    std::string jsonPath = "");
   CritPathRecorder* critPath() const { return critPath_.get(); }
 
-  /// The sampled-telemetry probe registry (obs/telemetry.hpp). Layers
-  /// resolve Probe handles here at construction; probes stay dormant (one
-  /// branch per update) until attachTelemetry flips them live.
-  Telemetry& telemetry();
-
-  /// Start sampled telemetry on `sched`: enables the registry at bucket
-  /// width `bucketDt` (<=0 = default), wires the sampling cadence into the
-  /// scheduler probe, and registers a TelemetrySink so series close and
-  /// export (optional JSON path) at finalize. Repeated calls return the
-  /// existing sink. Finalize cross-checks the sampled busy time against any
-  /// attached AttributionSink.
-  TelemetrySink& attachTelemetry(sim::Scheduler& sched, double bucketDt = 0.0,
-                                 std::string jsonPath = "");
-  TelemetrySink* telemetrySink() const { return telemetrySink_.get(); }
-
   /// Start per-request causal tracing (obs/optrace.hpp): creates the
-  /// OpTracer (1-in-`sampleEvery` waterfall retention, `tailN` slowest
-  /// always kept) and registers an OpTraceSink so the tracer closes out and
-  /// exports its JSON (optional path) at finalize. Repeated calls return
-  /// the existing sink; a non-empty path on a later call updates the
-  /// export destination.
-  OpTraceSink& attachOpTrace(std::uint32_t sampleEvery = 0, int tailN = -1,
+  /// OpTracer (1-in-`sampleEvery` waterfall retention, the default number
+  /// of slowest requests always kept) and registers an OpTraceSink so the
+  /// tracer closes out and exports its JSON (optional path) at finalize.
+  /// Repeated calls return the existing sink; a non-empty path on a later
+  /// call updates the export destination.
+  OpTraceSink& attachOpTrace(std::uint32_t sampleEvery = 0,
                              std::string jsonPath = "");
   /// The tracer for strategy-level minting; nullptr until attachOpTrace.
   /// Layers never call this — they receive contexts by value.
@@ -172,45 +150,10 @@ class Observability {
   std::unique_ptr<SchedulerProbe> schedProbe_;
   sim::Scheduler* observedSched_ = nullptr;
   std::shared_ptr<CritPathRecorder> critPath_;
-  std::unique_ptr<Telemetry> telemetry_;
-  std::shared_ptr<TelemetrySink> telemetrySink_;
   std::unique_ptr<OpTracer> opTracer_;
   std::shared_ptr<OpTraceSink> opTraceSink_;
   bool finalized_ = false;
   std::string metricsJsonPath_;
-};
-
-/// RAII span for one I/O operation on the kIo layer: emits a complete
-/// event at stop() (with bytes) or at destruction (without), so an op
-/// abandoned by an exception or early co_return is still recorded instead
-/// of silently dropped. Null `obs` disables it.
-class IoOpSpan {
- public:
-  IoOpSpan(Observability* obs, const sim::Scheduler& sched, int rank,
-           const char* name)
-      : obs_(obs), sched_(sched), rank_(rank), name_(name),
-        start_(sched.now()) {}
-  IoOpSpan(const IoOpSpan&) = delete;
-  IoOpSpan& operator=(const IoOpSpan&) = delete;
-  ~IoOpSpan() {
-    if (!done_ && obs_)
-      obs_->complete(Layer::kIo, rank_, name_, start_, sched_.now());
-  }
-
-  void stop(sim::Bytes bytes = 0) {
-    done_ = true;
-    if (obs_)
-      obs_->completeBytes(Layer::kIo, rank_, name_, start_, sched_.now(),
-                          bytes);
-  }
-
- private:
-  Observability* obs_;
-  const sim::Scheduler& sched_;
-  int rank_;
-  const char* name_;
-  sim::SimTime start_;
-  bool done_ = false;
 };
 
 }  // namespace bgckpt::obs

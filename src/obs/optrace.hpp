@@ -1,8 +1,8 @@
 // Per-request causal tracing: span-context propagation from the rank that
 // issues a checkpoint write down to the DDN commit.
 //
-// The aggregate views (metrics, attribution, telemetry) answer "how busy was
-// each layer"; this subsystem answers "where did *this* request spend its
+// The aggregate views (metrics, attribution) answer "how busy was each
+// layer"; this subsystem answers "where did *this* request spend its
 // time". An iolib strategy mints an OpTraceContext per checkpoint write
 // operation (trace id, rank, block offset/size) and the context is then
 // propagated *by value* — never re-minted — through every layer the request

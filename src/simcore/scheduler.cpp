@@ -206,7 +206,7 @@ void Scheduler::step() {
     cb();
   }
   dispatchingSeq_ = SchedulerHooks::kNoParent;
-  if (hooks_) hooks_->onDispatch(now_, size_);
+  if (hooks_) hooks_->onDispatch(size_);
 }
 
 std::uint64_t Scheduler::run() {

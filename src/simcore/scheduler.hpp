@@ -77,7 +77,7 @@ class SchedulerHooks {
  public:
   virtual ~SchedulerHooks() = default;
   /// After each event is dispatched. `queueDepth` is the post-pop depth.
-  virtual void onDispatch(SimTime now, std::size_t queueDepth) = 0;
+  virtual void onDispatch(std::size_t queueDepth) = 0;
   /// A root task was spawned / finished (normally or with an error).
   /// `rootId` is a dense 0-based sequence number in spawn order.
   virtual void onRootSpawned(std::uint64_t rootId, SimTime now) = 0;

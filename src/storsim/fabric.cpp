@@ -29,20 +29,6 @@ StorageFabric::StorageFabric(sim::Scheduler& sched,
     m.gauge("stor.server.links")
         .set(static_cast<double>(numServers() * serverConcurrency));
     m.gauge("stor.array.links").set(static_cast<double>(numArrays()));
-    tServerQueue_ = &obs_->telemetry().probe("stor.server.queue",
-                                             obs::ProbeKind::kGauge,
-                                             numServers());
-    tServerInflight_ = &obs_->telemetry().probe("stor.server.inflight",
-                                                obs::ProbeKind::kGauge,
-                                                numServers());
-    tServerBytes_ = &obs_->telemetry().probe("stor.server.bytes",
-                                             obs::ProbeKind::kRate,
-                                             numServers());
-    tArrayInflight_ = &obs_->telemetry().probe("stor.array.inflight",
-                                               obs::ProbeKind::kGauge,
-                                               numArrays());
-    tStreams_ = &obs_->telemetry().probe("stor.active_streams",
-                                         obs::ProbeKind::kGauge);
   }
 }
 
@@ -75,12 +61,9 @@ sim::Task<> StorageFabric::service(int serverId, StreamId stream,
   auto& arrayPort = arrayPorts_[static_cast<std::size_t>(arrayOfServer(serverId))];
 
   // Stage 1: the file server ingests and processes the request.
-  if (tServerQueue_) tServerQueue_->add(serverId, 1.0);
   {
     auto hold = co_await sim::ScopedTokens::take(server, 1);
-    if (tServerQueue_) tServerQueue_->add(serverId, -1.0);
     otc.hop(obs::Hop::kServerQueue, start, sched_.now());
-    if (tServerInflight_) tServerInflight_->add(serverId, 1.0);
     const double factor = noiseFactor();
     const sim::Duration busy =
         mach_.io().serverRequestOverhead * factor +
@@ -89,8 +72,6 @@ sim::Task<> StorageFabric::service(int serverId, StreamId stream,
     co_await sched_.delay(busy);
     otc.hop(obs::Hop::kServerService, serviceStart, sched_.now(), bytes);
     if (mServerBusy_) mServerBusy_->add(busy);
-    if (tServerBytes_) tServerBytes_->add(serverId, static_cast<double>(bytes));
-    if (tServerInflight_) tServerInflight_->add(serverId, -1.0);
   }
 
   // Stage 2: the backing DDN array commits the data. Eight servers share
@@ -99,15 +80,12 @@ sim::Task<> StorageFabric::service(int serverId, StreamId stream,
     const sim::SimTime arrayStart = sched_.now();
     auto hold = co_await sim::ScopedTokens::take(arrayPort, 1);
     otc.hop(obs::Hop::kArrayQueue, arrayStart, sched_.now());
-    const int arr = arrayOfServer(serverId);
-    if (tArrayInflight_) tArrayInflight_->add(arr, 1.0);
     const sim::Duration busy =
         seekPenalty(stream) + sim::transferTime(bytes, arrayRate);
     const sim::SimTime commitStart = sched_.now();
     co_await sched_.delay(busy);
     otc.hop(obs::Hop::kDdnCommit, commitStart, sched_.now(), bytes);
     if (mArrayBusy_) mArrayBusy_->add(busy);
-    if (tArrayInflight_) tArrayInflight_->add(arr, -1.0);
   }
 
   ++requests_;
@@ -116,7 +94,6 @@ sim::Task<> StorageFabric::service(int serverId, StreamId stream,
     mRequests_->add();
     mServiceTime_->add(sched_.now() - start);
     mStreamsMax_->setMax(static_cast<double>(activeStreams()));
-    if (tStreams_) tStreams_->set(static_cast<double>(activeStreams()));
     if (obs_->tracing(obs::Layer::kStorage))
       obs_->completeBytes(obs::Layer::kStorage, serverId, "service", start,
                           sched_.now(), bytes);

@@ -22,7 +22,6 @@
 #include "machine/bgp.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
-#include "obs/telemetry.hpp"
 #include "simcore/random.hpp"
 #include "simcore/resource.hpp"
 #include "simcore/scheduler.hpp"
@@ -136,13 +135,6 @@ class StorageFabric {
   obs::Gauge* mArrayBusy_ = nullptr;
   obs::Gauge* mStreamsMax_ = nullptr;
   obs::Histogram* mServiceTime_ = nullptr;
-  // Per-file-server sampled series (one instance per GPFS NSD server) plus
-  // per-array commit occupancy and the stream-cache working set.
-  obs::Probe* tServerQueue_ = nullptr;     // requests waiting for a slot
-  obs::Probe* tServerInflight_ = nullptr;  // requests holding a slot
-  obs::Probe* tServerBytes_ = nullptr;     // serviced bytes (rate)
-  obs::Probe* tArrayInflight_ = nullptr;   // commits holding the array port
-  obs::Probe* tStreams_ = nullptr;         // active-stream cache occupancy
 };
 
 }  // namespace bgckpt::stor

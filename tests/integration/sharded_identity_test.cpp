@@ -1,5 +1,5 @@
 // Byte-identity gate for the parallel figure path: the paper driver must
-// produce the SAME bytes — stdout and every --telemetry/--attr export —
+// produce the SAME bytes — stdout and every --attr export —
 // whether its scenarios run serially or on 8 threads. This is the
 // determinism contract of bench/common.cpp's simulate() (one fixed scenario
 // order, pre-assigned artifact ordinals, perf records in scenario order)
@@ -110,16 +110,15 @@ std::string paper(const std::string& args) {
   return std::string(BENCH_BIN_DIR) + "/paper " + args;
 }
 
-/// Runs `paper ARGS` twice (serial, then 8 worker threads) with telemetry
-/// and attribution exports into separate directories, then requires stdout
-/// and every exported artifact to be byte-identical. Each directory must
-/// hold exactly one attr and one telemetry JSON per simulated stack, and
-/// nothing else. Both runs also write --perf-json outside the compared
-/// directories: both records hold `runs` runs with the same labels; the
-/// 8-thread record of a selection with scenarios (`regions` = 1) holds one
-/// parallel region whose jobs are exactly its runs; a serial record, or one
-/// of a selection without scenarios (`regions` = 0), holds none. Returns the
-/// serial stdout.
+/// Runs `paper ARGS` twice (serial, then 8 worker threads) with attribution
+/// exports into separate directories, then requires stdout and every
+/// exported artifact to be byte-identical. Each directory must hold exactly
+/// one attr JSON per simulated stack, and nothing else. Both runs also
+/// write --perf-json outside the compared directories: both records hold
+/// `runs` runs with the same labels; the 8-thread record of a selection
+/// with scenarios (`regions` = 1) holds one parallel region whose jobs are
+/// exactly its runs; a serial record, or one of a selection without
+/// scenarios (`regions` = 0), holds none. Returns the serial stdout.
 std::string expectByteIdentical(const std::string& args, int stacks,
                                 std::size_t runs, int regions) {
   const TempDir tmp;
@@ -133,8 +132,7 @@ std::string expectByteIdentical(const std::string& args, int stacks,
     return tmp.path() / (std::string("perf.") + threads + ".json");
   };
   const auto cmd = [&](const fs::path& dir, const char* threads) {
-    return paper(args) + " --threads=" + threads + " --telemetry " +
-           (dir / "telemetry.json").string() + " --attr " +
+    return paper(args) + " --threads=" + threads + " --attr " +
            (dir / "attr.json").string() + " --perf-json " +
            perfPath(threads).string();
   };
@@ -158,7 +156,6 @@ std::string expectByteIdentical(const std::string& args, int stacks,
       tag += std::to_string(n);
     }
     expected.push_back("attr" + tag + ".json");
-    expected.push_back("telemetry" + tag + ".json");
   }
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(fileNames(serialDir), expected) << args;
@@ -237,7 +234,7 @@ TEST(ShardedIdentity, Eq7StdoutAndExportsMatchSerial) {
 TEST(ShardedIdentity, PerfJsonOnFullDiskExitsNonzero) {
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   for (const char* flag : {"--perf-json", "--metrics", "--attr", "--critpath",
-                           "--telemetry", "--optrace"}) {
+                           "--trace", "--optrace"}) {
     const RunResult r =
         run(paper(std::string("fig9_dist_1pfpp ") + flag + " /dev/full"));
     EXPECT_EQ(r.exitCode, 1) << flag << "\n" << r.output;
@@ -255,7 +252,7 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
   ASSERT_FALSE(tmp.path().empty());
   const RunResult r =
       run("cd " + tmp.path().string() + " && " +
-          paper("eq7_measured_vs_model --np 256 --telemetry --optrace"));
+          paper("eq7_measured_vs_model --np 256 --attr --optrace"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
   for (const auto& e : fs::directory_iterator(tmp.path()))
     EXPECT_NE(e.path().filename().string().rfind("--optrace", 0), 0u)
@@ -280,8 +277,10 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
             "error: --max-np: not a positive integer: 16k"},
            {"fig5_write_bandwidth --max-np 100",
             "error: --max-np 100 leaves no scales to run"},
-           {"eq7_measured_vs_model --np 256 --telemetry=abc t.json",
-            "error: --telemetry: not a positive number: abc"},
+           {"eq7_measured_vs_model --np 256 --telemetry t.json",
+            "error: unknown flag --telemetry"},
+           {"eq7_measured_vs_model --np 256 --optrace=0 o.json",
+            "error: --optrace: not a positive number: 0"},
            {"eq7_measured_vs_model --np 256 --optrace=abc",
             "error: --optrace: not a positive number: abc"},
            {"eq7_measured_vs_model --np 256 --simcheck=bogus",
@@ -346,9 +345,8 @@ TEST(ShardedIdentity, ObsDirWritesOneFilePerArtifactAndStack) {
       run(paper("eq7_measured_vs_model --np 256 --obs-dir " + dir.string()));
   ASSERT_EQ(r.exitCode, 0) << r.output;
   const std::vector<std::string> expected = {
-      "attr.2.json",     "attr.json",      "critpath.2.json",
-      "critpath.json",   "metrics.2.json", "metrics.json",
-      "optrace.2.json",  "optrace.json",   "telemetry.2.json",
-      "telemetry.json",  "trace.2.json",   "trace.json"};
+      "attr.2.json",    "attr.json",    "critpath.2.json", "critpath.json",
+      "metrics.2.json", "metrics.json", "optrace.2.json",  "optrace.json",
+      "trace.2.json",   "trace.json"};
   EXPECT_EQ(fileNames(dir), expected);
 }

@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <source_location>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "iolib/stack.hpp"
 #include "iolib/strategies.hpp"
+#include "obs/attr.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "simcore/simcheck.hpp"
@@ -147,6 +151,55 @@ TEST(StackTrace, UntracedStackStillFillsProfileAndMetrics) {
   EXPECT_GT(stack.obs.metrics().counter("fs.token.acquires").value(), 0u);
   EXPECT_GT(stack.obs.metrics().counter("stor.requests").value(), 0u);
   EXPECT_GT(stack.obs.metrics().counter("sched.events").value(), 0u);
+}
+
+/// Each rank's time inside its kApp "checkpoint" envelopes, summed from the
+/// B/E pairs: a measure of blocked time that shares no code with the
+/// attribution sweep.
+class EnvelopeSink final : public obs::TraceSink {
+ public:
+  void event(const obs::TraceEvent& ev) override {
+    if (std::strcmp(ev.name, "checkpoint") != 0) return;
+    const auto rank = static_cast<std::size_t>(ev.tid);
+    if (rank >= seconds.size()) {
+      seconds.resize(rank + 1, 0.0);
+      open_.resize(rank + 1, 0.0);
+    }
+    if (ev.phase == 'B') open_[rank] = ev.ts;
+    if (ev.phase == 'E') seconds[rank] += ev.ts - open_[rank];
+  }
+  unsigned layerMask() const override {
+    return obs::layerBit(obs::Layer::kApp);
+  }
+
+  std::vector<double> seconds;  // index = rank
+
+ private:
+  std::vector<double> open_;
+};
+
+// --attr's per-rank blocked time is the exclusive partition's non-compute
+// share; it must equal the rank's checkpoint envelope. Attribution also
+// counts the coordinated-start barrier (and rbIO's writer split) ahead of
+// the envelope as barrier time: 2-4 us per rank here, inside the 1 ms slack.
+TEST(StackTrace, AttributedBlockedTimeIsTheCheckpointEnvelope) {
+  for (const auto& cfg : {iolib::StrategyConfig::onePfpp(),
+                          iolib::StrategyConfig::rbIo(8, true)}) {
+    iolib::SimStack stack(256, quiet());
+    auto attr = std::make_shared<obs::AttributionSink>();
+    auto envelopes = std::make_shared<EnvelopeSink>();
+    stack.obs.addSink(attr);
+    stack.obs.addSink(envelopes);
+    iolib::runCheckpoint(stack, smallSpec(), cfg);
+    stack.obs.finalize(stack.sched.now());
+    const obs::AttributionEngine::Report& report = attr->report();
+    ASSERT_EQ(report.ranks.size(), 256u);
+    ASSERT_EQ(envelopes->seconds.size(), 256u);
+    for (const auto& r : report.ranks)
+      EXPECT_NEAR(r.blocked(),
+                  envelopes->seconds[static_cast<std::size_t>(r.rank)], 0.001)
+          << "rank " << r.rank;
+  }
 }
 
 // A fatal SimChecker violation aborts the process right after its report,

@@ -1,13 +1,10 @@
-// Fixture: wall-clock, assert (call and include), obs-emit,
-// telemetry-probe, and optrace-mint positives in one sim-layer file.
+// Fixture: wall-clock, assert (call and include), obs-emit and
+// optrace-mint positives in one sim-layer file.
 #include <cassert>
 
 struct Event {};
 struct Sink {
   void emit(const Event&) {}
-};
-struct Registry {
-  int probe(const char*) { return 0; }
 };
 int mintOpTrace();
 
@@ -15,10 +12,9 @@ double jitter() {
   return static_cast<double>(rand());  // wall-clock: libc randomness
 }
 
-void record(Sink& sink, Registry& reg) {
+void record(Sink& sink) {
   assert(jitter() >= 0.0);  // assert: vanishes under NDEBUG
   Event ev;
   sink.emit(ev);            // obs-emit: direct sink emit outside src/obs
-  (void)reg.probe("fs.queue_depth");  // telemetry-probe: not via telemetry()
   (void)mintOpTrace();      // optrace-mint: below the strategy layer
 }

@@ -1,17 +1,7 @@
 // Fixture: seeded RNG instead of libc randomness, SIM_CHECK instead of
-// assert, and the probe resolved from the Telemetry registry on one line.
+// assert.
 struct Rng {
   double next();
 };
-struct Telemetry {
-  int probe(const char*) { return 0; }
-};
-struct Obs {
-  Telemetry& telemetry();
-};
 
 double jitter(Rng& rng) { return rng.next(); }
-
-void record(Obs* obs) {
-  (void)obs->telemetry().probe("fs.queue_depth");
-}

@@ -85,7 +85,6 @@ TEST(SrclintRules, SinkAndClockPositives) {
   // One for the call, one for the <cassert> include.
   EXPECT_EQ(countOf(r.output, "[assert]"), 2) << r.output;
   EXPECT_TRUE(has(r.output, "[obs-emit]")) << r.output;
-  EXPECT_TRUE(has(r.output, "[telemetry-probe]")) << r.output;
   EXPECT_TRUE(has(r.output, "[optrace-mint]")) << r.output;
 }
 

@@ -118,13 +118,13 @@ TEST(TraceReportCli, CritPathDiffComparesTwoRuns) {
 }
 
 // critpath is gated on its schema like every other JSON artifact: another
-// artifact handed to --critpath (here a telemetry export) is refused
-// instead of rendering as an all-zero report.
+// artifact handed to --critpath (here an attr export) is refused instead
+// of rendering as an all-zero report.
 TEST(TraceReportCli, CritPathRejectsWrongSchemaVersion) {
   const auto r =
-      run(traceReport() + " --critpath " + fixture("telemetry_1pfpp.json"));
+      run(traceReport() + " --critpath " + fixture("attr_coio.json"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("critpath schema \"bgckpt-telemetry-1\" not "
+  EXPECT_NE(r.output.find("critpath schema \"bgckpt-attr-1\" not "
                           "supported"),
             std::string::npos)
       << r.output;
@@ -134,9 +134,9 @@ TEST(TraceReportCli, CritPathRejectsWrongSchemaVersion) {
 // JSON artifact.
 TEST(TraceReportCli, AttrRejectsWrongSchemaVersion) {
   const auto r =
-      run(traceReport() + " --attr " + fixture("telemetry_1pfpp.json"));
+      run(traceReport() + " --attr " + fixture("critpath_coio.json"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("attr schema \"bgckpt-telemetry-1\" not "
+  EXPECT_NE(r.output.find("attr schema \"bgckpt-critpath-1\" not "
                           "supported"),
             std::string::npos)
       << r.output;
@@ -145,50 +145,15 @@ TEST(TraceReportCli, AttrRejectsWrongSchemaVersion) {
 TEST(TraceReportCli, ErrorsAreUsageExitCode) {
   EXPECT_EQ(run(traceReport()).exitCode, 2);
   EXPECT_EQ(run(traceReport() + " --attr /nonexistent.json").exitCode, 2);
+  EXPECT_EQ(run(traceReport() + " --timeline " + fixture("attr_coio.json"))
+                .exitCode,
+            2);
   // The summary of one trace has nothing to --diff against; every other
   // mode does.
   EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.json") +
                 " --diff " + fixture("trace_coio.json"))
                 .exitCode,
             2);
-}
-
-TEST(TraceReportCli, TimelineModeRendersHeatmapAndImbalance) {
-  const auto r =
-      run(traceReport() + " --timeline " + fixture("telemetry_1pfpp.json"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("telemetry timeline"), std::string::npos);
-  EXPECT_NE(r.output.find("horizon 2.000 s, 4 buckets of 0.5 s, 2 series"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("stor.server.bytes (rate, 4 instances"),
-            std::string::npos)
-      << r.output;
-  // Loads [6,2,1,1]: Jain = 100/168, skew = 6/2.5, share = 60%.
-  EXPECT_NE(r.output.find("jain=0.595"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("max/mean=2.40"), std::string::npos);
-  EXPECT_NE(r.output.find("max-share=60.0%"), std::string::npos);
-  EXPECT_NE(r.output.find("busiest #0"), std::string::npos);
-  // Instance 0's row saturates the shade scale somewhere.
-  EXPECT_NE(r.output.find("@"), std::string::npos) << r.output;
-}
-
-TEST(TraceReportCli, TimelineDiffComparesImbalance) {
-  const auto r =
-      run(traceReport() + " --timeline " + fixture("telemetry_1pfpp.json") +
-          " --diff " + fixture("telemetry_rbio.json"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("diff against"), std::string::npos);
-  EXPECT_NE(r.output.find("A jain"), std::string::npos);
-  EXPECT_NE(r.output.find("0.595"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("0.962"), std::string::npos) << r.output;
-}
-
-TEST(TraceReportCli, TimelineRejectsWrongSchemaVersion) {
-  const auto r =
-      run(traceReport() + " --timeline " + fixture("telemetry_badschema.json"));
-  EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("not supported"), std::string::npos) << r.output;
 }
 
 TEST(TraceReportCli, WaterfallModeRendersHopTableAndLineage) {

@@ -62,12 +62,6 @@ const std::vector<RuleInfo> kRules = {
      "complete / message / counterSample) and sinks register via\n"
      "Observability::addSink; hand-rolled emit calls bypass the layer-mask\n"
      "fast path and the sink registry the trace and attribution rely on."},
-    {"telemetry-probe", "hygiene",
-     "probe() not resolved from the Telemetry registry on the same line",
-     "Sampled series come from the shared registry\n"
-     "(obs->telemetry().probe(\"name\", ...)); ad-hoc sampling state in sim\n"
-     "layers would not flip live with --telemetry, never export, and dodge\n"
-     "the imbalance analytics and the attribution cross-check."},
     {"optrace-mint", "hygiene",
      "mintOpTrace() below the strategy layer",
      "A causal-trace context is minted once at the strategy layer\n"
@@ -120,7 +114,7 @@ const std::vector<RuleInfo> kRules = {
      "insertion histories. A loop over one is fine when the body is\n"
      "order-independent (integer sums, key collection followed by a sort)\n"
      "but silently breaks the byte-identity guarantees when the body\n"
-     "reaches an export/stdout/telemetry sink or accumulates into floats\n"
+     "reaches an export or stdout sink or accumulates into floats\n"
      "(FP addition does not commute). Collect and sort keys first, or use\n"
      "an ordered container."},
     {"shard-global-read", "thread-safety",
@@ -270,11 +264,6 @@ void preprocRules(FileCtx& ctx) {
 void tokenRules(FileCtx& ctx) {
   const AnalyzedFile& f = ctx.f;
   const auto& toks = f.lex.tokens;
-  // Same-line identifier index for the telemetry-probe check.
-  std::map<std::uint32_t, std::set<std::string>> lineIdents;
-  for (const Token& t : toks)
-    if (t.kind == Tok::kIdent) lineIdents[t.line].insert(t.text);
-
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != Tok::kIdent) continue;
@@ -314,14 +303,6 @@ void tokenRules(FileCtx& ctx) {
                  "direct emit() bypasses the Observability hub; use "
                  "begin/end/complete/message/counterSample and register "
                  "sinks with Observability::addSink");
-    if (f.inSrc && !f.inObs && t.text == "probe" && memberCall) {
-      const auto& idents = lineIdents[t.line];
-      if (idents.count("telemetry") == 0)
-        ctx.report(t.line, "telemetry-probe",
-                   "probe() must be resolved from the Telemetry registry on "
-                   "this line (obs->telemetry().probe(...)); ad-hoc sampling "
-                   "state bypasses --telemetry and the imbalance analytics");
-    }
     if (f.inSrc && !f.inObs && !f.inIolib && t.text == "mintOpTrace")
       ctx.report(t.line, "optrace-mint",
                  "mintOpTrace() is reserved for strategy-level code "

@@ -3,8 +3,8 @@
 // Usage:  trace_report <trace.json> [--bins N]
 //         trace_report --attr <attr.json> [--diff <other.json>]
 //         trace_report --critpath <run.json> [--diff <other.json>]
-//         trace_report --timeline <telemetry.json> [--diff <other.json>]
 //         trace_report --waterfall <optrace.json> [--req ID | --diff <other>]
+//                      [--width N]
 //         trace_report --runtime <perf.json> [--diff <other.json>
 //                      [--min-speedup X] [--tolerance F]]
 //
@@ -21,29 +21,25 @@
 // <file>` (obs/attr.hpp): the exclusive per-phase partition; with --diff
 // it compares two runs (e.g. rbIO vs coIO) phase by phase. --critpath
 // renders the JSON written by `<bench> --critpath <file>`, with the same
-// A/B diff option. --timeline renders the sampled-telemetry JSON written
-// by `<bench> --telemetry <file>` as per-resource ASCII utilization
-// heatmaps plus server-imbalance stats (Jain's index, max/mean skew,
-// idle-while-busy); --diff prints an A/B table of totals and imbalance.
-// --waterfall renders the per-request causal-trace JSON written by
-// `<bench> --optrace <file>`: hop-percentile tables (global and per op),
-// the fan-in lineage summary, a p99-localization line, and ASCII hop
-// waterfalls for the retained tail (the N slowest requests) or, with
-// --req ID, for one chosen request; --diff compares the hop-percentile
-// tables of two runs (e.g. rbIO vs coIO). --runtime renders the wall-clock
-// side of the perf record written by `paper --perf-json`: each --threads
-// parallel region's jobs slowest first, with the serial-fraction /
-// Amdahl-ceiling analysis, then the per-point wall table; --diff compares
-// two records point by point. With --min-speedup X or --tolerance F the
+// A/B diff option. --waterfall renders the per-request causal-trace JSON
+// written by `<bench> --optrace <file>`: hop-percentile tables (global and
+// per op), the fan-in lineage summary, a p99-localization line, and ASCII
+// hop waterfalls (--width N columns) for the retained tail (the N slowest
+// requests) or, with --req ID, for one chosen request; --diff compares the
+// hop-percentile tables of two runs (e.g. rbIO vs coIO). --runtime renders
+// the wall-clock side of the perf record written by `paper --perf-json`:
+// each --threads parallel region's jobs slowest first, with the
+// serial-fraction / Amdahl-ceiling analysis, then the per-point wall
+// table; --diff compares two records point by point. With --min-speedup X or --tolerance F the
 // diff is a gate (exit 1 on failure): both records must hold the same runs
 // (labels in order, identical event counts), and B's elapsed wall must be
 // at most A's / X, or at most A's * (1 + F). Elapsed wall is each parallel
 // region's wall plus the runs no region covers, so a --threads record is
 // timed by its regions, not by per-run walls that overlap.
 //
-// Every JSON export the --attr, --critpath, --timeline, --waterfall and
-// --runtime modes read must carry this build's version in its "schema"
-// field, else exit 2.
+// Every JSON export the --attr, --critpath, --waterfall and --runtime
+// modes read must carry this build's version in its "schema" field, else
+// exit 2.
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
@@ -63,7 +59,6 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
-#include "obs/telemetry.hpp"
 #include "profiling/profile.hpp"
 #include "profiling/report.hpp"
 
@@ -82,13 +77,11 @@ int usage(const char* argv0) {
                "usage: %s <trace.json> [--bins N]\n"
                "       %s --attr <attr.json> [--diff <other.json>]\n"
                "       %s --critpath <run.json> [--diff <other.json>]\n"
-               "       %s --timeline <telemetry.json> [--diff <other.json>]"
-               " [--width N]\n"
                "       %s --waterfall <optrace.json> [--req ID |"
-               " --diff <other.json>]\n"
+               " --diff <other.json>] [--width N]\n"
                "       %s --runtime <perf.json> [--diff <other.json>"
                " [--min-speedup X] [--tolerance F]]\n",
-               argv0, argv0, argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -135,8 +128,8 @@ bool loadJsonFile(const char* path, Value* out) {
 
 /// Load one artifact JSON behind the shared schema gate: the document's
 /// "schema" field must be exactly `expectedSchema`. Every JSON-artifact
-/// mode (--attr, --critpath, --timeline, --waterfall, --runtime) funnels
-/// through here, and every failure funnels to the same caller exit-2 path.
+/// mode (--attr, --critpath, --waterfall, --runtime) funnels through here,
+/// and every failure funnels to the same caller exit-2 path.
 bool loadGatedArtifact(const char* path, const char* kind,
                        const char* expectedSchema, Value* out) {
   if (!loadJsonFile(path, out)) return false;
@@ -288,178 +281,6 @@ int runCritPathMode(const char* pathA, const char* pathB) {
   return 0;
 }
 
-// ------------------------------------------------------ --timeline mode --
-
-struct ImbalanceCols {
-  bool present = false;
-  double totalLoad = 0;
-  double maxShare = 0;
-  double maxOverMean = 0;
-  double jain = 1.0;
-  double idleWhileBusy = 0;
-  int busiest = -1;
-};
-
-struct TimelineSeries {
-  std::string name;
-  std::string kind;
-  int instances = 1;
-  double totalLoad = 0;  // sum of per-instance totals
-  ImbalanceCols imb;
-  std::vector<std::vector<double>> heat;  // instances x buckets, dense
-};
-
-struct TimelineDoc {
-  double dt = 0;
-  double horizon = 0;
-  std::int64_t buckets = 0;
-  std::vector<TimelineSeries> series;
-};
-
-/// Load and validate one `--telemetry` export (schema gate via
-/// loadGatedArtifact; mismatches are a hard error, exit 2 upstream, so a
-/// stale file never misparses silently).
-bool loadTimeline(const char* path, TimelineDoc* out) {
-  Value doc;
-  if (!loadGatedArtifact(path, "telemetry",
-                         bgckpt::obs::Telemetry::kSchemaVersion, &doc))
-    return false;
-  out->dt = doc.numberOr("bucket_dt", bgckpt::obs::Telemetry::kDefaultDt);
-  out->horizon = doc.numberOr("horizon", 0);
-  out->buckets = static_cast<std::int64_t>(doc.numberOr("buckets", 0));
-  const Value* arr = doc.find("series");
-  if (arr == nullptr || !arr->isArray()) {
-    std::fprintf(stderr, "trace_report: %s: no \"series\" array\n", path);
-    return false;
-  }
-  for (const Value& sv : *arr->array) {
-    if (!sv.isObject()) continue;
-    TimelineSeries s;
-    s.name = sv.stringOr("name", "?");
-    s.kind = sv.stringOr("kind", "gauge");
-    s.instances = static_cast<int>(sv.numberOr("instances", 1));
-    if (const Value* iv = sv.find("imbalance"); iv && iv->isObject()) {
-      s.imb.present = true;
-      s.imb.totalLoad = iv->numberOr("total_load", 0);
-      s.imb.maxShare = iv->numberOr("max_share", 0);
-      s.imb.maxOverMean = iv->numberOr("max_over_mean", 0);
-      s.imb.jain = iv->numberOr("jain", 1.0);
-      s.imb.idleWhileBusy = iv->numberOr("idle_while_busy_seconds", 0);
-      s.imb.busiest = static_cast<int>(iv->numberOr("busiest", -1));
-    }
-    s.heat.assign(static_cast<std::size_t>(std::max(1, s.instances)),
-                  std::vector<double>(
-                      static_cast<std::size_t>(std::max<std::int64_t>(
-                          out->buckets, 0)),
-                      0.0));
-    if (const Value* pi = sv.find("per_instance"); pi && pi->isArray()) {
-      for (const Value& inst : *pi->array) {
-        if (!inst.isObject()) continue;
-        const auto idx = static_cast<std::size_t>(inst.numberOr("i", 0));
-        if (idx >= s.heat.size()) continue;
-        s.totalLoad += inst.numberOr("total", 0);
-        const auto first =
-            static_cast<std::int64_t>(inst.numberOr("first", 0));
-        const Value* rows = inst.find("buckets");
-        if (rows == nullptr || !rows->isArray()) continue;
-        for (std::size_t r = 0; r < rows->array->size(); ++r) {
-          const Value& row = (*rows->array)[r];
-          if (!row.isArray() || row.array->empty()) continue;
-          // Heat value: gauge rows are [min, mean, max, last], counter and
-          // rate rows are [delta, rate] — index 1 is the density either way.
-          const std::size_t vi = row.array->size() > 1 ? 1 : 0;
-          const auto gi = first + static_cast<std::int64_t>(r);
-          if (gi >= 0 && gi < out->buckets)
-            s.heat[idx][static_cast<std::size_t>(gi)] =
-                (*row.array)[vi].number;
-        }
-      }
-    }
-    out->series.push_back(std::move(s));
-  }
-  return true;
-}
-
-/// Cap heatmaps at this many rows; wider instance sets render as grouped
-/// ranges (128 servers -> 32 rows of 4, each the group mean).
-constexpr int kMaxHeatRows = 32;
-
-void renderSeries(const TimelineSeries& s, double dt, int width) {
-  std::printf("\n%s (%s, %d instance%s", s.name.c_str(), s.kind.c_str(),
-              s.instances, s.instances == 1 ? "" : "s");
-  std::printf(", total %.6g)\n", s.totalLoad);
-  std::vector<std::string> labels;
-  std::vector<std::vector<double>> rows;
-  if (s.instances <= kMaxHeatRows) {
-    rows = s.heat;
-    for (int i = 0; i < s.instances; ++i)
-      labels.push_back(s.instances == 1 ? std::string()
-                                        : std::to_string(i));
-  } else {
-    const int group =
-        (s.instances + kMaxHeatRows - 1) / kMaxHeatRows;
-    for (int g0 = 0; g0 < s.instances; g0 += group) {
-      const int g1 = std::min(g0 + group, s.instances);
-      std::vector<double> row(s.heat[0].size(), 0.0);
-      for (int i = g0; i < g1; ++i)
-        for (std::size_t b = 0; b < row.size(); ++b)
-          row[b] += s.heat[static_cast<std::size_t>(i)][b];
-      for (double& v : row) v /= static_cast<double>(g1 - g0);
-      labels.push_back(std::to_string(g0) + "-" + std::to_string(g1 - 1));
-      rows.push_back(std::move(row));
-    }
-  }
-  const char* valueLabel =
-      s.kind == "gauge" ? "mean level" : "per-second rate";
-  std::printf("%s", bgckpt::analysis::heatmap(labels, rows, dt, valueLabel,
-                                              width)
-                        .c_str());
-  if (s.imb.present)
-    std::printf("  imbalance: jain=%.3f max/mean=%.2f max-share=%.1f%% "
-                "idle-while-busy=%.1f inst-s (busiest #%d)\n",
-                s.imb.jain, s.imb.maxOverMean, s.imb.maxShare * 100.0,
-                s.imb.idleWhileBusy, s.imb.busiest);
-}
-
-int runTimelineMode(const char* pathA, const char* pathB, int width) {
-  TimelineDoc a;
-  if (!loadTimeline(pathA, &a)) return 2;
-  std::printf("telemetry timeline: %s\n", pathA);
-  std::printf("horizon %.3f s, %lld buckets of %.3g s, %zu series\n",
-              a.horizon, static_cast<long long>(a.buckets), a.dt,
-              a.series.size());
-  if (pathB == nullptr) {
-    for (const auto& s : a.series) renderSeries(s, a.dt, width);
-    return 0;
-  }
-  TimelineDoc b;
-  if (!loadTimeline(pathB, &b)) return 2;
-  std::printf("diff against: %s (horizon %.3f s)\n", pathB, b.horizon);
-  std::map<std::string, std::pair<const TimelineSeries*,
-                                  const TimelineSeries*>> merged;
-  for (const auto& s : a.series) merged[s.name].first = &s;
-  for (const auto& s : b.series) merged[s.name].second = &s;
-  std::printf("\n%-28s %14s %14s %8s %8s %10s %10s\n", "series", "A total",
-              "B total", "A jain", "B jain", "A max/mu", "B max/mu");
-  for (const auto& [name, ab] : merged) {
-    const TimelineSeries* sa = ab.first;
-    const TimelineSeries* sb = ab.second;
-    std::printf("%-28s %14.6g %14.6g", name.c_str(),
-                sa != nullptr ? sa->totalLoad : 0.0,
-                sb != nullptr ? sb->totalLoad : 0.0);
-    if ((sa != nullptr && sa->imb.present) ||
-        (sb != nullptr && sb->imb.present)) {
-      std::printf(" %8.3f %8.3f %10.2f %10.2f",
-                  sa != nullptr ? sa->imb.jain : 0.0,
-                  sb != nullptr ? sb->imb.jain : 0.0,
-                  sa != nullptr ? sa->imb.maxOverMean : 0.0,
-                  sb != nullptr ? sb->imb.maxOverMean : 0.0);
-    }
-    std::printf("\n");
-  }
-  return 0;
-}
-
 // ----------------------------------------------------- --waterfall mode --
 
 struct HopRow {
@@ -516,8 +337,7 @@ E2eStats parseE2e(const Value& parent) {
   return s;
 }
 
-/// Load and validate one `--optrace` export, behind the same gate as
-/// loadTimeline.
+/// Load and validate one `--optrace` export behind the schema gate.
 bool loadOpTrace(const char* path, OpTraceDoc* out) {
   if (!loadGatedArtifact(path, "optrace",
                          bgckpt::obs::OpTracer::kSchemaVersion, &out->doc))
@@ -939,7 +759,6 @@ int main(int argc, char** argv) {
     kSummary,
     kAttr,
     kCritPath,
-    kTimeline,
     kWaterfall,
     kRuntime
   } mode = Mode::kSummary;
@@ -957,8 +776,6 @@ int main(int argc, char** argv) {
       mode = Mode::kAttr;
     } else if (std::strcmp(argv[i], "--critpath") == 0) {
       mode = Mode::kCritPath;
-    } else if (std::strcmp(argv[i], "--timeline") == 0) {
-      mode = Mode::kTimeline;
     } else if (std::strcmp(argv[i], "--waterfall") == 0) {
       mode = Mode::kWaterfall;
     } else if (std::strcmp(argv[i], "--runtime") == 0) {
@@ -987,7 +804,6 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   if (mode == Mode::kAttr) return runAttrMode(path, diffPath);
   if (mode == Mode::kCritPath) return runCritPathMode(path, diffPath);
-  if (mode == Mode::kTimeline) return runTimelineMode(path, diffPath, width);
   if (mode == Mode::kWaterfall)
     return runWaterfallMode(path, diffPath, reqId, width);
   if (mode == Mode::kRuntime)
