@@ -2,6 +2,7 @@
 // simulated machine the figure harnesses can afford.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -39,6 +40,27 @@ void BM_SpawnCoroutines(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SpawnCoroutines)->Arg(1 << 10)->Arg(1 << 14);
+
+// Frame arena churn: each wave's frames alternate between a small and a
+// ~1 KiB size class and all die at the wave's end, so the next wave takes
+// back slabs that the other class filled before.
+void BM_FrameChurnAcrossClasses(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  auto small = [](Scheduler& s) -> Task<> { co_await s.delay(1.0); };
+  auto large = [](Scheduler& s) -> Task<> {
+    std::array<char, 1024> pad{};  // lives across the await: in the frame
+    co_await s.delay(1.0);
+    benchmark::DoNotOptimize(pad.data());
+  };
+  for (auto _ : state) {
+    Scheduler sched;
+    for (int i = 0; i < n; ++i)
+      sched.spawn(i % 2 == 0 ? small(sched) : large(sched));
+    sched.run();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_FrameChurnAcrossClasses)->Arg(1 << 14);
 
 void BM_PingPongChannel(benchmark::State& state) {
   const auto rounds = static_cast<int>(state.range(0));

@@ -1822,11 +1822,9 @@ int main(int argc, char** argv) {
 
   // One simulation per distinct scenario: checkpoints, then campaigns,
   // multilevel checkpoints and mesh reads (Scenario::run's order), each kind
-  // largest np first so the long runs start early. A thread's frame arena
-  // never returns a slab, and the 64K multilevel run grows it by ~45 MB even
-  // after every checkpoint has run; kind by kind, those slabs arrive after
-  // the campaigns' heap peak instead of under it. The order is fixed, so
-  // artifact numbering and perf records do not depend on --threads.
+  // largest np first so the long runs start early. The order is fixed, so
+  // artifact numbering, perf records and the order of paper.events' lines
+  // do not depend on --threads; changing it re-records that golden.
   std::vector<Scenario> scenarios;
   for (const auto& list : declared)
     for (const Scenario& s : list)

@@ -10,7 +10,8 @@ FrameArena& FrameArena::instance() {
 }
 
 FrameArena::~FrameArena() {
-  for (char* slab : slabs_) ::operator delete(slab);
+  for (char* chunk : chunks_)
+    ::operator delete(chunk, std::align_val_t{kSlabBytes});
 }
 
 void FrameArena::beginAudit() {
@@ -57,15 +58,21 @@ void* FrameArena::allocate(std::size_t bytes) {
     return p;
   }
   stats_.liveBytes += cls * kGranularity;
-  FreeBlock*& head = freeLists_[cls - 1];
+  Slab*& head = partial_[cls - 1];
+  if (head == nullptr) takeSlab(cls);
+  Slab* s = head;
   void* p = nullptr;
-  if (head != nullptr) {
+  if (s->free != nullptr) {
     ++stats_.poolHits;
-    p = head;
-    head = head->next;
+    p = s->free;
+    s->free = s->free->next;
   } else {
-    p = refill(cls);
+    stats_.poolHits += s->reused;
+    p = s->cursor;
+    s->cursor += s->blockBytes;
   }
+  ++s->live;
+  if (!hasRoom(s)) unlink(head, s);
   if (auditing_) auditOnAllocate(p);
   return p;
 }
@@ -84,27 +91,63 @@ void FrameArena::deallocate(void* p, std::size_t bytes) noexcept {
     return;
   }
   stats_.liveBytes -= cls * kGranularity;
+  Slab* s = slabOf(p);
+  const bool wasFull = !hasRoom(s);
   auto* block = static_cast<FreeBlock*>(p);
-  block->next = freeLists_[cls - 1];
-  freeLists_[cls - 1] = block;
+  block->next = s->free;
+  s->free = block;
+  if (--s->live == 0) {
+    if (!wasFull) unlink(partial_[cls - 1], s);
+    s->reused = 1;
+    s->next = empty_;
+    empty_ = s;
+  } else if (wasFull) {
+    link(partial_[cls - 1], s);
+  }
 }
 
-void* FrameArena::refill(std::size_t cls) {
-  const std::size_t blockBytes = cls * kGranularity;
-  if (slabRemaining_ < blockBytes) {
-    // Coroutine frames only require alignment <= __STDCPP_DEFAULT_NEW_ALIGNMENT__
-    // through non-aligned operator new, and kGranularity is a multiple of it,
-    // so carving the slab at 64-byte boundaries keeps every block aligned.
-    char* slab = static_cast<char*>(::operator new(kSlabBytes));
-    slabs_.push_back(slab);
-    slabCursor_ = slab;
-    slabRemaining_ = kSlabBytes;
-    stats_.slabBytes += kSlabBytes;
+void FrameArena::takeSlab(std::size_t cls) {
+  if (empty_ == nullptr) {
+    // Aligned to kSlabBytes so deallocate() can mask a frame's address.
+    // Frames need only __STDCPP_DEFAULT_NEW_ALIGNMENT__, which kGranularity
+    // is a multiple of, so 64-byte blocks after each header stay aligned.
+    char* chunk = static_cast<char*>(
+        ::operator new(kChunkBytes, std::align_val_t{kSlabBytes}));
+    chunks_.push_back(chunk);
+    stats_.slabBytes += kChunkBytes;
+    for (char* at = chunk + kChunkBytes; at != chunk;) {
+      at -= kSlabBytes;
+      auto* fresh = reinterpret_cast<Slab*>(at);
+      fresh->reused = 0;
+      fresh->next = empty_;
+      empty_ = fresh;
+    }
   }
-  void* p = slabCursor_;
-  slabCursor_ += blockBytes;
-  slabRemaining_ -= blockBytes;
-  return p;
+  Slab* s = empty_;
+  empty_ = s->next;
+  const std::size_t blockBytes = cls * kGranularity;
+  s->free = nullptr;
+  s->cursor = reinterpret_cast<char*>(s) + kGranularity;
+  s->limit = s->cursor + (kSlabBytes - kGranularity) / blockBytes * blockBytes;
+  s->live = 0;
+  s->blockBytes = static_cast<std::uint32_t>(blockBytes);
+  link(partial_[cls - 1], s);
+}
+
+void FrameArena::link(Slab*& head, Slab* s) {
+  s->prev = nullptr;
+  s->next = head;
+  if (head != nullptr) head->prev = s;
+  head = s;
+}
+
+void FrameArena::unlink(Slab*& head, Slab* s) {
+  if (s->prev != nullptr) {
+    s->prev->next = s->next;
+  } else {
+    head = s->next;
+  }
+  if (s->next != nullptr) s->next->prev = s->prev;
 }
 
 }  // namespace bgckpt::sim
