@@ -21,7 +21,6 @@
 #include "machine/bgp.hpp"
 #include "netsim/torus.hpp"
 #include "obs/attr.hpp"
-#include "obs/critpath.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
 #include "obs/trace.hpp"
@@ -36,7 +35,6 @@ std::string gTracePath;
 std::string gMetricsPath;
 std::string gPerfJsonPath;
 std::string gAttrPath;
-std::string gCritPathPath;
 std::string gOpTracePath;
 std::uint32_t gOpTraceSampleEvery = 0;  // 0 = OpTracer::kDefaultSampleEvery
 std::string gObsDir;
@@ -163,7 +161,6 @@ Flags parseFlags(int argc, char** argv) {
                flagValue(argc, argv, i, "--metrics", gMetricsPath) ||
                flagValue(argc, argv, i, "--perf-json", gPerfJsonPath) ||
                flagValue(argc, argv, i, "--attr", gAttrPath) ||
-               flagValue(argc, argv, i, "--critpath", gCritPathPath) ||
                flagValue(argc, argv, i, "--optrace", gOpTracePath) ||
                flagValue(argc, argv, i, "--obs-dir", gObsDir)) {
       continue;
@@ -219,7 +216,6 @@ Flags parseFlags(int argc, char** argv) {
     derive(gTracePath, "trace.json");
     derive(gMetricsPath, "metrics.json");
     derive(gAttrPath, "attr.json");
-    derive(gCritPathPath, "critpath.json");
     derive(gOpTracePath, "optrace.json");
   }
   return flags;
@@ -292,7 +288,7 @@ bool perfFlush() {
 
 bool obsActive() {
   return !(gTracePath.empty() && gMetricsPath.empty() && gAttrPath.empty() &&
-           gCritPathPath.empty() && gOpTracePath.empty());
+           gOpTracePath.empty());
 }
 
 /// Attach the requested trace/metrics sinks to stack number `n`: every
@@ -344,12 +340,6 @@ void attachExports(iolib::SimStack& stack, int n) {
     stack.obs.addSink(std::move(attr));
     std::fprintf(stderr, "[obs] blocked-time attribution to %s\n",
                  json.c_str());
-  }
-  if (!gCritPathPath.empty()) {
-    const std::string json = numbered(gCritPathPath, n);
-    requireWritable("--critpath", json);
-    stack.obs.attachCritPath(stack.sched, json);
-    std::fprintf(stderr, "[obs] critical-path report to %s\n", json.c_str());
   }
   if (!gOpTracePath.empty()) {
     const std::string json = numbered(gOpTracePath, n);

@@ -50,8 +50,6 @@ namespace bgckpt::bench {
 ///   --attr <file>      export per-rank blocked-time attribution there as
 ///                      JSON (obs/attr.hpp, schema bgckpt-attr-1) for
 ///                      `trace_report --attr`
-///   --critpath <file>  record the causal event graph and write the
-///                      critical-path report there as JSON (obs/critpath.hpp)
 ///   --optrace[=RATE] <file>
 ///                      per-request causal tracing (obs/optrace.hpp): every
 ///                      checkpoint write op carries a span context from the
@@ -62,7 +60,7 @@ namespace bgckpt::bench {
 ///                      trees, and tail waterfalls are exported there as
 ///                      JSON for `trace_report --waterfall`.
 ///   --obs-dir DIR      derive every observability artifact path not given
-///                      explicitly (trace/metrics/attr/critpath/optrace)
+///                      explicitly (trace/metrics/attr/optrace)
 ///                      as DIR/<artifact>.json, creating DIR first.
 ///                      Explicit flags win.
 ///   --threads=N        simulate the scenarios on N worker threads (default

@@ -86,9 +86,7 @@ struct Group {
     });
     if (w) {
       w->msg = std::move(msg);
-      sched.scheduleResume(
-          0.0, w->handle,
-          sim::WakeEdge{sim::WakeKind::kMessageDeliver, "mpi-deliver"});
+      sched.scheduleResume(0.0, w->handle);
       return;
     }
     if (!box.early) box.early = std::make_unique<std::deque<Message>>();

@@ -101,8 +101,6 @@ class AttributionEngine {
   /// repeatedly / at several horizons.
   Report compute(sim::SimTime horizon) const;
 
-  std::size_t spanCount() const { return spans_.size(); }
-
  private:
   struct Span {
     int rank;
@@ -133,7 +131,6 @@ class AttributionSink final : public TraceSink {
   bool finalized() const { return finalized_; }
   /// Valid after finalize().
   const AttributionEngine::Report& report() const { return report_; }
-  const AttributionEngine& engine() const { return engine_; }
 
  private:
   AttributionEngine engine_;

@@ -1,6 +1,5 @@
 #include "obs/obs.hpp"
 
-#include "obs/critpath.hpp"
 #include "obs/optrace.hpp"
 
 namespace bgckpt::obs {
@@ -25,20 +24,12 @@ void SchedulerProbe::onRootDone(std::uint64_t rootId, sim::SimTime now) {
   obs_.end(Layer::kScheduler, static_cast<int>(rootId), "root", now);
 }
 
-void SchedulerProbe::onEventScheduled(std::uint64_t seq,
-                                      std::uint64_t parentSeq,
-                                      sim::SimTime when, sim::WakeKind kind,
-                                      const char* label) {
-  if (critPath_ != nullptr)
-    critPath_->onEventScheduled(seq, parentSeq, when, kind, label);
-}
-
 Observability::Observability() = default;
 
 Observability::~Observability() {
   const sim::SimTime horizon = observedSched_ ? observedSched_->now() : 0.0;
   releaseScheduler();
-  // Aggregating sinks (attribution, critpath) must always get their
+  // Aggregating sinks (attribution, op tracing) must always get their
   // finalize, even without a metrics export request; finalize() is
   // idempotent, so a stack already finalized by hand skips the work.
   finalize(horizon);
@@ -154,7 +145,6 @@ void Observability::releaseScheduler() {
     observedSched_->setHooks(nullptr);
     observedSched_ = nullptr;
   }
-  if (schedProbe_) schedProbe_->setCritPath(nullptr);
   schedProbe_.reset();
 }
 
@@ -168,20 +158,6 @@ OpTraceSink& Observability::attachOpTrace(std::uint32_t sampleEvery,
   }
   if (!jsonPath.empty()) opTraceSink_->exportTo(std::move(jsonPath));
   return *opTraceSink_;
-}
-
-CritPathRecorder& Observability::attachCritPath(sim::Scheduler& sched,
-                                                std::string jsonPath) {
-  if (!critPath_) {
-    critPath_ = std::make_shared<CritPathRecorder>();
-    observeScheduler(sched);
-    schedProbe_->setCritPath(critPath_.get());
-    // Refresh the scheduler's cached wantsScheduleEvents() decision.
-    sched.setHooks(schedProbe_.get());
-    addSink(critPath_);
-  }
-  if (!jsonPath.empty()) critPath_->exportTo(std::move(jsonPath));
-  return *critPath_;
 }
 
 void Observability::finalize(sim::SimTime horizon) {

@@ -24,7 +24,6 @@
 namespace bgckpt::obs {
 
 class Observability;
-class CritPathRecorder;
 class OpTracer;
 class OpTraceSink;
 
@@ -34,29 +33,19 @@ inline constexpr const char* kPerfSchemaVersion = "bgckpt-perf-1";
 
 /// sim::SchedulerHooks implementation: counts dispatched events, tracks the
 /// event-queue high-water mark, and emits one span per root task on the
-/// scheduler layer (tid = root id). When a CritPathRecorder is attached it
-/// also forwards every causal scheduling edge (the scheduler caches
-/// wantsScheduleEvents() at setHooks time, so the forwarding branch costs
-/// nothing until Observability::attachCritPath re-installs the hooks).
+/// scheduler layer (tid = root id).
 class SchedulerProbe final : public sim::SchedulerHooks {
  public:
   explicit SchedulerProbe(Observability& obs);
   void onDispatch(std::size_t queueDepth) override;
   void onRootSpawned(std::uint64_t rootId, sim::SimTime now) override;
   void onRootDone(std::uint64_t rootId, sim::SimTime now) override;
-  bool wantsScheduleEvents() const override { return critPath_ != nullptr; }
-  void onEventScheduled(std::uint64_t seq, std::uint64_t parentSeq,
-                        sim::SimTime when, sim::WakeKind kind,
-                        const char* label) override;
-
-  void setCritPath(CritPathRecorder* critPath) { critPath_ = critPath; }
 
  private:
   Observability& obs_;
   Counter& events_;
   Counter& roots_;
   Gauge& queueDepthMax_;
-  CritPathRecorder* critPath_ = nullptr;
 };
 
 class Observability {
@@ -100,15 +89,6 @@ class Observability {
   /// order already guarantees this; tests use it directly).
   void releaseScheduler();
 
-  /// Start recording the causal event graph of `sched` (installing the
-  /// scheduler probe if necessary) and register the recorder as a sink so
-  /// it finalizes/exports with everything else. `jsonPath` (optional)
-  /// receives the critical-path report at finalize. Returns the recorder
-  /// for in-process queries; repeated calls return the existing one.
-  CritPathRecorder& attachCritPath(sim::Scheduler& sched,
-                                   std::string jsonPath = "");
-  CritPathRecorder* critPath() const { return critPath_.get(); }
-
   /// Start per-request causal tracing (obs/optrace.hpp): creates the
   /// OpTracer (1-in-`sampleEvery` waterfall retention, the default number
   /// of slowest requests always kept) and registers an OpTraceSink so the
@@ -120,7 +100,6 @@ class Observability {
   /// The tracer for strategy-level minting; nullptr until attachOpTrace.
   /// Layers never call this — they receive contexts by value.
   OpTracer* opTracer() const { return opTracer_.get(); }
-  OpTraceSink* opTraceSink() const { return opTraceSink_.get(); }
 
   /// Convert accumulated busy-seconds gauges into utilization gauges over
   /// [0, horizon], write the metrics export (if requested), and finalize +
@@ -149,7 +128,6 @@ class Observability {
   unsigned mask_ = 0;
   std::unique_ptr<SchedulerProbe> schedProbe_;
   sim::Scheduler* observedSched_ = nullptr;
-  std::shared_ptr<CritPathRecorder> critPath_;
   std::unique_ptr<OpTracer> opTracer_;
   std::shared_ptr<OpTraceSink> opTraceSink_;
   bool finalized_ = false;

@@ -3,9 +3,6 @@
 // Every instrumented layer of the simulated stack emits TraceEvents through
 // an Observability hub (obs.hpp). A sink decides what to do with them:
 //
-//  * NullSink        - drops everything; layerMask() == 0 means producers
-//                      skip event construction entirely, so a stack with no
-//                      sink attached pays only a masked branch per site.
 //  * ChromeTraceSink - streams trace_event-format JSON (one "process" per
 //                      simulated layer, one "thread" per rank) loadable in
 //                      Perfetto / chrome://tracing and read back, one event
@@ -84,20 +81,13 @@ class TraceSink {
   virtual void event(const TraceEvent& ev) = 0;
   virtual void flush() {}
   /// End of run: the horizon is the final simulated time. Sinks that
-  /// aggregate (attribution, critical path) finish their computation and
+  /// aggregate (attribution, op tracing) finish their computation and
   /// write any requested exports here. Called exactly once, before the
   /// final flush(), by Observability::finalize.
   virtual void finalize(sim::SimTime /*horizon*/) {}
   /// OR of layerBit() for the layers this sink consumes. Producers skip
   /// emission entirely when no attached sink wants their layer.
   virtual unsigned layerMask() const { return kAllLayers; }
-};
-
-/// Zero-overhead sink: wants no layers, drops anything it is handed anyway.
-class NullSink final : public TraceSink {
- public:
-  void event(const TraceEvent&) override {}
-  unsigned layerMask() const override { return 0; }
 };
 
 /// Streams Chrome trace_event JSON: an array with one trace_event object

@@ -44,8 +44,7 @@ class Channel {
     if (!recvWaiters_.empty()) {
       RecvWaiter* w = recvWaiters_.popFront();
       w->value.emplace(std::move(value));
-      sched_.scheduleResume(0.0, w->handle,
-                            WakeEdge{WakeKind::kChannelPush, "channel"});
+      sched_.scheduleResume(0.0, w->handle);
       return;
     }
     items_.push_back(std::move(value));
@@ -114,8 +113,7 @@ class Channel {
   void wakeOneSender() {
     if (!sendWaiters_.empty()) {
       SendWaiter* w = sendWaiters_.popFront();
-      sched_.scheduleResume(0.0, w->handle,
-                            WakeEdge{WakeKind::kChannelPush, "channel"});
+      sched_.scheduleResume(0.0, w->handle);
     }
   }
 

@@ -71,8 +71,7 @@ class Resource {
     while (!waiters_.empty() && waiters_.front()->amount <= available_) {
       Waiter* w = waiters_.popFront();
       available_ -= w->amount;
-      sched_.scheduleResume(0.0, w->handle,
-                            WakeEdge{WakeKind::kResourceGrant, name_});
+      sched_.scheduleResume(0.0, w->handle);
     }
   }
 

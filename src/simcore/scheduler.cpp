@@ -112,29 +112,11 @@ SimTime Scheduler::nextEventTime() const {
 
 // -------------------------------------------------------------- dispatch --
 
-const char* wakeKindName(WakeKind kind) {
-  switch (kind) {
-    case WakeKind::kDelay: return "delay";
-    case WakeKind::kSpawn: return "spawn";
-    case WakeKind::kResourceGrant: return "resource_grant";
-    case WakeKind::kGateFire: return "gate_fire";
-    case WakeKind::kBarrierRelease: return "barrier_release";
-    case WakeKind::kChannelPush: return "channel_push";
-    case WakeKind::kMessageDeliver: return "message_deliver";
-    case WakeKind::kCallback: return "callback";
-  }
-  return "?";
-}
-
 void Scheduler::scheduleResume(Duration delayTime, std::coroutine_handle<> h,
-                               WakeEdge edge, std::source_location loc) {
+                               std::source_location loc) {
   const SimTime t = now_ + delayTime;
   const std::uint64_t seq = nextSeq_++;
   if (check_) check_->onSchedule(now_, t, loc);
-  if (hooksWantSchedule_)
-    hooks_->onEventScheduled(
-        seq, dispatchingSeq_, t, edge.kind,
-        edge.label != nullptr ? edge.label : loc.file_name());
   const std::uint32_t idx = allocNode();
   EventNode& n = pool_[idx];
   n.time = t;
@@ -148,18 +130,10 @@ void Scheduler::scheduleResume(Duration delayTime, std::coroutine_handle<> h,
 }
 
 void Scheduler::scheduleCall(Duration delayTime, std::function<void()> fn,
-                             WakeEdge edge, std::source_location loc) {
-  scheduleAt(now_ + delayTime, std::move(fn), edge, loc);
-}
-
-void Scheduler::scheduleAt(SimTime t, std::function<void()> fn, WakeEdge edge,
-                           std::source_location loc) {
+                             std::source_location loc) {
+  const SimTime t = now_ + delayTime;
   const std::uint64_t seq = nextSeq_++;
   if (check_) check_->onSchedule(now_, t, loc);
-  if (hooksWantSchedule_)
-    hooks_->onEventScheduled(
-        seq, dispatchingSeq_, t, edge.kind,
-        edge.label != nullptr ? edge.label : loc.file_name());
   const std::uint32_t idx = allocNode();
   EventNode& n = pool_[idx];
   n.time = t;
@@ -178,14 +152,13 @@ void Scheduler::spawn(Task<> task) {
   const std::uint64_t id = nextRootId_++;
   if (hooks_) hooks_->onRootSpawned(id, now_);
   RootRunner runner = RootRunner::drive(*this, std::move(task), id);
-  scheduleResume(0.0, runner.handle, WakeEdge{WakeKind::kSpawn, "spawn"});
+  scheduleResume(0.0, runner.handle);
 }
 
 void Scheduler::step() {
   const std::uint32_t idx = popReady();
   EventNode& n = pool_[idx];
   now_ = n.time;
-  dispatchingSeq_ = n.seq;
   const std::coroutine_handle<> h = n.handle;
   std::function<void()> cb;
   if (!h) cb = std::move(n.callback);
@@ -205,7 +178,6 @@ void Scheduler::step() {
   } else {
     cb();
   }
-  dispatchingSeq_ = SchedulerHooks::kNoParent;
   if (hooks_) hooks_->onDispatch(size_);
 }
 

@@ -40,35 +40,6 @@ class SimulationError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Why an event was scheduled — the causal edge from the dispatching event
-/// to the scheduled one. `kDelay` is a task advancing its own clock (the
-/// default); everything else is one simulated process waking another.
-/// obs::CritPathRecorder groups critical-path time by these kinds.
-enum class WakeKind : std::uint8_t {
-  kDelay = 0,        // co_await sched.delay(dt): self edge
-  kSpawn,            // root task's first resume
-  kResourceGrant,    // Resource::release admitted a queued waiter
-  kGateFire,         // Gate::fire / WaitGroup completion
-  kBarrierRelease,   // last Barrier arrival released the waiters
-  kChannelPush,      // Channel delivered an item / woke a sender
-  kMessageDeliver,   // mpisim matched a message to a posted receive
-  kCallback,         // scheduleCall timer/completion callback
-};
-inline constexpr int kNumWakeKinds = 8;
-
-const char* wakeKindName(WakeKind kind);
-
-/// Optional annotation carried by scheduleResume/scheduleCall: the wake
-/// kind plus a label naming the waker (a Resource name, "barrier", ...).
-/// The label must point at storage outliving the scheduler observation
-/// (resource names and string literals both qualify). A null label falls
-/// back to the scheduling site's file name, which gives delay edges a free
-/// per-layer attribution (the file where the simulated time elapses).
-struct WakeEdge {
-  WakeKind kind = WakeKind::kDelay;
-  const char* label = nullptr;
-};
-
 /// Observation points on the event loop. The scheduler holds at most one
 /// hooks object (not owned) and calls it only when installed, so the
 /// uninstrumented hot path pays a single null-pointer branch per event.
@@ -82,19 +53,6 @@ class SchedulerHooks {
   /// `rootId` is a dense 0-based sequence number in spawn order.
   virtual void onRootSpawned(std::uint64_t rootId, SimTime now) = 0;
   virtual void onRootDone(std::uint64_t rootId, SimTime now) = 0;
-
-  /// Opt-in firehose: one call per event *scheduled*, carrying the causal
-  /// edge from the currently-dispatching event (`parentSeq`; kNoParent when
-  /// scheduled from outside the event loop). The scheduler caches
-  /// wantsScheduleEvents() at setHooks() time, so implementations that
-  /// return false (the default) pay one predictable branch per schedule.
-  /// Dispatch time always equals `when`, so recording the edge at schedule
-  /// time fully determines the executed event graph.
-  static constexpr std::uint64_t kNoParent = ~std::uint64_t{0};
-  virtual bool wantsScheduleEvents() const { return false; }
-  virtual void onEventScheduled(std::uint64_t /*seq*/,
-                                std::uint64_t /*parentSeq*/, SimTime /*when*/,
-                                WakeKind /*kind*/, const char* /*label*/) {}
 };
 
 class Scheduler {
@@ -108,25 +66,13 @@ class Scheduler {
 
   /// Queue a coroutine resumption `delay` seconds from now. The defaulted
   /// source location attributes the scheduling site when a SimChecker is
-  /// installed (past-event and tie-order-hazard reports). The WakeEdge
-  /// overload annotates *why* (who woke whom) for causal-graph observers;
-  /// the plain overload records the default self edge (WakeKind::kDelay).
+  /// installed (past-event and tie-order-hazard reports).
   void scheduleResume(
       Duration delay, std::coroutine_handle<> h,
-      std::source_location loc = std::source_location::current()) {
-    scheduleResume(delay, h, WakeEdge{}, loc);
-  }
-  void scheduleResume(
-      Duration delay, std::coroutine_handle<> h, WakeEdge edge,
       std::source_location loc = std::source_location::current());
 
   /// Queue a callback `delay` seconds from now.
   void scheduleCall(Duration delay, std::function<void()> fn,
-                    std::source_location loc = std::source_location::current()) {
-    scheduleCall(delay, std::move(fn), WakeEdge{WakeKind::kCallback, nullptr},
-                 loc);
-  }
-  void scheduleCall(Duration delay, std::function<void()> fn, WakeEdge edge,
                     std::source_location loc = std::source_location::current());
 
   /// Awaitable that suspends the current task for `dt` simulated seconds.
@@ -173,17 +119,7 @@ class Scheduler {
 
   /// Install (or clear, with nullptr) the observation hooks. The hooks
   /// object is borrowed and must outlive the scheduler or be cleared first.
-  /// wantsScheduleEvents() is sampled here, once — re-call setHooks after
-  /// changing what the hooks object wants.
-  void setHooks(SchedulerHooks* hooks) {
-    hooks_ = hooks;
-    hooksWantSchedule_ = hooks != nullptr && hooks->wantsScheduleEvents();
-  }
-
-  /// Sequence number of the event being dispatched right now;
-  /// SchedulerHooks::kNoParent outside the event loop. This is the parent
-  /// of every event scheduled from the running handler.
-  std::uint64_t dispatchingSeq() const { return dispatchingSeq_; }
+  void setHooks(SchedulerHooks* hooks) { hooks_ = hooks; }
 
   /// Install (or clear) the runtime invariant checker (simcheck.hpp).
   /// Borrowed; normally wired through SimChecker::attach. Resources query
@@ -225,8 +161,6 @@ class Scheduler {
     unsigned line = 0;
   };
 
-  void scheduleAt(SimTime t, std::function<void()> fn, WakeEdge edge,
-                  std::source_location loc);
   std::uint32_t allocNode();
   void freeNode(std::uint32_t idx);
   void pushIndex(std::uint32_t idx);
@@ -268,8 +202,6 @@ class Scheduler {
   std::size_t liveRoots_ = 0;
   std::exception_ptr firstError_;
   SchedulerHooks* hooks_ = nullptr;
-  bool hooksWantSchedule_ = false;
-  std::uint64_t dispatchingSeq_ = SchedulerHooks::kNoParent;
   SimChecker* check_ = nullptr;
   std::vector<EventMeta> meta_;  // parallel to pool_; used iff check_ set
 };

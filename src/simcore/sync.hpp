@@ -26,8 +26,7 @@ class Gate {
     if (fired_) return;
     fired_ = true;
     while (!waiters_.empty())
-      sched_.scheduleResume(0.0, waiters_.popFront()->handle,
-                            WakeEdge{WakeKind::kGateFire, "gate"});
+      sched_.scheduleResume(0.0, waiters_.popFront()->handle);
   }
 
   [[nodiscard]] auto wait() {
@@ -89,8 +88,7 @@ class Barrier {
  private:
   void releaseAll() {
     while (!waiters_.empty())
-      sched_.scheduleResume(0.0, waiters_.popFront()->handle,
-                            WakeEdge{WakeKind::kBarrierRelease, "barrier"});
+      sched_.scheduleResume(0.0, waiters_.popFront()->handle);
   }
 
   Scheduler& sched_;

@@ -233,8 +233,8 @@ TEST(ShardedIdentity, Eq7StdoutAndExportsMatchSerial) {
 // exit code is chosen after fig9's stack has written its exports.
 TEST(ShardedIdentity, PerfJsonOnFullDiskExitsNonzero) {
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  for (const char* flag : {"--perf-json", "--metrics", "--attr", "--critpath",
-                           "--trace", "--optrace"}) {
+  for (const char* flag :
+       {"--perf-json", "--metrics", "--attr", "--trace", "--optrace"}) {
     const RunResult r =
         run(paper(std::string("fig9_dist_1pfpp ") + flag + " /dev/full"));
     EXPECT_EQ(r.exitCode, 1) << flag << "\n" << r.output;
@@ -279,6 +279,8 @@ TEST(ShardedIdentity, ValuedFlagRejectsAFlagAsItsValue) {
             "error: --max-np 100 leaves no scales to run"},
            {"eq7_measured_vs_model --np 256 --telemetry t.json",
             "error: unknown flag --telemetry"},
+           {"eq7_measured_vs_model --np 256 --critpath c.json",
+            "error: unknown flag --critpath"},
            {"eq7_measured_vs_model --np 256 --optrace=0 o.json",
             "error: --optrace: not a positive number: 0"},
            {"eq7_measured_vs_model --np 256 --optrace=abc",
@@ -345,8 +347,7 @@ TEST(ShardedIdentity, ObsDirWritesOneFilePerArtifactAndStack) {
       run(paper("eq7_measured_vs_model --np 256 --obs-dir " + dir.string()));
   ASSERT_EQ(r.exitCode, 0) << r.output;
   const std::vector<std::string> expected = {
-      "attr.2.json",    "attr.json",    "critpath.2.json", "critpath.json",
-      "metrics.2.json", "metrics.json", "optrace.2.json",  "optrace.json",
-      "trace.2.json",   "trace.json"};
+      "attr.2.json",    "attr.json",    "metrics.2.json", "metrics.json",
+      "optrace.2.json", "optrace.json", "trace.2.json",   "trace.json"};
   EXPECT_EQ(fileNames(dir), expected);
 }

@@ -1,4 +1,4 @@
-// Blocked-time attribution and the critical-path recorder.
+// Blocked-time attribution.
 #include "obs/attr.hpp"
 
 #include <gtest/gtest.h>
@@ -8,11 +8,8 @@
 #include <cstdint>
 #include <memory>
 
-#include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "simcore/resource.hpp"
-#include "simcore/scheduler.hpp"
 
 namespace bgckpt::obs {
 namespace {
@@ -159,60 +156,6 @@ TEST(Attribution, ReportJsonRoundTripsBitForBit) {
           << "rank " << r.ranks[i].rank << " "
           << phaseName(static_cast<Phase>(p));
   }
-}
-
-TEST(CritPath, WalksPredecessorChainAndBuckets) {
-  CritPathRecorder rec;
-  const auto none = sim::SchedulerHooks::kNoParent;
-  // 0 --delay(1s)--> 1 --resource_grant "disk" (2s)--> 2 (terminal, t=3)
-  // 3 is a dead-end sibling at t=2.
-  rec.onEventScheduled(10, none, 0.0, sim::WakeKind::kSpawn, "spawn");
-  rec.onEventScheduled(11, 10, 1.0, sim::WakeKind::kDelay, "a.cpp");
-  rec.onEventScheduled(12, 11, 3.0, sim::WakeKind::kResourceGrant, "disk");
-  rec.onEventScheduled(13, 10, 2.0, sim::WakeKind::kDelay, "b.cpp");
-  const auto path = rec.computePath(3.0);
-  EXPECT_EQ(path.eventsRecorded, 4u);
-  EXPECT_EQ(path.steps, 3u);
-  EXPECT_DOUBLE_EQ(path.pathSeconds, 3.0);
-  const auto& grant =
-      path.byKind[static_cast<std::size_t>(sim::WakeKind::kResourceGrant)];
-  EXPECT_DOUBLE_EQ(grant.seconds, 2.0);
-  EXPECT_EQ(grant.edges, 1u);
-  ASSERT_FALSE(path.byLabel.empty());
-  EXPECT_EQ(path.byLabel[0].label, "disk");  // heaviest label first
-  ASSERT_EQ(path.tail.size(), 3u);
-  EXPECT_EQ(path.tail.front().seq, 10u);  // chronological order
-  EXPECT_EQ(path.tail.back().seq, 12u);
-  const std::string json = path.toJson();
-  EXPECT_NE(json.find("\"path_steps\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"resource_grant\""), std::string::npos);
-}
-
-TEST(CritPath, RecordsALiveSchedulerThroughAttachCritPath) {
-  sim::Scheduler sched;
-  Observability obs;
-  auto& rec = obs.attachCritPath(sched);
-  sim::Resource res(sched, 1, "disk");
-  auto body = [](sim::Scheduler& s, sim::Resource& r) -> sim::Task<> {
-    co_await r.acquire();
-    co_await s.delay(1.0);
-    r.release();
-  };
-  sched.spawn(body(sched, res));
-  sched.spawn(body(sched, res));
-  sched.run();
-  obs.releaseScheduler();
-  const auto path = rec.computePath(sched.now());
-  EXPECT_DOUBLE_EQ(sched.now(), 2.0);
-  // The chain that bounds the makespan: both delays plus the grant edge.
-  EXPECT_DOUBLE_EQ(path.pathSeconds, 2.0);
-  EXPECT_GT(path.steps, 1u);
-  const auto& grant =
-      path.byKind[static_cast<std::size_t>(sim::WakeKind::kResourceGrant)];
-  EXPECT_EQ(grant.edges, 1u);
-  bool sawDisk = false;
-  for (const auto& b : path.byLabel) sawDisk |= b.label == "disk";
-  EXPECT_TRUE(sawDisk);
 }
 
 }  // namespace

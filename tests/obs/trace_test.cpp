@@ -11,6 +11,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/optrace.hpp"
 #include "simcore/scheduler.hpp"
 #include "simcore/task.hpp"
 
@@ -28,11 +29,6 @@ TraceEvent span(Layer layer, char phase, int tid, const char* name,
   return ev;
 }
 
-TEST(NullSink, WantsNoLayers) {
-  NullSink sink;
-  EXPECT_EQ(sink.layerMask(), 0u);
-}
-
 TEST(Observability, MaskGatesEmission) {
   // Declared before obs: ChromeTraceSink writes the closing "]" to the
   // stream from its destructor, so the stream must outlive the sink.
@@ -40,8 +36,9 @@ TEST(Observability, MaskGatesEmission) {
   Observability obs;
   EXPECT_FALSE(obs.tracing(Layer::kIo));  // no sinks at all
 
-  obs.addSink(std::make_shared<NullSink>());
-  EXPECT_FALSE(obs.tracing(Layer::kIo));  // NullSink adds nothing
+  // The op-trace sink only hooks finalize, so it wants no layer.
+  EXPECT_EQ(obs.attachOpTrace().layerMask(), 0u);
+  EXPECT_FALSE(obs.tracing(Layer::kIo));  // a mask-0 sink turns on no layer
 
   obs.addSink(std::make_shared<ChromeTraceSink>(chrome));
   for (int l = 0; l < kNumLayers; ++l)

@@ -195,6 +195,10 @@ TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
   };
   std::vector<Dispatch> order;
   std::vector<SimTime> due(kTotal);
+  // The scheduler hands out sequence numbers in call order, so counting
+  // scheduleCall calls numbers each event with its seq.
+  std::vector<std::uint64_t> seqOf(kTotal);
+  std::uint64_t nextSeq = 0;
   std::uint64_t lcg = 12345;
   auto next = [&lcg] {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -205,11 +209,12 @@ TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
   // must wait until the heap's t=42 run drains.
   bool burstQueued = false;
   std::function<void(int)> record = [&](int id) {
-    order.push_back({id, sched.now(), sched.dispatchingSeq()});
+    order.push_back({id, sched.now(), seqOf[static_cast<std::size_t>(id)]});
     if (sched.now() != 42.0 || burstQueued) return;
     burstQueued = true;
     for (int i = 2100; i < kTotal; ++i) {
       due[static_cast<std::size_t>(i)] = 42.0;
+      seqOf[static_cast<std::size_t>(i)] = nextSeq++;
       sched.scheduleCall(0.0, [&record, i] { record(i); });
     }
   };
@@ -218,12 +223,16 @@ TEST(Scheduler, DispatchesInStrictTimeThenSequenceOrder) {
     if (i % 7 == 0) t = 42.0;        // duplicate-time runs
     if (i % 13 == 0) t = t * 1e4;    // outliers
     due[static_cast<std::size_t>(i)] = t;
+    seqOf[static_cast<std::size_t>(i)] = nextSeq++;
     sched.scheduleCall(t, [&record, i] { record(i); });
   }
-  // Events scheduled from inside callbacks (time has advanced) as well.
+  // Events scheduled from inside callbacks (time has advanced) as well;
+  // the callback that schedules them takes a sequence number of its own.
+  ++nextSeq;
   sched.scheduleCall(1.0, [&] {
     for (int i = 2000; i < 2100; ++i) {
       due[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 11);
+      seqOf[static_cast<std::size_t>(i)] = nextSeq++;
       sched.scheduleCall(static_cast<double>(i % 11),
                          [&record, i] { record(i); });
     }

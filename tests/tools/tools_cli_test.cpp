@@ -86,6 +86,19 @@ TEST(TraceReportCli, AttrModePartitionsPhases) {
   EXPECT_NE(r.output.find("blocked"), std::string::npos);
 }
 
+// A checkpoint's makespan is its slowest rank's blocked time, so --attr
+// names that rank and its phases, largest first. In the rbIO fixture the
+// writer (rank 0) is blocked for the whole 1.560 s horizon, nearly all of
+// it writing.
+TEST(TraceReportCli, AttrModeNamesTheSlowestRank) {
+  const auto r = run(traceReport() + " --attr " + fixture("attr_rbio.json"));
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_NE(r.output.find("slowest rank 0: blocked 1.560 s (write 1.500 s, "
+                          "metadata 0.030 s,"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(TraceReportCli, AttrDiffComparesTwoRuns) {
   const auto r = run(traceReport() + " --attr " + fixture("attr_coio.json") +
                      " --diff " + fixture("attr_rbio.json"));
@@ -95,37 +108,11 @@ TEST(TraceReportCli, AttrDiffComparesTwoRuns) {
   EXPECT_NE(r.output.find("blocked-time ratio A/B"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("handoff_send"), std::string::npos);
-}
-
-TEST(TraceReportCli, CritPathModeRendersBuckets) {
-  const auto r =
-      run(traceReport() + " --critpath " + fixture("critpath_coio.json"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("critical path"), std::string::npos);
-  EXPECT_NE(r.output.find("path 1.800 s"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("delay"), std::string::npos);
-  EXPECT_NE(r.output.find("fabric.cpp"), std::string::npos);
-}
-
-TEST(TraceReportCli, CritPathDiffComparesTwoRuns) {
-  const auto r =
-      run(traceReport() + " --critpath " + fixture("critpath_coio.json") +
-          " --diff " + fixture("critpath_rbio.json"));
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("A seconds"), std::string::npos);
-  EXPECT_NE(r.output.find("fabric.cpp"), std::string::npos);
-  EXPECT_NE(r.output.find("resource_grant"), std::string::npos) << r.output;
-}
-
-// critpath is gated on its schema like every other JSON artifact: another
-// artifact handed to --critpath (here an attr export) is refused instead
-// of rendering as an all-zero report.
-TEST(TraceReportCli, CritPathRejectsWrongSchemaVersion) {
-  const auto r =
-      run(traceReport() + " --critpath " + fixture("attr_coio.json"));
-  EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("critpath schema \"bgckpt-attr-1\" not "
-                          "supported"),
+  // coIO's two ranks tie at 1.800 s blocked; the lower rank is named.
+  EXPECT_NE(r.output.find("\nA slowest rank 0: blocked 1.800 s"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("\nB slowest rank 0: blocked 1.560 s"),
             std::string::npos)
       << r.output;
 }
@@ -134,9 +121,9 @@ TEST(TraceReportCli, CritPathRejectsWrongSchemaVersion) {
 // JSON artifact.
 TEST(TraceReportCli, AttrRejectsWrongSchemaVersion) {
   const auto r =
-      run(traceReport() + " --attr " + fixture("critpath_coio.json"));
+      run(traceReport() + " --attr " + fixture("optrace_coio.json"));
   EXPECT_EQ(r.exitCode, 2) << r.output;
-  EXPECT_NE(r.output.find("attr schema \"bgckpt-critpath-1\" not "
+  EXPECT_NE(r.output.find("attr schema \"bgckpt-optrace-1\" not "
                           "supported"),
             std::string::npos)
       << r.output;
@@ -148,6 +135,7 @@ TEST(TraceReportCli, ErrorsAreUsageExitCode) {
   EXPECT_EQ(run(traceReport() + " --timeline " + fixture("attr_coio.json"))
                 .exitCode,
             2);
+  EXPECT_EQ(run(traceReport() + " --critpath f.json").exitCode, 2);
   // The summary of one trace has nothing to --diff against; every other
   // mode does.
   EXPECT_EQ(run(traceReport() + " " + fixture("trace_coio.json") +
@@ -393,9 +381,8 @@ TEST(RuntimeGateCli, UsageAndMissingFilesExitTwo) {
                 " --tolerance 0.5")
                 .exitCode,
             2);
-  EXPECT_EQ(run(traceReport() + " --critpath " +
-                fixture("critpath_coio.json") + " --diff " +
-                fixture("critpath_rbio.json") + " --min-speedup 2")
+  EXPECT_EQ(run(traceReport() + " --attr " + fixture("attr_coio.json") +
+                " --diff " + fixture("attr_rbio.json") + " --min-speedup 2")
                 .exitCode,
             2);
   EXPECT_EQ(run(runtimeGate("perf_base.json", "perf_same.json",

@@ -2,7 +2,6 @@
 //
 // Usage:  trace_report <trace.json> [--bins N]
 //         trace_report --attr <attr.json> [--diff <other.json>]
-//         trace_report --critpath <run.json> [--diff <other.json>]
 //         trace_report --waterfall <optrace.json> [--req ID | --diff <other>]
 //                      [--width N]
 //         trace_report --runtime <perf.json> [--diff <other.json>
@@ -18,28 +17,28 @@
 //   4. a write/handoff activity timeline (the Fig. 12 view of the run).
 //
 // --attr renders the blocked-time attribution written by `<bench> --attr
-// <file>` (obs/attr.hpp): the exclusive per-phase partition; with --diff
-// it compares two runs (e.g. rbIO vs coIO) phase by phase. --critpath
-// renders the JSON written by `<bench> --critpath <file>`, with the same
-// A/B diff option. --waterfall renders the per-request causal-trace JSON
-// written by `<bench> --optrace <file>`: hop-percentile tables (global and
-// per op), the fan-in lineage summary, a p99-localization line, and ASCII
-// hop waterfalls (--width N columns) for the retained tail (the N slowest
-// requests) or, with --req ID, for one chosen request; --diff compares the
-// hop-percentile tables of two runs (e.g. rbIO vs coIO). --runtime renders
-// the wall-clock side of the perf record written by `paper --perf-json`:
-// each --threads parallel region's jobs slowest first, with the
-// serial-fraction / Amdahl-ceiling analysis, then the per-point wall
-// table; --diff compares two records point by point. With --min-speedup X or --tolerance F the
-// diff is a gate (exit 1 on failure): both records must hold the same runs
-// (labels in order, identical event counts), and B's elapsed wall must be
-// at most A's / X, or at most A's * (1 + F). Elapsed wall is each parallel
-// region's wall plus the runs no region covers, so a --threads record is
-// timed by its regions, not by per-run walls that overlap.
+// <file>` (obs/attr.hpp): the exclusive per-phase partition, then the
+// slowest rank (the one whose blocked time bounds the checkpoint's
+// makespan) with its phases; with --diff it compares two runs (e.g. rbIO
+// vs coIO) phase by phase and names each one's slowest rank. --waterfall
+// renders the per-request causal-trace JSON written by `<bench> --optrace
+// <file>`: hop-percentile tables (global and per op), the fan-in lineage
+// summary, a p99-localization line, and ASCII hop waterfalls (--width N
+// columns) for the retained tail (the N slowest requests) or, with --req
+// ID, for one chosen request; --diff compares the hop-percentile tables of
+// two runs (e.g. rbIO vs coIO). --runtime renders the wall-clock side of
+// the perf record written by `paper --perf-json`: each --threads parallel
+// region's jobs slowest first, with the serial-fraction / Amdahl-ceiling
+// analysis, then the per-point wall table; --diff compares two records
+// point by point. With --min-speedup X or --tolerance F the diff is a gate
+// (exit 1 on failure): both records must hold the same runs (labels in
+// order, identical event counts), and B's elapsed wall must be at most A's
+// / X, or at most A's * (1 + F). Elapsed wall is each parallel region's
+// wall plus the runs no region covers, so a --threads record is timed by
+// its regions, not by per-run walls that overlap.
 //
-// Every JSON export the --attr, --critpath, --waterfall and --runtime
-// modes read must carry this build's version in its "schema" field, else
-// exit 2.
+// Every JSON export the --attr, --waterfall and --runtime modes read must
+// carry this build's version in its "schema" field, else exit 2.
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
@@ -55,7 +54,6 @@
 
 #include "analysis/ascii.hpp"
 #include "obs/attr.hpp"
-#include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/optrace.hpp"
@@ -76,12 +74,11 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <trace.json> [--bins N]\n"
                "       %s --attr <attr.json> [--diff <other.json>]\n"
-               "       %s --critpath <run.json> [--diff <other.json>]\n"
                "       %s --waterfall <optrace.json> [--req ID |"
                " --diff <other.json>] [--width N]\n"
                "       %s --runtime <perf.json> [--diff <other.json>"
                " [--min-speedup X] [--tolerance F]]\n",
-               argv0, argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -128,8 +125,8 @@ bool loadJsonFile(const char* path, Value* out) {
 
 /// Load one artifact JSON behind the shared schema gate: the document's
 /// "schema" field must be exactly `expectedSchema`. Every JSON-artifact
-/// mode (--attr, --critpath, --waterfall, --runtime) funnels through here,
-/// and every failure funnels to the same caller exit-2 path.
+/// mode (--attr, --waterfall, --runtime) funnels through here, and every
+/// failure funnels to the same caller exit-2 path.
 bool loadGatedArtifact(const char* path, const char* kind,
                        const char* expectedSchema, Value* out) {
   if (!loadJsonFile(path, out)) return false;
@@ -176,6 +173,35 @@ bool readAttribution(const char* path,
   return true;
 }
 
+/// One line naming the rank with the most blocked time (the lowest rank on
+/// ties) and its non-zero phases, largest first: a checkpoint's makespan is
+/// its slowest rank's blocked time, so this is what bounded the run.
+void printSlowestRank(const char* prefix,
+                      const bgckpt::obs::AttributionEngine::Report& report) {
+  using bgckpt::obs::Phase;
+  if (report.ranks.empty()) return;
+  // max_element keeps the first of equals; ranks are in ascending order.
+  const auto& slowest = *std::max_element(
+      report.ranks.begin(), report.ranks.end(),
+      [](const auto& x, const auto& y) { return x.blocked() < y.blocked(); });
+  const auto seconds = [&](int p) {
+    return slowest.seconds[static_cast<std::size_t>(p)];
+  };
+  std::vector<int> phases;
+  for (int p = 0; p < bgckpt::obs::kNumPhases; ++p)
+    if (p != static_cast<int>(Phase::kCompute) && seconds(p) > 0.0)
+      phases.push_back(p);
+  std::stable_sort(phases.begin(), phases.end(),
+                   [&](int x, int y) { return seconds(x) > seconds(y); });
+  std::printf("%sslowest rank %d: blocked %.3f s (", prefix, slowest.rank,
+              slowest.blocked());
+  for (std::size_t i = 0; i < phases.size(); ++i)
+    std::printf("%s%s %.3f s", i > 0 ? ", " : "",
+                bgckpt::obs::phaseName(static_cast<Phase>(phases[i])),
+                seconds(phases[i]));
+  std::printf(")\n");
+}
+
 int runAttrMode(const char* pathA, const char* pathB) {
   using bgckpt::obs::AttributionEngine;
   using bgckpt::obs::Phase;
@@ -196,6 +222,8 @@ int runAttrMode(const char* pathA, const char* pathB) {
     }
     std::printf("%-13s %16.3f %8.2f%%\n", "blocked", a.blockedSeconds(),
                 total > 0 ? a.blockedSeconds() / total * 100.0 : 0.0);
+    std::printf("\n");
+    printSlowestRank("", a);
     return 0;
   }
   AttributionEngine::Report b;
@@ -216,68 +244,9 @@ int runAttrMode(const char* pathA, const char* pathB) {
   if (b.blockedSeconds() > 0)
     std::printf("\nblocked-time ratio A/B: %.2fx\n",
                 a.blockedSeconds() / b.blockedSeconds());
-  return 0;
-}
-
-bool loadCritPath(const char* path, Value* out) {
-  return loadGatedArtifact(path, "critpath",
-                           bgckpt::obs::CritPathRecorder::kSchemaVersion, out);
-}
-
-/// Pull "seconds" per bucket name out of a critpath "by_kind"/"by_label"
-/// array, preserving file order.
-std::vector<std::pair<std::string, double>> critBuckets(const Value& doc,
-                                                        const char* key) {
-  std::vector<std::pair<std::string, double>> out;
-  const Value* arr = doc.find(key);
-  if (arr == nullptr || !arr->isArray()) return out;
-  for (const Value& entry : *arr->array) {
-    if (!entry.isObject()) continue;
-    std::string name = entry.stringOr("kind", "");
-    if (name.empty()) name = entry.stringOr("label", "?");
-    out.emplace_back(std::move(name), entry.numberOr("seconds", 0));
-  }
-  return out;
-}
-
-int runCritPathMode(const char* pathA, const char* pathB) {
-  Value a;
-  if (!loadCritPath(pathA, &a)) return 2;
-  std::printf("critical path: %s\n", pathA);
-  std::printf("horizon %.3f s, %.0f events recorded, %.0f path steps, "
-              "path %.3f s\n",
-              a.numberOr("horizon_seconds", 0), a.numberOr("events_recorded", 0),
-              a.numberOr("path_steps", 0), a.numberOr("path_seconds", 0));
-  const double pathSecondsA = a.numberOr("path_seconds", 0);
-  if (pathB == nullptr) {
-    for (const char* key : {"by_kind", "by_label"}) {
-      std::printf("\n%-24s %14s %9s\n", key, "seconds", "share");
-      for (const auto& [name, seconds] : critBuckets(a, key)) {
-        if (seconds <= 0.0) continue;
-        std::printf("%-24s %14.6f %8.2f%%\n", name.c_str(), seconds,
-                    pathSecondsA > 0 ? seconds / pathSecondsA * 100.0 : 0.0);
-      }
-    }
-    return 0;
-  }
-  Value b;
-  if (!loadCritPath(pathB, &b)) return 2;
-  std::printf("diff against: %s (path %.3f s)\n", pathB,
-              b.numberOr("path_seconds", 0));
-  for (const char* key : {"by_kind", "by_label"}) {
-    std::map<std::string, std::pair<double, double>> merged;
-    for (const auto& [name, seconds] : critBuckets(a, key))
-      merged[name].first = seconds;
-    for (const auto& [name, seconds] : critBuckets(b, key))
-      merged[name].second = seconds;
-    std::printf("\n%-24s %14s %14s %14s\n", key, "A seconds", "B seconds",
-                "A-B");
-    for (const auto& [name, ab] : merged) {
-      if (ab.first <= 0.0 && ab.second <= 0.0) continue;
-      std::printf("%-24s %14.6f %14.6f %+14.6f\n", name.c_str(), ab.first,
-                  ab.second, ab.first - ab.second);
-    }
-  }
+  std::printf("\n");
+  printSlowestRank("A ", a);
+  printSlowestRank("B ", b);
   return 0;
 }
 
@@ -758,7 +727,6 @@ int main(int argc, char** argv) {
   enum class Mode {
     kSummary,
     kAttr,
-    kCritPath,
     kWaterfall,
     kRuntime
   } mode = Mode::kSummary;
@@ -774,8 +742,6 @@ int main(int argc, char** argv) {
       if (!wholeInt(argv[++i], 0, LLONG_MAX, reqId)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--attr") == 0) {
       mode = Mode::kAttr;
-    } else if (std::strcmp(argv[i], "--critpath") == 0) {
-      mode = Mode::kCritPath;
     } else if (std::strcmp(argv[i], "--waterfall") == 0) {
       mode = Mode::kWaterfall;
     } else if (std::strcmp(argv[i], "--runtime") == 0) {
@@ -803,7 +769,6 @@ int main(int argc, char** argv) {
       (mode != Mode::kRuntime || diffPath == nullptr))
     return usage(argv[0]);
   if (mode == Mode::kAttr) return runAttrMode(path, diffPath);
-  if (mode == Mode::kCritPath) return runCritPathMode(path, diffPath);
   if (mode == Mode::kWaterfall)
     return runWaterfallMode(path, diffPath, reqId, width);
   if (mode == Mode::kRuntime)
